@@ -1,26 +1,22 @@
-//! Wall-clock benches over the Figure 5 microbenchmarks — one line per
-//! `(microbenchmark, memory configuration)` cell — plus hot-path
-//! microbenches over the flat storage structures (direct-indexed LLC
-//! slot table, stash map-index-table arena, direct-indexed page table).
+//! Hot-path microbenches over the flat storage structures
+//! (direct-indexed LLC slot table, stash map-index-table arena,
+//! direct-indexed page table, L1 word-state arena).
 //!
-//! These measure the *simulator's* host time (useful for tracking model
-//! regressions); the simulated results themselves come from the `fig5`
-//! binary. Plain harness (`harness = false`), `bench::timing` engine:
+//! Whole Figure 5/6 cells are timed, and checked against their goldens,
+//! by `perfbench` (`bash perfbench/run.sh --workload matrix`). Plain
+//! harness (`harness = false`), `bench::timing` engine:
 //!
 //! ```text
 //! cargo bench -p bench --bench micro
 //! ```
 
 use bench::timing;
-use gpu::config::MemConfigKind;
-use gpu::machine::Machine;
 use mem::addr::{PAddr, VAddr};
 use mem::cache::DenovoCache;
 use mem::llc::{CoreId, Llc, LlcLoadOutcome, Registration};
 use mem::paging::PageTable;
 use mem::tile::TileMap;
 use stash::{Stash, StashConfig, UsageMode};
-use workloads::suite;
 
 /// Words touched per hot-path bench iteration.
 const LOOKUPS: u64 = 4096;
@@ -118,13 +114,4 @@ fn main() {
     bench_stash_lookups();
     bench_paging_lookups();
     bench_cache_lookups();
-    for workload in suite::micros() {
-        for kind in MemConfigKind::FIGURE5 {
-            let program = (workload.build)(kind);
-            timing::bench(&format!("fig5/{}/{}", workload.name, kind.name()), || {
-                let mut machine = Machine::new(workload.set.system_config(), kind);
-                machine.run(&program).expect("workload runs")
-            });
-        }
-    }
 }

@@ -15,7 +15,7 @@
 //! together and share the simulation job pool.
 //!
 //! A malformed or failing request produces an `error` event; the
-//! process only exits on `shutdown`, end-of-input, or `--once`.
+//! process only exits on `shutdown` or end-of-input.
 //!
 //! Flags:
 //!
@@ -24,7 +24,6 @@
 //! --cache-dir D   persist the result cache under D (default: memory only)
 //! --cache-max N   bound the disk cache to N entries (default 512)
 //! --no-cache      disable the result cache entirely
-//! --once          answer a single request, then exit (cold-run baseline)
 //! --threads N     simulation pool width (also STASH_THREADS)
 //! ```
 
@@ -39,7 +38,7 @@ use bench::server::{parse_request, Request, ResultCache, Server, CODE_VERSION};
 fn usage() -> ! {
     eprintln!(
         "usage: stashd [--socket PATH] [--cache-dir DIR] [--cache-max N] [--no-cache] \
-         [--once] [--threads N]"
+         [--threads N]"
     );
     std::process::exit(2);
 }
@@ -105,7 +104,6 @@ fn serve_lines(
     server: &Mutex<Server>,
     lines: &mpsc::Receiver<String>,
     out: &mut dyn Write,
-    once: bool,
 ) -> bool {
     let mut emit = |line: &str| {
         let _ = writeln!(out, "{line}");
@@ -118,10 +116,8 @@ fn serve_lines(
             return false;
         };
         let mut raw = vec![first];
-        if !once {
-            while let Ok(next) = lines.try_recv() {
-                raw.push(next);
-            }
+        while let Ok(next) = lines.try_recv() {
+            raw.push(next);
         }
         let mut batch: Vec<(u64, Request)> = Vec::new();
         for line in &raw {
@@ -156,9 +152,6 @@ fn serve_lines(
                 .expect("server lock")
                 .handle_batch(&batch, &mut emit);
         }
-        if once {
-            return false;
-        }
     }
 }
 
@@ -177,15 +170,15 @@ fn line_pump<R: std::io::Read + Send + 'static>(reader: R) -> mpsc::Receiver<Str
     rx
 }
 
-fn serve_stdio(server: &Mutex<Server>, once: bool) {
+fn serve_stdio(server: &Mutex<Server>) {
     let mut out = std::io::stdout().lock();
     let _ = writeln!(out, "{}", hello_line());
     let _ = out.flush();
     let lines = line_pump(std::io::stdin());
-    serve_lines(server, &lines, &mut out, once);
+    serve_lines(server, &lines, &mut out);
 }
 
-fn serve_socket(server: &Arc<Mutex<Server>>, path: &str, once: bool) {
+fn serve_socket(server: &Arc<Mutex<Server>>, path: &str) {
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path).unwrap_or_else(|e| {
         eprintln!("stashd: cannot bind {path}: {e}");
@@ -203,7 +196,7 @@ fn serve_socket(server: &Arc<Mutex<Server>>, path: &str, once: bool) {
             let mut writer = stream;
             let _ = writeln!(writer, "{}", hello_line());
             let lines = line_pump(reader);
-            if serve_lines(&server, &lines, &mut writer, once) {
+            if serve_lines(&server, &lines, &mut writer) {
                 // A shutdown command stops the whole daemon, not just
                 // this connection; the accept loop above is blocked, so
                 // exit from here after removing the socket file.
@@ -231,7 +224,6 @@ fn main() {
         })
         .unwrap_or(bench::server::DEFAULT_CACHE_MAX);
     let no_cache = bool_flag(&mut args, "--no-cache");
-    let once = bool_flag(&mut args, "--once");
     if args.len() > 1 {
         usage();
     }
@@ -249,7 +241,7 @@ fn main() {
 
     let server = Arc::new(Mutex::new(Server::new(threads, cache)));
     match socket {
-        Some(path) => serve_socket(&server, &path, once),
-        None => serve_stdio(&server, once),
+        Some(path) => serve_socket(&server, &path),
+        None => serve_stdio(&server),
     }
 }

@@ -6,9 +6,15 @@
 //! It accepts exactly the JSON the repo's own emitters produce (strings
 //! with `\uXXXX` escapes, integers, floats, nested arrays/objects) and
 //! rejects everything else with a positioned error message — a malformed
-//! request must turn into an `error` event, never a panic.
+//! request must turn into an `error` event, never a panic or an abort.
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`parse`] accepts. The protocol nests
+/// two levels and a Perfetto trace four; the cap keeps the recursive
+/// descent far inside the 2 MiB stack of a `stashd` connection thread, so
+/// a line of a hundred thousand `[` is an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 64;
 
 /// An owned JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +38,14 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -78,10 +92,16 @@ impl Value {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first violation.
+/// Returns a message with the byte offset of the first violation,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -92,8 +112,10 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -135,11 +157,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] before recursing.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -235,11 +269,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                    // Consume one UTF-8 scalar: every token the parser
+                    // steps over is ASCII, so `pos` is a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -341,6 +377,33 @@ mod tests {
         let raw = "line\n\ttab \"quote\" back\\slash \u{1}";
         let encoded = format!("\"{}\"", crate::cli::json_escape(raw));
         assert_eq!(parse(&encoded).unwrap().as_str(), Some(raw));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok(), "the cap itself parses");
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper"));
+        // Far past the cap the parser stops at the first level too deep,
+        // long before the recursion could exhaust a thread's stack.
+        assert!(parse(&"[".repeat(100_000))
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+    }
+
+    #[test]
+    fn multibyte_strings_decode() {
+        assert_eq!(parse("\"é→𝄞\"").unwrap().as_str(), Some("é→𝄞"));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! returns the retained events plus the per-CU [`StallBreakdown`];
 //! [`perfetto_json`] renders the events as a `trace.json` the Chrome
 //! tracing UI / Perfetto accept (one track per CU, warp slot, LLC bank,
-//! and NoC link); [`validate_perfetto`] is the hand-rolled format checker
-//! CI runs against emitted traces (parses, and timestamps are monotone
-//! per track). All of it is deterministic: the same `(workload, config)`
-//! cell exports byte-identical JSON on any thread count.
+//! and NoC link); [`validate_perfetto`] is the format checker CI runs
+//! against emitted traces (parses with [`crate::json`], and timestamps
+//! are monotone per track). All of it is deterministic: the same
+//! `(workload, config)` cell exports byte-identical JSON on any thread
+//! count.
 
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
@@ -21,6 +22,8 @@ use sim::SimError;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use workloads::suite::Workload;
+
+use crate::json::Value;
 
 /// One traced matrix cell: the ordinary report plus the trace artifacts.
 #[derive(Debug, Clone)]
@@ -367,7 +370,7 @@ pub fn perfetto_json(run: &TracedRun) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Perfetto validation (hand-rolled; CI's format gate)
+// Perfetto validation (CI's format gate)
 // ---------------------------------------------------------------------
 
 /// What [`validate_perfetto`] measured while checking a trace.
@@ -379,188 +382,6 @@ pub struct PerfettoStats {
     pub tracks: usize,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JVal> {
-        match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.i)
-    }
-
-    fn ws(&mut self) {
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JVal::Bool(true)),
-            Some(b'f') => self.literal("false", JVal::Bool(false)),
-            Some(b'n') => self.literal("null", JVal::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JVal) -> Result<JVal, String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JVal::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    let escaped = *self
-                        .b
-                        .get(self.i + 1)
-                        .ok_or_else(|| self.err("dangling escape"))?;
-                    s.push(match escaped {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        _ => return Err(self.err("unsupported escape")),
-                    });
-                    self.i += 2;
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through byte by byte; the
-                    // final String is rebuilt from valid input bytes.
-                    s.push(c as char);
-                    self.i += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JVal, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
 /// Validates a Chrome/Perfetto `trace.json`: it must parse, carry a
 /// `traceEvents` array whose `"X"` events have numeric `ts`/`dur` and
 /// integer `pid`/`tid`, and timestamps must be non-decreasing per
@@ -570,36 +391,31 @@ impl<'a> Parser<'a> {
 ///
 /// Describes the first structural or monotonicity violation found.
 pub fn validate_perfetto(json: &str) -> Result<PerfettoStats, String> {
-    let mut p = Parser {
-        b: json.as_bytes(),
-        i: 0,
-    };
-    let root = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data after the top-level object"));
-    }
-    let Some(JVal::Arr(events)) = root.get("traceEvents") else {
+    let root = crate::json::parse(json)?;
+    let Some(Value::Arr(events)) = root.get("traceEvents") else {
         return Err("missing traceEvents array".to_string());
     };
     let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut count = 0usize;
     for (i, e) in events.iter().enumerate() {
-        let ph = match e.get("ph") {
-            Some(JVal::Str(ph)) => ph.as_str(),
-            _ => return Err(format!("event {i}: missing ph")),
-        };
+        let ph = e
+            .get_str("ph")
+            .ok_or_else(|| format!("event {i}: missing ph"))?;
         if ph != "X" {
             continue;
         }
-        let field = |k: &str| {
+        let number = |k: &str| {
             e.get(k)
-                .and_then(JVal::num)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("event {i}: missing numeric {k}"))
         };
-        let (ts, _dur) = (field("ts")?, field("dur")?);
-        let (pid, tid) = (field("pid")? as u64, field("tid")? as u64);
-        if !matches!(e.get("name"), Some(JVal::Str(_))) {
+        let integer = |k: &str| {
+            e.get_u64(k)
+                .ok_or_else(|| format!("event {i}: missing integer {k}"))
+        };
+        let (ts, _dur) = (number("ts")?, number("dur")?);
+        let (pid, tid) = (integer("pid")?, integer("tid")?);
+        if e.get_str("name").is_none() {
             return Err(format!("event {i}: missing name"));
         }
         let last = last_ts.entry((pid, tid)).or_insert(f64::NEG_INFINITY);

@@ -1,5 +1,4 @@
-//! The resident simulation daemon core (`stashd`) and its client side
-//! (`loadgen`, `perf --serve`).
+//! The resident simulation daemon core (`stashd`).
 //!
 //! A daemon process keeps lowered [`Program`] IRs **resident** across
 //! requests and memoizes finished results in a **content-addressed
@@ -29,11 +28,8 @@
 //! — the same damage discipline as `sim::snapshot` checkpoints.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
 
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
@@ -44,7 +40,7 @@ use workloads::suite::{self, Workload};
 
 use crate::chaos;
 use crate::cli::json_escape;
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::pool::JobPool;
 use crate::{csv_bytes, MatrixRow};
 
@@ -923,160 +919,9 @@ fn error_event(id: u64, cmd: &str, message: &str) -> String {
     )
 }
 
-// ---------------------------------------------------------------------
-// Client side: drive a daemon child process over its stdio transport.
-// Shared by the `loadgen` binary and the `perf --serve` runner.
-// ---------------------------------------------------------------------
-
-/// One answered request as the client saw it.
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// Whether the daemon answered from its cache.
-    pub cached: bool,
-    /// The 16-hex content address of the request key.
-    pub key: String,
-    /// The result payload (empty on error).
-    pub payload: String,
-    /// The daemon's error message, if the request failed.
-    pub error: Option<String>,
-    /// Wall-clock from writing the request to reading its answer.
-    pub latency: Duration,
-}
-
-/// A client around a spawned `stashd` child speaking the stdio
-/// transport.
-pub struct DaemonClient {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-    next_id: u64,
-}
-
-impl DaemonClient {
-    /// Spawns `exe` with `args` and waits for its `hello` line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates spawn/pipe failures; a missing or malformed `hello`
-    /// is reported as [`std::io::ErrorKind::InvalidData`].
-    pub fn spawn(exe: &Path, args: &[&str]) -> std::io::Result<DaemonClient> {
-        let mut child = Command::new(exe)
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdin = child.stdin.take().expect("stdin piped");
-        let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
-        let mut client = DaemonClient {
-            child,
-            stdin,
-            stdout,
-            next_id: 1,
-        };
-        let hello = client.read_line()?;
-        let ok = json::parse(&hello).is_ok_and(|v| v.get_str("event") == Some("hello"));
-        if !ok {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("expected hello line, got {hello:?}"),
-            ));
-        }
-        Ok(client)
-    }
-
-    fn read_line(&mut self) -> std::io::Result<String> {
-        let mut line = String::new();
-        if self.stdout.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "daemon closed its stdout",
-            ));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Sends one request template — a JSON object *without* an `id`
-    /// member, e.g. `{"cmd":"fig5"}` — and blocks until its `result` or
-    /// `error` event, skipping `progress` lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (broken pipe, EOF, a line that is
-    /// not valid protocol JSON).
-    pub fn request(&mut self, template: &str) -> std::io::Result<Response> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let body = template.strip_prefix('{').unwrap_or(template);
-        let line = format!("{{\"id\":{id},{body}");
-        let start = Instant::now();
-        self.stdin.write_all(line.as_bytes())?;
-        self.stdin.write_all(b"\n")?;
-        self.stdin.flush()?;
-        loop {
-            let reply = self.read_line()?;
-            let v = json::parse(&reply).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad protocol line {reply:?}: {e}"),
-                )
-            })?;
-            if v.get_u64("id") != Some(id) {
-                continue;
-            }
-            match v.get_str("event") {
-                Some("progress") => {}
-                Some("result") => {
-                    return Ok(Response {
-                        cached: v.get("cached") == Some(&Value::Bool(true)),
-                        key: v.get_str("key").unwrap_or("").to_string(),
-                        payload: v.get_str("payload").unwrap_or("").to_string(),
-                        error: None,
-                        latency: start.elapsed(),
-                    });
-                }
-                Some("error") => {
-                    return Ok(Response {
-                        cached: false,
-                        key: String::new(),
-                        payload: String::new(),
-                        error: Some(v.get_str("error").unwrap_or("unknown error").to_string()),
-                        latency: start.elapsed(),
-                    });
-                }
-                _ => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("unexpected event in {reply:?}"),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Sends `shutdown` and reaps the child.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipe/wait failures (the child is killed on drop
-    /// regardless).
-    pub fn shutdown(mut self) -> std::io::Result<()> {
-        self.stdin.write_all(b"{\"cmd\":\"shutdown\"}\n")?;
-        self.stdin.flush()?;
-        self.child.wait()?;
-        Ok(())
-    }
-}
-
-impl Drop for DaemonClient {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
 /// The path of a sibling binary of the currently running one (the way
-/// `loadgen` and `perf --serve` find `stashd` without any configuration).
+/// the `perfbench` serve workload finds `stashd` without any
+/// configuration).
 ///
 /// # Errors
 ///
@@ -1087,9 +932,9 @@ pub fn sibling_binary(name: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// The request templates the load generator and the perf runner mix:
-/// every microbenchmark's advise, both figure matrices, and a small
-/// chaos campaign. Each template is a JSON object without an `id`.
+/// The hot request templates of the `perfbench` serve workload: every
+/// microbenchmark's advise, the Figure 5 matrix, and a small chaos
+/// campaign. Each template is a JSON object without an `id`.
 pub fn mix_templates() -> Vec<String> {
     let mut t: Vec<String> = suite::micros()
         .iter()
@@ -1100,33 +945,10 @@ pub fn mix_templates() -> Vec<String> {
     t
 }
 
-/// A seeded request mix: `n` draws over [`mix_templates`] via the
-/// repo's deterministic [`sim::rng::SplitMix64`].
-pub fn seeded_mix(seed: u64, n: usize) -> Vec<String> {
-    let templates = mix_templates();
-    let mut rng = sim::rng::SplitMix64::new(seed);
-    (0..n)
-        .map(|_| {
-            templates[usize::try_from(rng.next_below(templates.len() as u64)).unwrap_or(0)].clone()
-        })
-        .collect()
-}
-
-/// The `p`-th percentile (0–100) of an unsorted latency sample.
-/// Returns zero for an empty sample.
-pub fn percentile(samples: &[Duration], p: usize) -> Duration {
-    if samples.is_empty() {
-        return Duration::ZERO;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = (sorted.len() - 1) * p.min(100) / 100;
-    sorted[rank]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn parse_request_validates_names() {
@@ -1204,23 +1026,5 @@ mod tests {
         assert_eq!(cache.lookup(b"k").as_deref(), Some("payload"));
         assert_eq!(cache.stats.hits, 1);
         assert_eq!(cache.stats.misses, 1);
-    }
-
-    #[test]
-    fn percentile_picks_expected_ranks() {
-        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 50), Duration::from_millis(50));
-        assert_eq!(percentile(&ms, 95), Duration::from_millis(95));
-        assert_eq!(percentile(&ms, 100), Duration::from_millis(100));
-        assert_eq!(percentile(&[], 50), Duration::ZERO);
-    }
-
-    #[test]
-    fn seeded_mix_is_deterministic() {
-        assert_eq!(seeded_mix(7, 12), seeded_mix(7, 12));
-        assert_eq!(seeded_mix(7, 12).len(), 12);
-        for line in seeded_mix(3, 8) {
-            assert!(json::parse(&line).is_ok(), "{line}");
-        }
     }
 }

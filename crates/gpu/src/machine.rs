@@ -200,36 +200,7 @@ impl Machine {
     /// Propagates allocation, mapping and configuration errors from the
     /// program's operations.
     pub fn run(&mut self, program: &Program) -> Result<RunReport, SimError> {
-        let mut gpu_cycles = 0u64;
-        let mut cpu_cycles = 0u64;
-        for phase in &program.phases {
-            match phase {
-                Phase::Gpu(kernel) => {
-                    // Keep trace stamps monotone across kernels: each
-                    // kernel's scheduler restarts at cycle 0, offset by
-                    // the cycles already spent.
-                    self.mem.set_trace_base(gpu_cycles);
-                    gpu_cycles += self.run_kernel(kernel)?;
-                }
-                Phase::Cpu(cpu) => cpu_cycles += run_cpu_phase(&mut self.mem, cpu)?,
-            }
-        }
-        // End-of-run scrub: any injected corruption still latent in the
-        // LLC or a stash is surfaced (parity on) before reporting, so a
-        // fault-free report implies clean architectural state.
-        self.mem.scrub_faults();
-        let cfg = self.mem.config();
-        let total_picos =
-            cfg.gpu_clock.cycles_to_picos(gpu_cycles) + cfg.cpu_clock.cycles_to_picos(cpu_cycles);
-        Ok(RunReport {
-            gpu_cycles,
-            cpu_cycles,
-            total_picos,
-            gpu_instructions: self.mem.gpu_instructions(),
-            energy: *self.mem.energy(),
-            traffic: *self.mem.traffic(),
-            counters: self.mem.counters().clone(),
-        })
+        self.run_from(program, None, &mut RunCursor::default(), |_, _| Ok(()))
     }
 
     /// Runs a program like [`Machine::run`], but executes each kernel's
@@ -251,32 +222,7 @@ impl Machine {
         program: &Program,
         par: &ParallelConfig,
     ) -> Result<RunReport, SimError> {
-        let mut gpu_cycles = 0u64;
-        let mut cpu_cycles = 0u64;
-        let mut ordinal = 0u64;
-        for phase in &program.phases {
-            match phase {
-                Phase::Gpu(kernel) => {
-                    self.mem.set_trace_base(gpu_cycles);
-                    gpu_cycles += self.run_kernel_parallel(kernel, par, ordinal)?;
-                    ordinal += 1;
-                }
-                Phase::Cpu(cpu) => cpu_cycles += run_cpu_phase(&mut self.mem, cpu)?,
-            }
-        }
-        self.mem.scrub_faults();
-        let cfg = self.mem.config();
-        let total_picos =
-            cfg.gpu_clock.cycles_to_picos(gpu_cycles) + cfg.cpu_clock.cycles_to_picos(cpu_cycles);
-        Ok(RunReport {
-            gpu_cycles,
-            cpu_cycles,
-            total_picos,
-            gpu_instructions: self.mem.gpu_instructions(),
-            energy: *self.mem.energy(),
-            traffic: *self.mem.traffic(),
-            counters: self.mem.counters().clone(),
-        })
+        self.run_from(program, Some(par), &mut RunCursor::default(), |_, _| Ok(()))
     }
 
     /// Runs a program from `cursor`, calling `at_barrier` after every
@@ -308,6 +254,9 @@ impl Machine {
         while cursor.next_phase < program.phases.len() {
             match &program.phases[cursor.next_phase] {
                 Phase::Gpu(kernel) => {
+                    // Keep trace stamps monotone across kernels: each
+                    // kernel's scheduler restarts at cycle 0, offset by
+                    // the cycles already spent.
                     self.mem.set_trace_base(cursor.gpu_cycles);
                     let cycles = match par {
                         Some(p) => self.run_kernel_parallel(kernel, p, cursor.ordinal)?,
@@ -321,6 +270,9 @@ impl Machine {
             cursor.next_phase += 1;
             at_barrier(&*self, cursor)?;
         }
+        // End-of-run scrub: any injected corruption still latent in the
+        // LLC or a stash is surfaced (parity on) before reporting, so a
+        // fault-free report implies clean architectural state.
         self.mem.scrub_faults();
         let cfg = self.mem.config();
         let total_picos = cfg.gpu_clock.cycles_to_picos(cursor.gpu_cycles)
@@ -518,14 +470,12 @@ impl Machine {
         }
         // Merge in CU order: private structures + accounting move over,
         // staged logs replay afterwards.
-        let mut kernel_cycles = 0u64;
         let mut cu_cycles = vec![0u64; cus];
         let mut logs: Vec<(usize, StageLog)> = Vec::with_capacity(reduced.len());
         let mut shard_dram = Vec::with_capacity(reduced.len());
         for r in reduced {
             let cu = r.cu();
             cu_cycles[cu] = r.cycles();
-            kernel_cycles = kernel_cycles.max(r.cycles());
             let (log, dram) = self.mem.absorb_result(r)?;
             logs.push((cu, log));
             shard_dram.push(dram);
@@ -535,18 +485,7 @@ impl Machine {
         if certified {
             self.certified_kernels += 1;
         }
-        let launch = self.mem.config().kernel_launch_cycles;
-        if self.mem.trace_enabled() {
-            for (cu, &used) in cu_cycles.iter().enumerate() {
-                self.mem
-                    .trace_stall(cu, sim::trace::StallReason::Idle, kernel_cycles - used);
-                self.mem
-                    .trace_stall(cu, sim::trace::StallReason::KernelLaunch, launch);
-            }
-            self.mem.set_trace_time(kernel_cycles);
-        }
-        self.mem.end_kernel()?;
-        Ok(kernel_cycles + launch)
+        self.close_kernel(&cu_cycles)
     }
 
     fn run_kernel(&mut self, kernel: &Kernel) -> Result<u64, SimError> {
@@ -556,15 +495,20 @@ impl Machine {
         // (State interactions across CUs within a kernel are processed
         // sequentially, which is exact for the paper's workloads — GPU
         // kernels share no data within a kernel, §1.2.)
-        let mut kernel_cycles = 0u64;
         let mut cu_cycles = vec![0u64; cus];
         for (cu, blocks) in per_cu.iter().enumerate() {
             if blocks.is_empty() {
                 continue;
             }
             cu_cycles[cu] = run_cu_blocks(&mut self.mem, cu, blocks)?;
-            kernel_cycles = kernel_cycles.max(cu_cycles[cu]);
         }
+        self.close_kernel(&cu_cycles)
+    }
+
+    /// Ends a kernel whose CUs ran `cu_cycles` each. The kernel completes
+    /// with the slowest CU; the return value adds the launch overhead.
+    fn close_kernel(&mut self, cu_cycles: &[u64]) -> Result<u64, SimError> {
+        let kernel_cycles = cu_cycles.iter().copied().max().unwrap_or(0);
         let launch = self.mem.config().kernel_launch_cycles;
         if self.mem.trace_enabled() {
             // Close the decomposition: every CU is attributed the full
