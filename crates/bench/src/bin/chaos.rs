@@ -48,23 +48,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Some(v);
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        let v = args.remove(i)[prefix.len()..].to_string();
-        return Some(v);
-    }
-    None
-}
-
 fn print_json(cells: &[CellRun], escapes: usize) {
     println!("{{");
     println!("  \"cells\": [");
@@ -239,18 +222,15 @@ fn main() {
         usage();
     }
 
-    let seed_count: u64 = match flag_value(&mut args, "--seeds") {
+    let seed_count: u64 = match cli::take_value(&mut args, "--seeds") {
         Some(v) => v.parse().unwrap_or_else(|_| usage()),
         None => 16,
     };
-    let resilience = !args.iter().any(|a| a == "--no-resilience");
-    let parity = !args.iter().any(|a| a == "--no-parity");
-    let expect_escapes = args.iter().any(|a| a == "--expect-escapes");
-    let crash = args.iter().any(|a| a == "--crash");
-    let crash_dir = flag_value(&mut args, "--crash-dir");
-    args.retain(|a| {
-        a != "--no-resilience" && a != "--no-parity" && a != "--expect-escapes" && a != "--crash"
-    });
+    let resilience = !cli::take_flag(&mut args, "--no-resilience");
+    let parity = !cli::take_flag(&mut args, "--no-parity");
+    let expect_escapes = cli::take_flag(&mut args, "--expect-escapes");
+    let crash = cli::take_flag(&mut args, "--crash");
+    let crash_dir = cli::take_value(&mut args, "--crash-dir");
     if args.iter().any(|a| a.starts_with("--")) {
         usage();
     }

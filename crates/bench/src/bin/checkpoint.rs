@@ -51,23 +51,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Some(v);
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        let v = args.remove(i)[prefix.len()..].to_string();
-        return Some(v);
-    }
-    None
-}
-
 /// Resolves a workload operand: a suite name or a trace file path.
 fn resolve(spec: &str, kind: MemConfigKind) -> (SystemConfig, Program) {
     if spec.ends_with(".trace") || std::path::Path::new(spec).exists() {
@@ -256,9 +239,9 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let dir = flag_value(&mut args, "--dir").unwrap_or_else(|| usage());
-    let until =
-        flag_value(&mut args, "--until").map(|v| v.parse::<usize>().unwrap_or_else(|_| usage()));
+    let dir = cli::take_value(&mut args, "--dir").unwrap_or_else(|| usage());
+    let until = cli::take_value(&mut args, "--until")
+        .map(|v| v.parse::<usize>().unwrap_or_else(|_| usage()));
     if args.iter().any(|a| a.starts_with("--")) {
         usage();
     }

@@ -1,4 +1,4 @@
-//! Surrogate-driven design-space exploration with a misrank audit loop.
+//! Design-space exploration by simulation.
 //!
 //! ```text
 //! cargo run --release -p bench --bin dse                      # full space
@@ -7,287 +7,176 @@
 //! cargo run --release -p bench --bin dse -- --json            # machine-readable
 //! ```
 //!
-//! The binary scales the static analyzer into a design-space engine:
+//! The binary simulates every point of a [`verify::dse::Space`] — one
+//! `Machine::run` per point, fanned over the deterministic
+//! [`bench::pool::JobPool`] — and reports:
 //!
-//! 1. **Sensitivity pass** — classifies every [`verify::dse::Dim`]:
-//!    provably-monotone latency knobs are labelled without evaluation,
-//!    the geometric knobs get one surrogate prediction per axis value
-//!    so their deltas (and any non-monotone interactions) are reported.
-//!    `--prune` pins the provable dimensions to their fastest value
-//!    before the sweep.
-//! 2. **Surrogate sweep** — evaluates every remaining point of the
-//!    [`verify::dse::Space`] with the static predictor (thousands of
-//!    points, zero simulations) and ranks them fastest-first.
-//! 3. **Audit loop** — simulator-validates the top `--top` points plus
-//!    `--audit` seeded-random picks (`--seed`) from the rest, fanned
-//!    over the deterministic [`bench::pool::JobPool`]. Exact counters
-//!    must match at *every* validated point (exit 1 otherwise); the
-//!    measured order is compared against the surrogate's with a
-//!    Kendall-tau score, and every inversion beyond the documented tie
-//!    threshold becomes a stable `SR030` diagnostic naming the suspect
-//!    cost-model term. `--deny-misrank` turns those warnings fatal.
+//! 1. **Ranking** — the ten fastest points, sorted by simulated runtime
+//!    with ties broken by space index, and where the paper's point lands.
+//! 2. **Sensitivity** — for every [`verify::dse::Dim`], whether runtime
+//!    is flat, monotone or non-monotone along the axis through the
+//!    paper's point, read from the same simulated grid.
 //!
-//! Output is independent of `--threads`: the report is assembled from
-//! pool results in job order, never arrival order.
+//! A point that fails to simulate exits nonzero with the point's label.
+//! Output is independent of `--threads`: results are assembled in job
+//! order, never arrival order.
 
 use bench::cli;
 use bench::pool::JobPool;
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
-use verify::analyze::TIE_THRESHOLD_PCT;
-use verify::dse::{
-    audit, evaluate_space, sensitivities, validation_sample, Audit, Dim, Sensitivity, Space,
-    Validated,
-};
-use verify::validate_prediction;
+use verify::dse::{rank, sensitivities, DesignPoint, Dim, Sensitivity, Space};
 use workloads::suite;
+
+/// How many of the fastest points the report lists.
+const TOP: usize = 10;
 
 struct Report {
     workload: String,
     kind: MemConfigKind,
-    space_points: usize,
-    pruned_points: usize,
+    space: Space,
+    picos: Vec<u64>,
+    order: Vec<usize>,
+    paper: usize,
     sensitivity: Vec<(Dim, Sensitivity)>,
-    top: Vec<(usize, String, u64)>,
-    validated: Vec<Validated>,
-    validation_errors: Vec<String>,
-    audit: Audit,
 }
 
-/// Sweep shape: how much to prune, validate, and where to seed the
-/// audit sample.
-struct ExploreOpts {
-    prune: bool,
-    top_k: usize,
-    audit_n: usize,
-    seed: u64,
+impl Report {
+    fn paper_rank(&self) -> usize {
+        self.order
+            .iter()
+            .position(|&i| i == self.paper)
+            .expect("every point is ranked")
+    }
 }
 
-#[allow(clippy::too_many_lines)]
+/// Simulates every point of `space`, exiting through
+/// [`cli::sim_failure_status`] on the first (lowest-index) failure.
 fn explore(
     pool: &JobPool,
     workload: &suite::Workload,
     kind: MemConfigKind,
-    mut space: Space,
-    opts: &ExploreOpts,
+    space: Space,
 ) -> Report {
     let sys = workload.set.system_config();
     let program = (workload.build)(kind);
-
-    let sensitivity = sensitivities(&program, &sys, kind, &space);
-    let before = space.len();
-    let pruned_points = if opts.prune {
-        space.prune_provably_monotone()
-    } else {
-        0
-    };
-    let space_points = space.len();
-    assert_eq!(before - pruned_points, space_points);
-
-    let ranked = evaluate_space(&program, &sys, kind, &space);
-    let picks = validation_sample(ranked.len(), opts.top_k, opts.audit_n, opts.seed);
-
-    let jobs: Vec<_> = picks
-        .iter()
-        .map(|&rank| {
-            let sys = ranked[rank].point.apply(&sys);
-            let program = program.clone();
-            move || Machine::new(sys, kind).run(&program)
+    let jobs: Vec<_> = space
+        .points()
+        .into_iter()
+        .map(|point| {
+            let (sys, program) = (&sys, &program);
+            move || {
+                Machine::new(point.apply(sys), kind)
+                    .run(program)
+                    .map(|report| report.total_picos)
+            }
         })
         .collect();
-    let results = pool.run(jobs);
-
-    let mut validated = Vec::new();
-    let mut validation_errors = Vec::new();
-    for (&rank, result) in picks.iter().zip(results) {
-        let e = &ranked[rank];
+    let mut picos = Vec::with_capacity(space.len());
+    for (index, result) in pool.run(jobs).into_iter().enumerate() {
         match result.value {
-            Ok(report) => {
-                for err in validate_prediction(&e.prediction, &report) {
-                    validation_errors.push(format!("rank #{rank} ({}): {err}", e.point.label()));
-                }
-                validated.push(Validated {
-                    surrogate_rank: rank,
-                    index: e.index,
-                    point: e.point,
-                    est_picos: e.est_picos,
-                    measured_picos: report.total_picos,
-                    terms: e.prediction.terms.clone(),
-                });
-            }
+            Ok(total) => picos.push(total),
             Err(err) => {
-                let context = format!("dse: {} at {}", workload.name, e.point.label());
-                let _ = cli::sim_failure_status(&context, &err);
-                validation_errors.push(format!(
-                    "rank #{rank} ({}): simulation failed: {err}",
-                    e.point.label()
-                ));
+                let context = format!("dse: {} at {}", workload.name, space.point(index).label());
+                std::process::exit(cli::sim_failure_status(&context, &err));
             }
         }
     }
-
-    let audit = audit(&validated, TIE_THRESHOLD_PCT);
-    let top = ranked
-        .iter()
-        .enumerate()
-        .take(10)
-        .map(|(rank, e)| (rank, e.point.label(), e.est_picos))
-        .collect();
+    let paper = space
+        .index_of(&DesignPoint::default())
+        .expect("every built-in space contains the paper's point");
     Report {
         workload: workload.name.to_string(),
         kind,
-        space_points,
-        pruned_points,
-        sensitivity,
-        top,
-        validated,
-        validation_errors,
-        audit,
+        order: rank(&picos),
+        sensitivity: sensitivities(&space, paper, &picos),
+        space,
+        picos,
+        paper,
     }
 }
 
-fn sensitivity_text(s: &Sensitivity) -> String {
+fn sensitivity_text(s: &Sensitivity, values: usize) -> String {
+    if values < 2 {
+        return "fixed (one value in this space)".into();
+    }
     match s {
-        Sensitivity::ProvablyMonotone => "provably monotone (pruned without evaluation)".into(),
         Sensitivity::Flat => "flat (no runtime effect on this workload)".into(),
         Sensitivity::Monotone { worst_step } => {
             format!("monotone, worst step {worst_step} ps")
         }
         Sensitivity::NonMonotone { max_up, max_down } => {
-            format!("NON-monotone (steps {max_down}..{max_up} ps) — must sweep")
+            format!("NON-monotone (steps {max_down}..{max_up} ps)")
         }
     }
 }
 
 fn print_text(r: &Report) {
     println!(
-        "=== dse: {} ({} config, {} surrogate points, {} pruned) ===",
+        "=== dse: {} ({} config, {} points simulated) ===",
         r.workload,
         r.kind.name(),
-        r.space_points,
-        r.pruned_points
+        r.space.len()
     );
-    println!("  sensitivity:");
+    println!(
+        "  sensitivity along the axes through the paper's point ({}):",
+        r.space.point(r.paper).label()
+    );
     for (dim, s) in &r.sensitivity {
-        println!("    {:<18} {}", dim.name(), sensitivity_text(s));
-    }
-    println!("  surrogate top 10:");
-    for (rank, label, est) in &r.top {
-        println!("    #{rank:<3} {label:<34} {est:>14} ps");
-    }
-    println!(
-        "  validated {} points (top {} + seeded audit):",
-        r.validated.len(),
-        r.validated
-            .iter()
-            .filter(|v| v.surrogate_rank < r.top.len())
-            .count()
-    );
-    println!(
-        "    {:<5} {:<34} {:>14} {:>14}",
-        "rank", "point", "predicted (ps)", "measured (ps)"
-    );
-    for v in &r.validated {
         println!(
-            "    #{:<4} {:<34} {:>14} {:>14}",
-            v.surrogate_rank,
-            v.point.label(),
-            v.est_picos,
-            v.measured_picos
+            "    {:<18} {}",
+            dim.name(),
+            sensitivity_text(s, r.space.axis_len(*dim))
         );
     }
-    for e in &r.validation_errors {
-        println!("    counter mismatch: {e}");
+    println!("  top {TOP}:");
+    for (rank, &i) in r.order.iter().enumerate().take(TOP) {
+        println!(
+            "    #{rank:<4} {:<38} {:>14} ps",
+            r.space.point(i).label(),
+            r.picos[i]
+        );
     }
     println!(
-        "  kendall tau {}.{:03}; surrogate top-1 {} measured-best",
-        r.audit.kendall_tau_x1000 / 1000,
-        r.audit.kendall_tau_x1000.rem_euclid(1000),
-        if r.audit.top1_ok {
-            "agrees with"
-        } else {
-            "CONTRADICTS"
-        }
+        "  paper's point: #{} of {}, {} ps",
+        r.paper_rank(),
+        r.space.len(),
+        r.picos[r.paper]
     );
-    if r.audit.misranks.is_empty() {
-        println!("  no misranks beyond the {TIE_THRESHOLD_PCT}% tie threshold");
-    } else {
-        println!("  {} misrank(s), worst first:", r.audit.misranks.len());
-        for m in &r.audit.misranks {
-            let d = m.diagnostic();
-            println!("    {} {}: {d}", d.rule.code(), d.severity().name());
-        }
-    }
 }
 
-fn print_json(r: &Report, failures: usize) {
+fn print_json(r: &Report) {
     println!("{{");
     println!("  \"workload\": \"{}\",", cli::json_escape(&r.workload));
     println!("  \"config\": \"{}\",", r.kind.name());
-    println!("  \"surrogate_points\": {},", r.space_points);
-    println!("  \"pruned_points\": {},", r.pruned_points);
+    println!("  \"points\": {},", r.space.len());
     println!("  \"sensitivity\": [");
     for (i, (dim, s)) in r.sensitivity.iter().enumerate() {
         let comma = if i + 1 < r.sensitivity.len() { "," } else { "" };
         println!(
             "    {{\"dim\": \"{}\", \"verdict\": \"{}\"}}{comma}",
             dim.name(),
-            cli::json_escape(&sensitivity_text(s))
+            cli::json_escape(&sensitivity_text(s, r.space.axis_len(*dim)))
         );
     }
     println!("  ],");
-    println!("  \"validated\": [");
-    for (i, v) in r.validated.iter().enumerate() {
-        let comma = if i + 1 < r.validated.len() { "," } else { "" };
+    println!("  \"top\": [");
+    let top = r.order.len().min(TOP);
+    for (rank, &i) in r.order.iter().enumerate().take(top) {
+        let comma = if rank + 1 < top { "," } else { "" };
         println!(
-            "    {{\"surrogate_rank\": {}, \"point\": \"{}\", \"predicted_picos\": {}, \
-             \"measured_picos\": {}}}{comma}",
-            v.surrogate_rank,
-            cli::json_escape(&v.point.label()),
-            v.est_picos,
-            v.measured_picos
+            "    {{\"rank\": {rank}, \"point\": \"{}\", \"picos\": {}}}{comma}",
+            cli::json_escape(&r.space.point(i).label()),
+            r.picos[i]
         );
     }
     println!("  ],");
-    println!("  \"kendall_tau_x1000\": {},", r.audit.kendall_tau_x1000);
-    println!("  \"top1_ok\": {},", r.audit.top1_ok);
-    println!("  \"misranks\": [");
-    for (i, m) in r.audit.misranks.iter().enumerate() {
-        let comma = if i + 1 < r.audit.misranks.len() {
-            ","
-        } else {
-            ""
-        };
-        let d = m.diagnostic();
-        println!(
-            "    {{\"ruleId\": \"{}\", \"level\": \"{}\", \"term\": \"{}\", \
-             \"message\": \"{}\"}}{comma}",
-            d.rule.code(),
-            d.severity().name(),
-            m.term.name(),
-            cli::json_escape(&d.message)
-        );
-    }
-    println!("  ],");
-    println!("  \"failures\": {failures}");
+    println!(
+        "  \"paper_point\": {{\"rank\": {}, \"picos\": {}}}",
+        r.paper_rank(),
+        r.picos[r.paper]
+    );
     println!("}}");
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("dse: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
 }
 
 fn main() {
@@ -297,29 +186,10 @@ fn main() {
     let mut args = args;
     cli::strip_common_flags(&mut args);
 
-    let smoke = take_flag(&mut args, "--smoke");
-    let prune = take_flag(&mut args, "--prune");
-    let deny_misrank = take_flag(&mut args, "--deny-misrank");
-    let name = take_value(&mut args, "--workload").unwrap_or_else(|| "implicit".to_string());
-    let kind =
-        take_value(&mut args, "--config").map_or(MemConfigKind::Stash, |s| cli::config_by_name(&s));
-    let default_k = if smoke { 4 } else { 12 };
-    let parse = |v: Option<String>, flag: &str, default: usize| {
-        v.map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("dse: bad {flag} value `{s}`");
-                std::process::exit(2);
-            })
-        })
-    };
-    let top_k = parse(take_value(&mut args, "--top"), "--top", default_k);
-    let audit_n = parse(take_value(&mut args, "--audit"), "--audit", default_k);
-    let seed = take_value(&mut args, "--seed").map_or(8u64, |s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("dse: bad --seed value `{s}`");
-            std::process::exit(2);
-        })
-    });
+    let smoke = cli::take_flag(&mut args, "--smoke");
+    let name = cli::take_value(&mut args, "--workload").unwrap_or_else(|| "implicit".to_string());
+    let kind = cli::take_value(&mut args, "--config")
+        .map_or(MemConfigKind::Stash, |s| cli::config_by_name(&s));
     if args.len() > 1 {
         eprintln!("dse: unknown argument `{}`", args[1]);
         std::process::exit(2);
@@ -335,34 +205,10 @@ fn main() {
         Space::default_space()
     };
 
-    let pool = JobPool::new(threads);
-    let opts = ExploreOpts {
-        prune,
-        top_k,
-        audit_n,
-        seed,
-    };
-    let report = explore(&pool, &workload, kind, space, &opts);
-
-    let failures = report.validation_errors.len()
-        + if deny_misrank {
-            report.audit.misranks.len() + usize::from(!report.audit.top1_ok)
-        } else {
-            0
-        };
+    let report = explore(&JobPool::new(threads), &workload, kind, space);
     if json {
-        print_json(&report, failures);
+        print_json(&report);
     } else {
         print_text(&report);
-        if failures == 0 {
-            println!("  dse OK");
-        }
-    }
-    if failures > 0 {
-        eprintln!(
-            "\n{failures} dse failure{} — dse FAILED",
-            if failures == 1 { "" } else { "s" }
-        );
-        std::process::exit(1);
     }
 }

@@ -60,31 +60,6 @@ impl Finding {
     }
 }
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let found = args.iter().any(|a| a == flag);
-    args.retain(|a| a != flag);
-    found
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args[i + 1].clone();
-        args.drain(i..=i + 1);
-        return Some(v);
-    }
-    let prefix = format!("{flag}=");
-    let v = args
-        .iter()
-        .find(|a| a.starts_with(&prefix))
-        .map(|a| a[prefix.len()..].to_string());
-    args.retain(|a| !a.starts_with(&prefix));
-    v
-}
-
 fn analyze_program(
     program: &gpu::program::Program,
     symbols: &Symbols,
@@ -142,10 +117,10 @@ fn sarif_document(findings: &[Finding]) -> String {
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let json = cli::json_flag(&args);
-    let extras = take_flag(&mut args, "--extras");
-    let deny_unknown = take_flag(&mut args, "--deny-unknown");
-    let update_baseline = take_flag(&mut args, "--update-baseline");
-    let baseline_path = take_value(&mut args, "--baseline");
+    let extras = cli::take_flag(&mut args, "--extras");
+    let deny_unknown = cli::take_flag(&mut args, "--deny-unknown");
+    let update_baseline = cli::take_flag(&mut args, "--update-baseline");
+    let baseline_path = cli::take_value(&mut args, "--baseline");
     cli::strip_common_flags(&mut args);
 
     let baseline: std::collections::HashSet<String> = baseline_path

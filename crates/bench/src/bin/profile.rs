@@ -69,24 +69,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Some(v);
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        let v = args.remove(i)[prefix.len()..].to_string();
-        return Some(v);
-    }
-    None
-}
-
 fn resolve_workload(name: &str) -> (String, Source) {
     if let Some(w) = suite::by_name(name) {
         return (name.to_string(), Source::Suite(w));
@@ -117,17 +99,17 @@ fn main() {
     let mut args = args;
     cli::strip_common_flags(&mut args);
 
-    let Some(workload_arg) = flag_value(&mut args, "--workload") else {
+    let Some(workload_arg) = cli::take_value(&mut args, "--workload") else {
         usage();
     };
-    let configs = flag_value(&mut args, "--config").unwrap_or_else(|| "Stash".to_string());
-    let out = flag_value(&mut args, "--out");
-    let report = flag_value(&mut args, "--report").unwrap_or_else(|| "stalls".to_string());
+    let configs = cli::take_value(&mut args, "--config").unwrap_or_else(|| "Stash".to_string());
+    let out = cli::take_value(&mut args, "--out");
+    let report = cli::take_value(&mut args, "--report").unwrap_or_else(|| "stalls".to_string());
     if !matches!(report.as_str(), "stalls" | "latency" | "both" | "none") {
         eprintln!("--report must be stalls, latency, both or none, got {report:?}");
         usage();
     }
-    let capacity = match flag_value(&mut args, "--capacity") {
+    let capacity = match cli::take_value(&mut args, "--capacity") {
         None => DEFAULT_CAPACITY,
         Some(s) => match s.parse::<usize>() {
             Ok(n) if n >= 1 => n,

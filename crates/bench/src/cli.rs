@@ -52,6 +52,33 @@ pub fn strip_common_flags(args: &mut Vec<String>) {
     });
 }
 
+/// Removes a binary-specific `--flag value` / `--flag=value` from `args`
+/// and returns its value (`None` if the flag is absent). A trailing
+/// `--flag` with no value names the flag and exits with status 2, like
+/// the binaries' other argument errors.
+pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    if let Some(i) = args.iter().position(|a| a == flag) {
+        if i + 1 >= args.len() {
+            eprintln!("{flag} needs a value");
+            std::process::exit(2);
+        }
+        let v = args.remove(i + 1);
+        args.remove(i);
+        return Some(v);
+    }
+    let prefix = format!("{flag}=");
+    let i = args.iter().position(|a| a.starts_with(&prefix))?;
+    Some(args.remove(i)[prefix.len()..].to_string())
+}
+
+/// Removes every occurrence of the switch `flag` from `args`; true if
+/// there was one.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
 /// The fault-injection seed from `--fault-seed S` / `--fault-seed=S`,
 /// then `STASH_FAULT_SEED`; `None` means injection stays off.
 ///
@@ -235,6 +262,27 @@ mod tests {
         let mut c = args(&["chaos", "--fault-seed", "9", "--fault-seed=11", "z.trace"]);
         strip_common_flags(&mut c);
         assert_eq!(c, args(&["chaos", "z.trace"]));
+    }
+
+    #[test]
+    fn take_value_parses_both_spellings() {
+        let mut a = args(&["checkpoint", "--dir", "/tmp/a", "save", "--until=3"]);
+        assert_eq!(take_value(&mut a, "--dir"), Some("/tmp/a".to_string()));
+        assert_eq!(take_value(&mut a, "--until"), Some("3".to_string()));
+        assert_eq!(take_value(&mut a, "--seeds"), None);
+        assert_eq!(a, args(&["checkpoint", "save"]));
+        // A longer flag sharing the prefix is not a match.
+        let mut b = args(&["chaos", "--crash-dir=/x"]);
+        assert_eq!(take_value(&mut b, "--crash"), None);
+        assert_eq!(b, args(&["chaos", "--crash-dir=/x"]));
+    }
+
+    #[test]
+    fn take_flag_removes_every_occurrence() {
+        let mut a = args(&["dse", "--smoke", "x", "--smoke"]);
+        assert!(take_flag(&mut a, "--smoke"));
+        assert!(!take_flag(&mut a, "--smoke"));
+        assert_eq!(a, args(&["dse", "x"]));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use bench::pool::JobPool;
 use gpu::config::MemConfigKind;
 use gpu::machine::{Machine, ParallelConfig, RunCursor};
-use sim::snapshot::{read_snapshot, CheckpointStore, Snapshot};
+use sim::snapshot::{read_snapshot, CheckpointStore, Reader, Snapshot, Writer};
 use sim::SimError;
 use workloads::suite;
 
@@ -215,5 +215,90 @@ fn future_format_version_is_a_version_mismatch_not_corruption() {
             assert_eq!(found, u32::from(bytes[8]));
         }
         other => panic!("expected CheckpointVersionMismatch, got {other:?}"),
+    }
+}
+
+/// A section decoder under test, its result reduced to ok-or-error.
+type Load = fn(&mut Reader<'_>) -> Result<(), SimError>;
+
+/// A section payload of little-endian `u64` fields, as `Writer` lays
+/// out counts and geometry.
+fn fields(values: &[u64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for &v in values {
+        w.put_u64(v);
+    }
+    w.into_bytes()
+}
+
+/// Restore functions must not trust a declared count: a few bytes that
+/// claim 2^40 entries (or geometry whose product overflows) must come
+/// back as a typed error or a small `Ok`, never a multi-terabyte
+/// reservation that aborts the process. The CRC cannot stop this —
+/// whoever writes a snapshot file can also write a valid CRC.
+#[test]
+fn crafted_section_counts_never_drive_unbounded_allocation() {
+    let huge = 1u64 << 40;
+    let traffic = [0u64; 9];
+    let network = |side: u64, n: u64| {
+        let mut v = vec![side, 5, 5];
+        v.extend_from_slice(&traffic);
+        v.push(n);
+        fields(&v)
+    };
+    // A fresh stash ends with two zero counts (thread-block tables, then
+    // corrupt words); swap in a huge table count.
+    let mut w = Writer::new();
+    stash::Stash::new(stash::StashConfig::default()).save(&mut w);
+    let mut stash_tables = w.into_bytes();
+    stash_tables.truncate(stash_tables.len() - 16);
+    stash_tables.extend_from_slice(&fields(&[huge]));
+    let cases: Vec<(&'static str, Load, Vec<u8>)> = vec![
+        (
+            "vp map",
+            |r| stash::vpmap::VpMap::load(r).map(drop),
+            fields(&[huge, 4096, huge]),
+        ),
+        (
+            "map index table",
+            |r| stash::index_table::MapIndexTable::load(r).map(drop),
+            fields(&[1 << 44, 0]),
+        ),
+        (
+            "stash storage",
+            |r| stash::storage::StashStorage::load(r).map(drop),
+            fields(&[1, huge]),
+        ),
+        (
+            "denovo l1",
+            |r| mem::cache::DenovoCache::load(r).map(drop),
+            fields(&[1 << 20, 1 << 20, 64, huge]),
+        ),
+        (
+            "denovo l1 overflow",
+            |r| mem::cache::DenovoCache::load(r).map(drop),
+            fields(&[1 << 32, 1 << 32, 64, 0]),
+        ),
+        (
+            "network",
+            |r| noc::network::Network::load(r).map(drop),
+            network(1 << 20, huge),
+        ),
+        (
+            "stash tables",
+            |r| stash::Stash::restore(r).map(drop),
+            stash_tables,
+        ),
+        (
+            "network overflow",
+            |r| noc::network::Network::load(r).map(drop),
+            network((1 << 32) + 1, (1 << 32) + 1),
+        ),
+    ];
+    for (what, load, bytes) in cases {
+        match load(&mut Reader::new(&bytes, what)) {
+            Ok(()) | Err(SimError::CheckpointCorrupt { .. }) => {}
+            Err(other) => panic!("{what}: expected CheckpointCorrupt, got {other:?}"),
+        }
     }
 }

@@ -1,14 +1,16 @@
-//! Cross-validation of the surrogate predictor across hardware
-//! geometries the paper never simulated.
+//! Cross-validation of the static predictor across hardware geometries
+//! the paper never simulated.
 //!
 //! `crossval.rs` proves the static predictor agrees with the simulator
-//! at the paper's operating point; this test proves the *surrogate
-//! contract* the DSE engine rests on — the same agreement at every
-//! point of a mesh-side {2, 4, 8} × LLC-bank {8, 16, 32} geometry
-//! grid. Exact counters and instruction totals must match exactly,
-//! modeled counters within the documented tolerances, and the
-//! advisor's recommendation must stay the measured-best configuration
-//! (or a documented tie) of that cell's Figure 5/6 matrix row.
+//! at the paper's operating point. The placement advisor (`advise`)
+//! predicts for any `SystemConfig`, so this test pins the same agreement
+//! at every point of a mesh-side {2, 4, 8} × LLC-bank {8, 16, 32}
+//! geometry grid — which is also what keeps `mean_l2_round_cycles` and
+//! its 4/5 calibration honest away from the default mesh. Exact
+//! counters and instruction totals must match exactly, modeled counters
+//! within the documented tolerances, and the advisor's recommendation
+//! must stay the measured-best configuration (or a documented tie) of
+//! that cell's Figure 5/6 matrix row.
 //!
 //! The full suite × full grid would be 9× the crossval matrix, so the
 //! workloads rotate round-robin over the nine cells: every workload is

@@ -1,5 +1,5 @@
 //! Conflict certificates: static proofs that a kernel's CUs never claim
-//! the same word, letting the epoch merge skip full reconciliation.
+//! the same word, letting the staged-op merge skip full reconciliation.
 //!
 //! A certificate is *produced* by the `verify::dataflow` footprint pass
 //! (which lives above this crate in the dependency graph) and *consumed*

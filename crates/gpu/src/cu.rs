@@ -234,7 +234,7 @@ fn run_wave(
             }
         }
         // Stamp the issue cycle unconditionally: it orders staged ops in
-        // the epoch merge and doubles as the trace clock when tracing.
+        // the staged-op merge and doubles as the trace clock when tracing.
         mem.set_now(start);
         let (issue_cycles, latency, tr) = execute_op(mem, cu, kind, &ctxs[bi], op)?;
         if tracing {

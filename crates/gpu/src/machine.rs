@@ -32,22 +32,16 @@ pub struct ParallelConfig {
     /// Worker threads executing CU shards (clamped to the number of CUs
     /// with blocks; 1 runs the shards sequentially in CU order).
     pub threads: usize,
-    /// Epoch length in kernel-local cycles for the staged-op merge. Any
-    /// value produces identical state — the epochs slice one globally
-    /// sorted stream — so this only sets the invariant-check cadence.
-    pub epoch_cycles: u64,
     /// Block-to-CU distribution policy.
     pub distribution: BlockDistribution,
 }
 
 impl ParallelConfig {
-    /// A config with `threads` workers, 64-cycle epochs, and balanced
-    /// block distribution.
+    /// A config with `threads` workers and balanced block distribution.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads,
-            epoch_cycles: 64,
             distribution: BlockDistribution::Balanced,
         }
     }
@@ -204,13 +198,12 @@ impl Machine {
     }
 
     /// Runs a program like [`Machine::run`], but executes each kernel's
-    /// CUs as parallel shards merged deterministically at epoch
-    /// boundaries: every CU gets a private snapshot of the memory
-    /// system, runs its blocks against it, and the shards' staged
-    /// LLC/registry operations are replayed in `(cycle, cu, seq)` order.
-    /// Reports, counters, stall breakdowns, and state digests are
-    /// identical for every `threads` value and every `epoch_cycles`
-    /// value — only wall-clock time changes.
+    /// CUs as parallel shards merged deterministically at the kernel
+    /// barrier: every CU gets a private snapshot of the memory system,
+    /// runs its blocks against it, and the shards' staged LLC/registry
+    /// operations are replayed in `(cycle, cu, seq)` order. Reports,
+    /// counters, stall breakdowns, and state digests are identical for
+    /// every `threads` value — only wall-clock time changes.
     ///
     /// # Errors
     ///
@@ -481,7 +474,7 @@ impl Machine {
             shard_dram.push(dram);
         }
         self.mem
-            .apply_staged(logs, par.epoch_cycles, dram_pre, &shard_dram, certified)?;
+            .apply_staged(logs, dram_pre, &shard_dram, certified)?;
         if certified {
             self.certified_kernels += 1;
         }
@@ -627,7 +620,7 @@ mod tests {
     fn contended_program() -> Program {
         // 30 blocks across two kernels all mapping the SAME tile with
         // writes: CUs race for word ownership, the adversarial case for
-        // the epoch merge.
+        // the staged-op merge.
         let kernel = || Kernel {
             blocks: (0..30)
                 .map(|_| stash_kernel(32, true).blocks.remove(0))
@@ -639,23 +632,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_invariant_across_threads_and_epochs() {
+    fn parallel_is_invariant_across_threads() {
         let program = contended_program();
         let mut baseline: Option<(String, u64)> = None;
         for threads in [1, 2, 4, 8] {
-            for epoch_cycles in [1, 64, 4096] {
-                let mut machine =
-                    Machine::new(SystemConfig::for_applications(), MemConfigKind::Stash);
-                let mut par = ParallelConfig::with_threads(threads);
-                par.epoch_cycles = epoch_cycles;
-                let report = machine.run_parallel(&program, &par).unwrap();
-                let key = (format!("{report:?}"), machine.memory().state_digest());
-                match &baseline {
-                    None => baseline = Some(key),
-                    Some(b) => {
-                        assert_eq!(*b, key, "threads={threads} epoch_cycles={epoch_cycles}");
-                    }
-                }
+            let mut machine = Machine::new(SystemConfig::for_applications(), MemConfigKind::Stash);
+            let report = machine
+                .run_parallel(&program, &ParallelConfig::with_threads(threads))
+                .unwrap();
+            let key = (format!("{report:?}"), machine.memory().state_digest());
+            match &baseline {
+                None => baseline = Some(key),
+                Some(b) => assert_eq!(*b, key, "threads={threads}"),
             }
         }
     }

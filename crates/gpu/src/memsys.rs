@@ -55,15 +55,15 @@ pub struct TxCost {
     pub occupancy: u64,
 }
 
-/// One shared-state mutation recorded by a CU shard for the epoch merge.
+/// One shared-state mutation recorded by a CU shard for the staged-op merge.
 ///
 /// A shard (see [`MemorySystem::fork_shard`]) runs one CU's blocks against
 /// a private snapshot of the hierarchy; every operation that would touch
 /// *shared* state — the LLC/registry and cross-core invalidations — is
 /// recorded here with its issue cycle and a per-shard sequence number.
 /// The merge sorts all shards' ops by `(cycle, cu, seq)` and replays them
-/// against the master hierarchy in bounded cycle epochs, which makes the
-/// merged state independent of thread count and epoch length.
+/// against the master hierarchy in that order, which makes the merged
+/// state independent of thread count.
 #[derive(Debug, Clone, Copy)]
 enum StagedOp {
     /// An LLC word read ([`Llc::load_word`]): materializes residency.
@@ -160,7 +160,7 @@ pub struct MemorySystem {
     fault: Option<FaultInjector>,
     trace: Option<Box<TraceSink>>,
     /// Kernel-local cycle of the operation in flight (stamped by the CU
-    /// scheduler); orders staged ops in the epoch merge.
+    /// scheduler); orders staged ops in the staged-op merge.
     now: u64,
     /// Staged-op log, present only in forked CU shards.
     stage: Option<Box<StageLog>>,
@@ -296,7 +296,7 @@ impl MemorySystem {
     }
 
     /// Stamps the operation clock: the kernel-local issue cycle of the
-    /// operation about to run. Orders staged ops in the epoch merge (and
+    /// operation about to run. Orders staged ops in the staged-op merge (and
     /// stamps the trace clock too, when tracing). Called unconditionally
     /// by the CU scheduler — a single store on the untraced, unsharded
     /// path.
@@ -2257,10 +2257,10 @@ impl MemorySystem {
     }
 
     // ------------------------------------------------------------------
-    // Epoch-parallel sharding
+    // Parallel sharding
     // ------------------------------------------------------------------
 
-    /// Forks a per-CU shard for epoch-parallel kernel execution: a
+    /// Forks a per-CU shard for parallel kernel execution: a
     /// snapshot of the hierarchy with its accounting zeroed (so shard
     /// accounting sums cleanly back into the master) and a staged-op log
     /// armed. The private structures (L1s, stashes, scratchpads) clone;
@@ -2351,7 +2351,7 @@ impl MemorySystem {
     /// structures move over wholesale, shard accounting (counters,
     /// energy, traffic, instructions, fault trace, stall trace) is
     /// summed in, and the staged-op log plus the shard's DRAM-fetch
-    /// count are returned for the epoch replay.
+    /// count are returned for the staged-op replay.
     ///
     /// # Errors
     ///
@@ -2390,10 +2390,8 @@ impl MemorySystem {
     }
 
     /// Replays the shards' staged operations against the master LLC in
-    /// deterministic `(cycle, cu, seq)` order, applied in bounded cycle
-    /// epochs of `epoch_cycles`. The epoch boundaries only slice one
-    /// globally-sorted stream, so the merged state is identical for
-    /// every epoch length and thread count.
+    /// deterministic `(cycle, cu, seq)` order, so the merged state is
+    /// identical for every thread count.
     ///
     /// Replay touches the registry only; protocol invalidations are
     /// reconciled *after* the full stream against final ownership. A
@@ -2437,7 +2435,6 @@ impl MemorySystem {
     pub fn apply_staged(
         &mut self,
         logs: Vec<(usize, StageLog)>,
-        epoch_cycles: u64,
         dram_pre: u64,
         shard_dram: &[u64],
         certified: bool,
@@ -2467,49 +2464,42 @@ impl MemorySystem {
                 cands.push(reg);
             }
         };
-        let epoch = epoch_cycles.max(1);
-        let mut i = 0;
-        while i < ops.len() {
-            let epoch_end = (ops[i].0 / epoch + 1) * epoch;
-            while i < ops.len() && ops[i].0 < epoch_end {
-                let cu = ops[i].1;
-                match ops[i].3 {
-                    StagedOp::LoadWord(line, w) => {
-                        let _ = self.llc.load_word(line, w);
+        for &(_, cu, _, op) in &ops {
+            match op {
+                StagedOp::LoadWord(line, w) => {
+                    let _ = self.llc.load_word(line, w);
+                }
+                StagedOp::RegisterWord(line, w, reg) => {
+                    let out = self.llc.register_word(line, w, reg);
+                    if !certified {
+                        note(&mut touched, line, w, reg);
                     }
-                    StagedOp::RegisterWord(line, w, reg) => {
-                        let out = self.llc.register_word(line, w, reg);
-                        if !certified {
-                            note(&mut touched, line, w, reg);
+                    if let Some(prev) = out.previous {
+                        if !certified || prev.core() != CoreId(cu) {
+                            note(&mut touched, line, w, prev);
                         }
-                        if let Some(prev) = out.previous {
-                            if !certified || prev.core() != CoreId(cu) {
-                                note(&mut touched, line, w, prev);
-                            }
-                        }
-                    }
-                    StagedOp::WritebackWord(line, w, core) => {
-                        let _ = self.llc.writeback_word(line, w, core);
-                    }
-                    StagedOp::StoreThrough(line, w) => {
-                        if let Some(prev) = self.llc.store_through(line, w) {
-                            if !certified || prev.core() != CoreId(cu) {
-                                note(&mut touched, line, w, prev);
-                            }
-                        }
-                    }
-                    StagedOp::LineFill(line, core) => {
-                        let _ = self.llc.line_fill(line, core);
-                    }
-                    StagedOp::CorruptWord(line, w) => self.llc.corrupt_word(line, w),
-                    StagedOp::ClearCorrupt(line, w) => {
-                        let _ = self.llc.clear_corrupt(line, w);
-                    }
-                    StagedOp::CheckParity(line, w) => {
-                        let _ = self.llc.check_parity(line, w);
                     }
                 }
-                i += 1;
+                StagedOp::WritebackWord(line, w, core) => {
+                    let _ = self.llc.writeback_word(line, w, core);
+                }
+                StagedOp::StoreThrough(line, w) => {
+                    if let Some(prev) = self.llc.store_through(line, w) {
+                        if !certified || prev.core() != CoreId(cu) {
+                            note(&mut touched, line, w, prev);
+                        }
+                    }
+                }
+                StagedOp::LineFill(line, core) => {
+                    let _ = self.llc.line_fill(line, core);
+                }
+                StagedOp::CorruptWord(line, w) => self.llc.corrupt_word(line, w),
+                StagedOp::ClearCorrupt(line, w) => {
+                    let _ = self.llc.clear_corrupt(line, w);
+                }
+                StagedOp::CheckParity(line, w) => {
+                    let _ = self.llc.check_parity(line, w);
+                }
             }
         }
         // Reconcile: revoke every copy whose core is not the word's

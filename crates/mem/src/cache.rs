@@ -62,7 +62,7 @@ pub struct DenovoCache {
     /// Word-state arena, one `words_per_line` stripe per tag slot: slot
     /// `i`'s words live at `i * words_per_line ..`. A single flat
     /// allocation keeps the per-word hot path an indexed read and makes
-    /// cloning the cache — the epoch-parallel runner snapshots every L1
+    /// cloning the cache — the parallel shard runner snapshots every L1
     /// per CU shard — a memcpy instead of a per-line allocation storm.
     words: Vec<WordState>,
     tick: u64,
@@ -322,13 +322,18 @@ impl DenovoCache {
             )));
         }
         let total_lines = r.take_usize()?;
-        if total_lines != sets * ways {
+        if sets.checked_mul(ways) != Some(total_lines) {
             return Err(corrupt(format!(
                 "{total_lines} tag slots for {sets} sets x {ways} ways"
             )));
         }
         let words_per_line = (line_bytes / WORD_BYTES) as usize;
-        let mut lines = Vec::with_capacity(total_lines);
+        let total_words = total_lines
+            .checked_mul(words_per_line)
+            .ok_or_else(|| corrupt(format!("{total_lines} lines x {words_per_line} words")))?;
+        // Every tag slot and word reads at least one byte: a declared
+        // count can never reserve more than the payload could fill.
+        let mut lines = Vec::with_capacity(total_lines.min(r.remaining()));
         for _ in 0..total_lines {
             lines.push(match r.take_u8()? {
                 0 => None,
@@ -339,8 +344,8 @@ impl DenovoCache {
                 v => return Err(corrupt(format!("unknown tag slot code {v}"))),
             });
         }
-        let mut words = Vec::with_capacity(total_lines * words_per_line);
-        for _ in 0..total_lines * words_per_line {
+        let mut words = Vec::with_capacity(total_words.min(r.remaining()));
+        for _ in 0..total_words {
             words.push(word_state_from_code(r.take_u8()?)?);
         }
         Ok(Self {

@@ -43,7 +43,7 @@ pub struct PageTable {
     /// Direct-indexed page → frame table ([`NO_FRAME`] = unmapped),
     /// grown on demand: the hot translation path is a single indexed
     /// read, no hashing. Behind an `Arc` so cloning a page table — the
-    /// epoch-parallel runner snapshots one per CU per kernel, and its
+    /// parallel shard runner snapshots one per CU per kernel, and its
     /// pre-touch pass guarantees shards never allocate — shares the
     /// table instead of copying it; the first insert after a clone
     /// copies on write.

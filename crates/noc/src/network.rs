@@ -356,17 +356,19 @@ impl Network {
         if side == 0 {
             return Err(corrupt("zero-sided mesh".into()));
         }
-        let mesh = Mesh::new(side);
         let hop_x = r.take_u64()?;
         let hop_y = r.take_u64()?;
         let traffic = TrafficStats::load(r)?;
         let n = r.take_usize()?;
-        if n != mesh.nodes() {
+        if side.checked_mul(side) != Some(n) {
             return Err(corrupt(format!(
                 "{n} router tallies for a {side}x{side} mesh"
             )));
         }
-        let mut router_flits = Vec::with_capacity(n);
+        let mesh = Mesh::new(side);
+        // Every tally reads eight bytes: bound the reservation by the
+        // payload.
+        let mut router_flits = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             router_flits.push(r.take_u64()?);
         }

@@ -107,8 +107,7 @@ pub struct SystemConfig {
     pub kernel_launch_cycles: u64,
     /// Global scale on the per-event energy constants, in percent
     /// (100 = the Table 3 process node). Energy is linear in its
-    /// constants, so this dimension is provably monotone for the
-    /// design-space sweep and never needs simulation to rank.
+    /// constants; only the energy model reads them, never timing.
     pub energy_scale_pct: u64,
 }
 

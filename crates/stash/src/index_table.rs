@@ -110,7 +110,8 @@ impl MapIndexTable {
                 detail: format!("{n} slots exceed capacity {capacity}"),
             });
         }
-        let mut slots = Vec::with_capacity(capacity);
+        // Every slot reads one byte: bound the reservation by the payload.
+        let mut slots = Vec::with_capacity(capacity.min(r.remaining()));
         for _ in 0..n {
             slots.push(MapIndex(r.take_u8()?));
         }

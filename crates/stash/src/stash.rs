@@ -833,7 +833,9 @@ impl Stash {
         }
         let vp = VpMap::load(r)?;
         let table_count = r.take_usize()?;
-        let mut tables = Vec::with_capacity(table_count);
+        // Every table slot reads at least one byte: bound the reservation
+        // by the payload.
+        let mut tables = Vec::with_capacity(table_count.min(r.remaining()));
         for _ in 0..table_count {
             tables.push(match r.take_u8()? {
                 0 => None,

@@ -238,11 +238,13 @@ impl StashStorage {
                 "{words} words do not chunk evenly by {words_per_chunk}"
             )));
         }
-        let mut word_states = Vec::with_capacity(words);
+        // Every word and chunk reads at least one byte: a declared count
+        // can never reserve more than the payload could fill.
+        let mut word_states = Vec::with_capacity(words.min(r.remaining()));
         for _ in 0..words {
             word_states.push(mem::coherence::word_state_from_code(r.take_u8()?)?);
         }
-        let mut chunks = Vec::with_capacity(words / words_per_chunk);
+        let mut chunks = Vec::with_capacity((words / words_per_chunk).min(r.remaining()));
         for _ in 0..words / words_per_chunk {
             let owner = match r.take_u8()? {
                 0 => None,

@@ -217,7 +217,9 @@ impl VpMap {
         if n > capacity {
             return Err(corrupt(format!("{n} entries exceed capacity {capacity}")));
         }
-        let mut entries = Vec::with_capacity(capacity);
+        // Every entry reads at least one byte: a declared count can never
+        // reserve more than the payload could fill.
+        let mut entries = Vec::with_capacity(capacity.min(r.remaining()));
         for _ in 0..n {
             let vpage = r.take_u64()?;
             let frame = match r.take_u8()? {

@@ -60,65 +60,6 @@ const FLITS_PER_CYCLE: u64 = 2;
 /// Payload bytes per data flit.
 const FLIT_BYTES: u64 = 16;
 
-/// One additive bucket of the cost model. The replay accumulates every
-/// charge it makes into the matching bucket *before* the wave/port `max`
-/// operators combine them, so the buckets are **exposure weights** — how
-/// much raw latency each mechanism contributed — not an exact
-/// decomposition of `est_picos`. The DSE misrank report uses them to
-/// symbolize which term most separates two disputed design points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CostTerm {
-    /// Warp issue / CU port occupancy (compute + transaction injection).
-    Issue,
-    /// L1 / stash / scratchpad hit latency.
-    L1Hit,
-    /// NoC + L2 bank round trips (the calibrated mean per miss).
-    NocL2,
-    /// DRAM latency on cold lines.
-    Dram,
-    /// Remote-forward latency (registered-elsewhere words).
-    RemoteFwd,
-    /// Stash-map translation on stash misses.
-    StashXlat,
-    /// DMA transfer occupancy + latency.
-    Dma,
-    /// Kernel launch overhead.
-    Launch,
-    /// CPU phase cycles.
-    Cpu,
-}
-
-impl CostTerm {
-    /// Every bucket, in accumulation-report order.
-    pub const ALL: [CostTerm; 9] = [
-        CostTerm::Issue,
-        CostTerm::L1Hit,
-        CostTerm::NocL2,
-        CostTerm::Dram,
-        CostTerm::RemoteFwd,
-        CostTerm::StashXlat,
-        CostTerm::Dma,
-        CostTerm::Launch,
-        CostTerm::Cpu,
-    ];
-
-    /// Stable display name (used in misrank diagnostics).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CostTerm::Issue => "issue",
-            CostTerm::L1Hit => "l1-hit",
-            CostTerm::NocL2 => "noc-l2",
-            CostTerm::Dram => "dram",
-            CostTerm::RemoteFwd => "remote-fwd",
-            CostTerm::StashXlat => "stash-xlat",
-            CostTerm::Dma => "dma",
-            CostTerm::Launch => "launch",
-            CostTerm::Cpu => "cpu",
-        }
-    }
-}
-
 /// The calibrated mean L2 round trip for a machine: base bank service
 /// plus the mean network round trip over every (agent tile, bank home
 /// tile) pair — agents co-locate as `agent % nodes`, bank homes as
@@ -158,9 +99,6 @@ pub struct Prediction {
     /// Cost-model estimate of total runtime, in picoseconds. Meaningful
     /// only for *ranking* configurations of the same workload.
     pub est_picos: u64,
-    /// Exposure weight of each [`CostTerm`] bucket, in cycles, aligned
-    /// with [`CostTerm::ALL`]. Diagnostic: see the enum docs.
-    pub terms: Vec<(CostTerm, u64)>,
 }
 
 impl Prediction {
@@ -581,9 +519,6 @@ struct Replay<'a> {
     /// Calibrated mean L2 round trip ([`mean_l2_round_cycles`]), cached
     /// once per replay — it is geometry-dependent but stream-independent.
     l2_round_mean: u64,
-    /// Per-[`CostTerm`] exposure accumulators, indexed like
-    /// [`CostTerm::ALL`].
-    terms: [u64; CostTerm::ALL.len()],
     gpu_l1_miss: u64,
     cpu_l1_miss: u64,
     stash_hit: u64,
@@ -597,36 +532,23 @@ impl Replay<'_> {
         self.sys.words_per_line() as u64
     }
 
-    /// Adds `cycles` of exposure to a cost bucket.
-    fn charge(&mut self, term: CostTerm, cycles: u64) {
-        let i = CostTerm::ALL
-            .iter()
-            .position(|&t| t == term)
-            .expect("ALL covers every term");
-        self.terms[i] += cycles;
-    }
-
     /// Average round-trip latency of an L2 access.
     fn l2_round(&self) -> u64 {
         self.l2_round_mean
     }
 
-    /// Full (unhidden) latency of a load miss with the given outcome,
-    /// charged to the cost buckets. Store misses are pure registrations
-    /// (control round trip only).
-    fn miss_latency(&mut self, write: bool, out: TxOutcome) -> u64 {
-        self.charge(CostTerm::NocL2, self.l2_round());
+    /// Full (unhidden) latency of a load miss with the given outcome.
+    /// Store misses are pure registrations (control round trip only).
+    fn miss_latency(&self, write: bool, out: TxOutcome) -> u64 {
         if write {
             return self.l2_round();
         }
         let mut lat = self.l2_round();
         if out.cold {
             lat += self.sys.dram_extra_cycles;
-            self.charge(CostTerm::Dram, self.sys.dram_extra_cycles);
         }
         if out.forwarded {
             lat += self.sys.remote_base_cycles;
-            self.charge(CostTerm::RemoteFwd, self.sys.remote_base_cycles);
         }
         lat
     }
@@ -825,7 +747,6 @@ impl Replay<'_> {
             }
             worst_lat = worst_lat.max(lat);
         }
-        self.charge(CostTerm::Dma, issue + worst_lat);
         issue + worst_lat
     }
 
@@ -839,10 +760,7 @@ impl Replay<'_> {
         bindings: &HashMap<usize, StashBinding>,
     ) -> (u64, u64) {
         match op {
-            WarpOp::Compute(n) => {
-                self.charge(CostTerm::Issue, u64::from(*n));
-                (u64::from(*n), 0)
-            }
+            WarpOp::Compute(n) => (u64::from(*n), 0),
             WarpOp::GlobalMem { write, lanes } => {
                 let txs = coalesce(lanes, self.sys.line_bytes as u64);
                 let mut issue = txs.len().max(1) as u64;
@@ -851,7 +769,6 @@ impl Replay<'_> {
                     let words: Vec<u64> = tx.words.iter().map(|va| va.0 / WORD_BYTES).collect();
                     let out = self.l1_tx(cu, *write, &words);
                     if out.hit {
-                        self.charge(CostTerm::L1Hit, self.sys.l1_hit_cycles);
                         lat = lat.max(self.sys.l1_hit_cycles);
                     } else {
                         issue += if *write {
@@ -862,7 +779,6 @@ impl Replay<'_> {
                         lat = lat.max(self.miss_latency(*write, out));
                     }
                 }
-                self.charge(CostTerm::Issue, issue);
                 (issue, lat)
             }
             WarpOp::LocalMem {
@@ -870,14 +786,10 @@ impl Replay<'_> {
             } => {
                 if !self.kind.uses_stash() {
                     // Scratchpad / cache-config local op: direct addressed.
-                    self.charge(CostTerm::Issue, 1);
-                    self.charge(CostTerm::L1Hit, self.sys.l1_hit_cycles);
                     return (1, self.sys.l1_hit_cycles);
                 }
                 let Some(b) = bindings.get(slot).copied() else {
                     // Temporary / unmapped: raw stash storage access.
-                    self.charge(CostTerm::Issue, 1);
-                    self.charge(CostTerm::L1Hit, self.sys.l1_hit_cycles);
                     return (1, self.sys.l1_hit_cycles);
                 };
                 let mut offsets: Vec<u64> = lanes
@@ -888,21 +800,15 @@ impl Replay<'_> {
                 offsets.sort_unstable();
                 offsets.dedup();
                 if offsets.is_empty() {
-                    self.charge(CostTerm::Issue, 1);
-                    self.charge(CostTerm::L1Hit, self.sys.l1_hit_cycles);
                     return (1, self.sys.l1_hit_cycles);
                 }
                 let (out, missed) = self.stash_op(cu, *write, &offsets, b);
                 if out.hit {
-                    self.charge(CostTerm::Issue, 1);
-                    self.charge(CostTerm::L1Hit, self.sys.l1_hit_cycles);
                     (1, self.sys.l1_hit_cycles)
                 } else {
                     let flits = 1 + (missed * WORD_BYTES).div_ceil(FLIT_BYTES);
                     let issue = 1 + flits.div_ceil(FLITS_PER_CYCLE);
                     let lat = self.sys.stash_translation_cycles + self.miss_latency(*write, out);
-                    self.charge(CostTerm::Issue, issue);
-                    self.charge(CostTerm::StashXlat, self.sys.stash_translation_cycles);
                     (issue, lat)
                 }
             }
@@ -1059,7 +965,6 @@ impl Replay<'_> {
             }
             phase_cycles = phase_cycles.max(t);
         }
-        self.charge(CostTerm::Cpu, phase_cycles);
         phase_cycles
     }
 }
@@ -1181,7 +1086,6 @@ pub fn predict(program: &Program, sys: &SystemConfig, kind: MemConfigKind) -> Pr
         owner: HashMap::new(),
         seen_lines: HashSet::new(),
         l2_round_mean: mean_l2_round_cycles(sys),
-        terms: [0; CostTerm::ALL.len()],
         gpu_l1_miss: 0,
         cpu_l1_miss: 0,
         stash_hit: 0,
@@ -1203,7 +1107,6 @@ pub fn predict(program: &Program, sys: &SystemConfig, kind: MemConfigKind) -> Pr
                     kernel_cycles = kernel_cycles.max(replay.cu_blocks(cu, blocks));
                 }
                 replay.gpu_cycles += kernel_cycles + sys.kernel_launch_cycles;
-                replay.charge(CostTerm::Launch, sys.kernel_launch_cycles);
                 replay.end_kernel();
             }
             Phase::Cpu(p) => {
@@ -1227,18 +1130,12 @@ pub fn predict(program: &Program, sys: &SystemConfig, kind: MemConfigKind) -> Pr
     };
     let est_picos = sys.gpu_clock.cycles_to_picos(replay.gpu_cycles)
         + sys.cpu_clock.cycles_to_picos(replay.cpu_cycles);
-    let terms = CostTerm::ALL
-        .iter()
-        .zip(replay.terms.iter())
-        .map(|(&t, &v)| (t, v))
-        .collect();
     Prediction {
         kind,
         gpu_instructions,
         exact,
         modeled,
         est_picos,
-        terms,
     }
 }
 
@@ -1502,33 +1399,6 @@ mod tests {
             mean_l2_round_cycles(&many_banks),
             mean_l2_round_cycles(&base)
         );
-    }
-
-    #[test]
-    fn cost_terms_expose_latency_sources() {
-        let p = one_kernel(stash_block(true));
-        let sys = SystemConfig::default();
-        let pred = predict(&p, &sys, MemConfigKind::Stash);
-        assert_eq!(pred.terms.len(), CostTerm::ALL.len());
-        let term = |t: CostTerm| {
-            pred.terms
-                .iter()
-                .find(|(k, _)| *k == t)
-                .map(|&(_, v)| v)
-                .expect("all terms present")
-        };
-        // The block launches one kernel, issues warps, misses the stash
-        // (translation + network round trips) and touches DRAM once.
-        assert_eq!(term(CostTerm::Launch), sys.kernel_launch_cycles);
-        assert!(term(CostTerm::Issue) > 0);
-        assert!(term(CostTerm::NocL2) > 0);
-        assert!(term(CostTerm::Dram) > 0);
-        assert_eq!(
-            term(CostTerm::StashXlat),
-            2 * sys.stash_translation_cycles,
-            "both stash misses pay translation"
-        );
-        assert_eq!(term(CostTerm::Cpu), 0);
     }
 
     #[test]

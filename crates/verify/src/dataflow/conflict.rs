@@ -1,5 +1,5 @@
 //! The conflict pass: proves inter-CU footprint disjointness and emits
-//! the [`ConflictCertificate`] the machine's epoch merge consumes.
+//! the [`ConflictCertificate`] the machine's staged-op merge consumes.
 //!
 //! For each kernel, blocks are grouped per CU with **the machine's own
 //! distribution function** ([`gpu::machine::assign_blocks`] — one

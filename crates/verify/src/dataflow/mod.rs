@@ -11,7 +11,7 @@
 //!
 //! 1. [`conflict`] — proves per-(kernel, CU) footprints pairwise
 //!    disjoint and emits a [`gpu::ConflictCertificate`]; the machine's
-//!    epoch merge uses it to skip per-word owner reconciliation, and
+//!    staged-op merge uses it to skip per-word owner reconciliation, and
 //!    the `--verify` dynamic oracle turns any broken promise into a
 //!    hard `SimError::CertificateViolation`.
 //! 2. [`oob`] — three-valued bounds verdicts: proven safe, proven out

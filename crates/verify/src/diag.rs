@@ -14,10 +14,13 @@
 //!   data-dependent *unknowns* are warnings (the honest third state the
 //!   abstract interpretation adds — neither proven safe nor proven
 //!   broken);
-//! * `SR02x` — advisory access-pattern notes (informational);
-//! * `SR03x` — design-space exploration audit findings
-//!   ([`crate::dse`]): the simulator contradicting the surrogate's
-//!   ranking is a cost-model bug worth a stable code.
+//! * `SR02x` — advisory access-pattern notes (informational).
+//!
+//! `SR030` is retired: it named a misrank of the design-space
+//! explorer's cost-model surrogate, which was deleted when [`crate::dse`]
+//! switched to ranking every point by simulation. The code stays
+//! unassigned and is never reused, so an old report that carries it
+//! cannot be mistaken for a newer finding.
 
 use std::fmt;
 
@@ -82,16 +85,12 @@ pub enum Rule {
     RedundantDma,
     /// Informational reuse-scope profile of the access stream.
     ReuseProfile,
-    /// The simulator measured the opposite order of two design points
-    /// the surrogate ranked — a cost-model misrank found by the DSE
-    /// audit loop, symbolized with the responsible cost term.
-    SurrogateMisrank,
 }
 
 impl Rule {
     /// Every rule, in code order (stable; used to emit SARIF rule
     /// tables without enumerating variants at each call site).
-    pub const ALL: [Rule; 16] = [
+    pub const ALL: [Rule; 15] = [
         Rule::CrossBlockRace,
         Rule::CpuRace,
         Rule::CpuStaleRead,
@@ -107,7 +106,6 @@ impl Rule {
         Rule::CopyNoReuse,
         Rule::RedundantDma,
         Rule::ReuseProfile,
-        Rule::SurrogateMisrank,
     ];
 
     /// Stable display name (kebab-case).
@@ -129,11 +127,10 @@ impl Rule {
             Rule::CopyNoReuse => "copy-no-reuse",
             Rule::RedundantDma => "redundant-dma",
             Rule::ReuseProfile => "reuse-profile",
-            Rule::SurrogateMisrank => "surrogate-misrank",
         }
     }
 
-    /// Stable rule code — never renumbered, only appended to.
+    /// Stable rule code — never renumbered or reused, only appended to.
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
@@ -152,7 +149,6 @@ impl Rule {
             Rule::CopyNoReuse => "SR024",
             Rule::RedundantDma => "SR025",
             Rule::ReuseProfile => "SR026",
-            Rule::SurrogateMisrank => "SR030",
         }
     }
 
@@ -166,9 +162,7 @@ impl Rule {
             | Rule::OutOfBounds
             | Rule::ProvenOob
             | Rule::ProvenRace => Severity::Error,
-            Rule::DataDependentBounds | Rule::DataDependentRace | Rule::SurrogateMisrank => {
-                Severity::Warning
-            }
+            Rule::DataDependentBounds | Rule::DataDependentRace => Severity::Warning,
             Rule::PoorCoalescing
             | Rule::CapacityThrash
             | Rule::LazyWritebackWin
@@ -227,7 +221,8 @@ mod tests {
         assert_eq!(Rule::CrossBlockRace.code(), "SR001");
         assert_eq!(Rule::ProvenOob.code(), "SR010");
         assert_eq!(Rule::PoorCoalescing.code(), "SR020");
-        assert_eq!(Rule::SurrogateMisrank.code(), "SR030");
+        // Retired codes stay unassigned.
+        assert!(Rule::ALL.iter().all(|r| r.code() != "SR030"));
     }
 
     #[test]

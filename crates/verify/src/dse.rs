@@ -1,39 +1,20 @@
-//! Surrogate-driven design-space exploration (DSE).
+//! Design-space exploration (DSE) by simulation.
 //!
-//! The stash paper evaluates one hardware point; this module turns the
-//! static predictor ([`crate::analyze::predict`]) into a *surrogate
-//! model* that sweeps thousands of [`DesignPoint`]s no simulation ever
-//! has to touch, in the Rhea fast-design-and-validate style:
+//! The stash paper evaluates one hardware point (Table 2); this module
+//! describes the space around it. The exploration is three steps:
 //!
 //! 1. A [`Space`] enumerates the cartesian design space (mesh geometry,
 //!    NoC latencies, LLC banking/interleave, stash-map size, latency
-//!    and energy constants). Dimensions the cost model is **provably
-//!    monotone** in — pure latency/energy constants that feed cost
-//!    accumulation but never change a replay decision — can be pruned
-//!    to their fastest value without evaluating a single point
-//!    ([`Space::prune_provably_monotone`]).
-//! 2. [`evaluate_space`] runs the surrogate over every remaining point
-//!    and ranks them by predicted runtime (ties broken by enumeration
-//!    index, so the ranking is total and deterministic).
-//! 3. The `dse` bin simulator-validates the top-k plus a seeded random
-//!    audit sample, and [`audit`] compares the two orders: a
-//!    [`Kendall tau`](kendall_tau) rank correlation plus one
-//!    [`Misrank`] per inversion, each symbolized with the cost-model
-//!    term ([`CostTerm`]) that most separates the disputed pair — so a
-//!    misrank is not a shrug but an `SR030` static-analysis bug report
-//!    against a specific constant.
+//!    and energy constants). Point `i` decodes mixed-radix, and
+//!    [`Space::index_of`] inverts the decoding.
+//! 2. The `dse` bin simulates every point: one `Machine::run` per point,
+//!    fanned over the deterministic job pool.
+//! 3. [`rank`] sorts the simulated runtimes by `(picos, index)`, and
+//!    [`sensitivities`] reads each dimension's response from the same
+//!    grid, along the axes through one base point.
 //!
-//! The surrogate contract extends [`crate::analyze`]'s: exact counters
-//! stay exact at *every* design point (they are structural), modeled
-//! counters keep their documented tolerances, and the ranking is
-//! audited rather than assumed.
-
-use crate::analyze::predict::{self, CostTerm, Prediction};
-use crate::diag::{Diagnostic, Rule};
-use gpu::config::MemConfigKind;
-use gpu::program::Program;
-use sim::config::SystemConfig;
-use sim::rng::SplitMix64;
+//! Every ranked value is a simulator measurement, so the order is exact;
+//! there is no cost model to audit.
 
 pub use sim::config::DesignPoint;
 
@@ -97,51 +78,48 @@ impl Dim {
             Dim::EnergyScale => "energy-scale",
         }
     }
-
-    /// Whether the predicted *runtime* is provably monotone
-    /// non-decreasing in this dimension: the knob is a pure latency (or
-    /// energy) constant that feeds cost accumulation and never changes
-    /// a functional-replay decision (hit/miss, ownership, placement).
-    /// The sweep may therefore pin such a dimension to its smallest
-    /// value without evaluating the rest. `EnergyScale` is stronger
-    /// still — runtime-*flat* (it scales energy only).
-    #[must_use]
-    pub fn provably_monotone(self) -> bool {
-        matches!(
-            self,
-            Dim::HopX
-                | Dim::HopY
-                | Dim::L2Base
-                | Dim::DramExtra
-                | Dim::RemoteBase
-                | Dim::StashXlat
-                | Dim::EnergyScale
-        )
-    }
 }
 
-/// How the surrogate's estimate responds to stepping one dimension,
-/// holding the others at the base point.
+/// How simulated runtime responds to stepping one dimension, holding
+/// the others at the base point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sensitivity {
-    /// Monotone by construction — no evaluation needed (see
-    /// [`Dim::provably_monotone`]).
-    ProvablyMonotone,
-    /// Evaluated: the estimate never changed across the axis values.
+    /// The runtime never changed across the axis values.
     Flat,
-    /// Evaluated: the estimate only ever moved one way along the axis.
+    /// The runtime only ever moved one way along the axis.
     Monotone {
         /// Largest single-step delta in picoseconds (signed).
         worst_step: i64,
     },
-    /// Evaluated: the estimate moved both ways — this dimension
-    /// genuinely interacts with the replay and must be swept.
+    /// The runtime moved both ways along the axis.
     NonMonotone {
         /// Largest upward single step (picoseconds).
         max_up: i64,
         /// Largest downward single step (picoseconds).
         max_down: i64,
     },
+}
+
+impl Sensitivity {
+    /// Classifies one axis of runtimes, given in axis order.
+    #[must_use]
+    pub fn of_axis(picos: &[u64]) -> Self {
+        let steps: Vec<i64> = picos
+            .windows(2)
+            .map(|w| w[1] as i64 - w[0] as i64)
+            .collect();
+        let max_up = steps.iter().copied().max().unwrap_or(0).max(0);
+        let max_down = steps.iter().copied().min().unwrap_or(0).min(0);
+        if max_up == 0 && max_down == 0 {
+            Sensitivity::Flat
+        } else if max_up == 0 || max_down == 0 {
+            Sensitivity::Monotone {
+                worst_step: if max_up != 0 { max_up } else { max_down },
+            }
+        } else {
+            Sensitivity::NonMonotone { max_up, max_down }
+        }
+    }
 }
 
 /// A cartesian design space: the cross product of per-dimension value
@@ -172,6 +150,11 @@ pub struct Space {
     pub stash_xlat: Vec<u64>,
     /// Energy-scale values.
     pub energy_scale: Vec<u64>,
+}
+
+/// Position of `v` on `axis`.
+fn axis_pos<T: PartialEq>(axis: &[T], v: &T) -> Option<usize> {
+    axis.iter().position(|x| x == v)
 }
 
 impl Space {
@@ -231,6 +214,12 @@ impl Space {
         ]
     }
 
+    /// Number of values on `dim`'s axis.
+    #[must_use]
+    pub fn axis_len(&self, dim: Dim) -> usize {
+        self.radices()[dim as usize]
+    }
+
     /// Number of points in the space.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -243,6 +232,25 @@ impl Space {
         self.len() == 0
     }
 
+    /// Mixed-radix digits of `index`, one axis position per [`Dim`].
+    fn digits(&self, index: usize) -> [usize; 11] {
+        let mut digits = [0usize; 11];
+        let mut rest = index;
+        for (d, &r) in digits.iter_mut().zip(self.radices().iter()).rev() {
+            *d = rest % r;
+            rest /= r;
+        }
+        digits
+    }
+
+    /// The index whose digits are `digits` (inverse of `digits`).
+    fn index_of_digits(&self, digits: &[usize; 11]) -> usize {
+        digits
+            .iter()
+            .zip(self.radices())
+            .fold(0, |index, (&d, r)| index * r + d)
+    }
+
     /// Decodes point `index` (mixed-radix, [`Dim::ALL`] order, mesh
     /// side slowest).
     ///
@@ -252,13 +260,7 @@ impl Space {
     #[must_use]
     pub fn point(&self, index: usize) -> DesignPoint {
         assert!(index < self.len(), "point {index} outside space");
-        let radices = self.radices();
-        let mut digits = [0usize; 11];
-        let mut rest = index;
-        for (d, &r) in digits.iter_mut().zip(radices.iter()).rev() {
-            *d = rest % r;
-            rest /= r;
-        }
+        let digits = self.digits(index);
         DesignPoint {
             mesh_side: self.mesh_side[digits[0]],
             hop_x_cycles: self.hop_x[digits[1]],
@@ -274,353 +276,76 @@ impl Space {
         }
     }
 
+    /// The index of `p` — the inverse of [`Space::point`] — or `None`
+    /// when some coordinate of `p` is not on its axis.
+    #[must_use]
+    pub fn index_of(&self, p: &DesignPoint) -> Option<usize> {
+        let digits = [
+            axis_pos(&self.mesh_side, &p.mesh_side)?,
+            axis_pos(&self.hop_x, &p.hop_x_cycles)?,
+            axis_pos(&self.hop_y, &p.hop_y_cycles)?,
+            axis_pos(&self.l2_banks, &p.l2_banks)?,
+            axis_pos(&self.l2_interleave, &p.l2_interleave_lines)?,
+            axis_pos(&self.stash_map_entries, &p.stash_map_entries)?,
+            axis_pos(&self.l2_base, &p.l2_base_cycles)?,
+            axis_pos(&self.dram_extra, &p.dram_extra_cycles)?,
+            axis_pos(&self.remote_base, &p.remote_base_cycles)?,
+            axis_pos(&self.stash_xlat, &p.stash_translation_cycles)?,
+            axis_pos(&self.energy_scale, &p.energy_scale_pct)?,
+        ];
+        Some(self.index_of_digits(&digits))
+    }
+
     /// All points in index order.
     #[must_use]
     pub fn points(&self) -> Vec<DesignPoint> {
         (0..self.len()).map(|i| self.point(i)).collect()
     }
-
-    /// Pins every provably-monotone dimension ([`Dim::provably_monotone`])
-    /// to its smallest value and returns how many points that removed
-    /// from the sweep — ranking among the surviving points is provably
-    /// unchanged, because those knobs only add latency uniformly per
-    /// charge without altering any replay decision.
-    pub fn prune_provably_monotone(&mut self) -> usize {
-        let before = self.len();
-        for axis in [
-            &mut self.hop_x,
-            &mut self.hop_y,
-            &mut self.l2_base,
-            &mut self.dram_extra,
-            &mut self.remote_base,
-            &mut self.stash_xlat,
-            &mut self.energy_scale,
-        ] {
-            if let Some(&min) = axis.iter().min() {
-                *axis = vec![min];
-            }
-        }
-        before - self.len()
-    }
 }
 
-/// One surrogate-evaluated design point.
-#[derive(Debug, Clone)]
-pub struct Evaluated {
-    /// The point's index in its [`Space`] (stable identifier).
-    pub index: usize,
-    /// The decoded point.
-    pub point: DesignPoint,
-    /// Surrogate-predicted runtime in picoseconds.
-    pub est_picos: u64,
-    /// The full prediction (exact counters, cost-term exposures).
-    pub prediction: Prediction,
-}
-
-/// Runs the surrogate over every point of `space` for `program` lowered
-/// for `kind`, returning evaluations **ranked fastest-first** (ties
-/// broken by point index, so the order is total and deterministic).
+/// Space indices ordered fastest-first: by `picos[i]`, ties broken by
+/// index, so the order is total and deterministic.
 #[must_use]
-pub fn evaluate_space(
-    program: &Program,
-    base: &SystemConfig,
-    kind: MemConfigKind,
-    space: &Space,
-) -> Vec<Evaluated> {
-    let mut evals: Vec<Evaluated> = (0..space.len())
-        .map(|index| {
-            let point = space.point(index);
-            let sys = point.apply(base);
-            let prediction = predict::predict(program, &sys, kind);
-            Evaluated {
-                index,
-                point,
-                est_picos: prediction.est_picos,
-                prediction,
-            }
-        })
-        .collect();
-    evals.sort_by_key(|e| (e.est_picos, e.index));
-    evals
+pub fn rank(picos: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..picos.len()).collect();
+    order.sort_by_key(|&i| (picos[i], i));
+    order
 }
 
-/// Classifies the surrogate's response to each dimension of `space`
-/// around `base`: provably monotone axes are labelled without any
-/// evaluation; the rest get one prediction per axis value (all other
-/// dimensions held at the base point).
+/// Classifies every dimension of `space` from a simulated grid, where
+/// `picos[i]` is point `i`'s runtime: each dimension's axis through
+/// point `base` (all other coordinates held at `base`'s) is read from
+/// the grid, so the report costs no extra simulation.
+///
+/// # Panics
+///
+/// Panics if `base` is outside the space or `picos` does not hold one
+/// runtime per point.
 #[must_use]
-pub fn sensitivities(
-    program: &Program,
-    base: &SystemConfig,
-    kind: MemConfigKind,
-    space: &Space,
-) -> Vec<(Dim, Sensitivity)> {
-    let base_point = DesignPoint {
-        mesh_side: base.mesh_side,
-        hop_x_cycles: base.hop_round_trip_cycles,
-        hop_y_cycles: base.hop_round_trip_cycles_y,
-        l2_banks: base.l2_banks,
-        l2_interleave_lines: base.l2_interleave_lines,
-        stash_map_entries: base.stash_map_entries,
-        l2_base_cycles: base.l2_base_cycles,
-        dram_extra_cycles: base.dram_extra_cycles,
-        remote_base_cycles: base.remote_base_cycles,
-        stash_translation_cycles: base.stash_translation_cycles,
-        energy_scale_pct: base.energy_scale_pct,
-    };
+pub fn sensitivities(space: &Space, base: usize, picos: &[u64]) -> Vec<(Dim, Sensitivity)> {
+    assert_eq!(picos.len(), space.len(), "one runtime per point");
+    assert!(base < space.len(), "base {base} outside space");
+    let digits = space.digits(base);
     Dim::ALL
         .iter()
-        .map(|&dim| {
-            if dim.provably_monotone() {
-                return (dim, Sensitivity::ProvablyMonotone);
-            }
-            let axis: Vec<DesignPoint> = match dim {
-                Dim::MeshSide => space
-                    .mesh_side
-                    .iter()
-                    .map(|&v| DesignPoint {
-                        mesh_side: v,
-                        ..base_point
-                    })
-                    .collect(),
-                Dim::L2Banks => space
-                    .l2_banks
-                    .iter()
-                    .map(|&v| DesignPoint {
-                        l2_banks: v,
-                        ..base_point
-                    })
-                    .collect(),
-                Dim::L2Interleave => space
-                    .l2_interleave
-                    .iter()
-                    .map(|&v| DesignPoint {
-                        l2_interleave_lines: v,
-                        ..base_point
-                    })
-                    .collect(),
-                Dim::StashMapEntries => space
-                    .stash_map_entries
-                    .iter()
-                    .map(|&v| DesignPoint {
-                        stash_map_entries: v,
-                        ..base_point
-                    })
-                    .collect(),
-                _ => unreachable!("latency/energy dims are provably monotone"),
-            };
-            let ests: Vec<i64> = axis
-                .iter()
-                .map(|p| {
-                    #[allow(clippy::cast_possible_wrap)]
-                    let e = predict::predict(program, &p.apply(base), kind).est_picos as i64;
-                    e
+        .zip(space.radices())
+        .enumerate()
+        .map(|(d, (&dim, radix))| {
+            let axis: Vec<u64> = (0..radix)
+                .map(|v| {
+                    let mut along = digits;
+                    along[d] = v;
+                    picos[space.index_of_digits(&along)]
                 })
                 .collect();
-            let steps: Vec<i64> = ests.windows(2).map(|w| w[1] - w[0]).collect();
-            let max_up = steps.iter().copied().max().unwrap_or(0).max(0);
-            let max_down = steps.iter().copied().min().unwrap_or(0).min(0);
-            let s = if max_up == 0 && max_down == 0 {
-                Sensitivity::Flat
-            } else if max_up == 0 || max_down == 0 {
-                Sensitivity::Monotone {
-                    worst_step: if max_up != 0 { max_up } else { max_down },
-                }
-            } else {
-                Sensitivity::NonMonotone { max_up, max_down }
-            };
-            (dim, s)
+            (dim, Sensitivity::of_axis(&axis))
         })
         .collect()
-}
-
-/// Picks which ranked points the simulator should validate: the top
-/// `top_k` plus `audit_n` seeded-random distinct picks from the rest.
-/// Returns indices **into the ranked slice**, sorted ascending.
-#[must_use]
-pub fn validation_sample(ranked: usize, top_k: usize, audit_n: usize, seed: u64) -> Vec<usize> {
-    let top = top_k.min(ranked);
-    let mut picked: Vec<usize> = (0..top).collect();
-    let rest = ranked - top;
-    let audit = audit_n.min(rest);
-    let mut rng = SplitMix64::new(seed);
-    let mut pool: Vec<usize> = (top..ranked).collect();
-    for _ in 0..audit {
-        let i = rng.next_below(pool.len() as u64) as usize;
-        picked.push(pool.swap_remove(i));
-    }
-    picked.sort_unstable();
-    picked
-}
-
-/// One validated point: surrogate estimate vs simulator measurement.
-#[derive(Debug, Clone)]
-pub struct Validated {
-    /// Rank in the surrogate's order (0 = predicted fastest).
-    pub surrogate_rank: usize,
-    /// The point's space index.
-    pub index: usize,
-    /// The decoded point.
-    pub point: DesignPoint,
-    /// Surrogate estimate (picoseconds).
-    pub est_picos: u64,
-    /// Simulator measurement (picoseconds).
-    pub measured_picos: u64,
-    /// The surrogate's cost-term exposures at this point.
-    pub terms: Vec<(CostTerm, u64)>,
-}
-
-/// One rank inversion: the surrogate ordered `fast` before `slow`, the
-/// simulator measured the opposite (beyond the tie threshold).
-#[derive(Debug, Clone)]
-pub struct Misrank {
-    /// The point the surrogate (wrongly) ranked faster.
-    pub fast: Validated,
-    /// The point the simulator proved faster.
-    pub slow: Validated,
-    /// The cost term with the largest exposure gap between the two —
-    /// the model constant to suspect.
-    pub term: CostTerm,
-    /// That largest absolute exposure gap, in cycles.
-    pub term_gap: u64,
-}
-
-impl Misrank {
-    /// The symbolized `SR030` diagnostic for this inversion.
-    #[must_use]
-    pub fn diagnostic(&self) -> Diagnostic {
-        Diagnostic::new(
-            Rule::SurrogateMisrank,
-            format!(
-                "surrogate rank #{} ({}, est {} ps) measured slower than rank #{} \
-                 ({}, est {} ps): {} vs {} ps — suspect cost term `{}` (exposure gap {} cycles)",
-                self.fast.surrogate_rank,
-                self.fast.point.label(),
-                self.fast.est_picos,
-                self.slow.surrogate_rank,
-                self.slow.point.label(),
-                self.slow.est_picos,
-                self.fast.measured_picos,
-                self.slow.measured_picos,
-                self.term.name(),
-                self.term_gap
-            ),
-        )
-    }
-}
-
-/// The audit verdict over the validated sample.
-#[derive(Debug, Clone)]
-pub struct Audit {
-    /// Kendall tau-a rank correlation × 1000 (1000 = perfect agreement).
-    pub kendall_tau_x1000: i64,
-    /// Every inversion beyond the tie threshold, worst (largest
-    /// measured-time gap) first.
-    pub misranks: Vec<Misrank>,
-    /// Whether the surrogate's top-1 among the validated sample is also
-    /// the measured-best (or within the documented tie threshold).
-    pub top1_ok: bool,
-}
-
-/// Kendall tau-a between surrogate and measured orderings of the
-/// validated sample, ×1000. Pairs tied in either metric contribute
-/// zero; an empty or single-point sample scores a vacuous 1000.
-#[must_use]
-pub fn kendall_tau(sample: &[Validated]) -> i64 {
-    let n = sample.len();
-    if n < 2 {
-        return 1000;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    for i in 0..n {
-        for j in i + 1..n {
-            let (a, b) = (&sample[i], &sample[j]);
-            let de = i64::from(a.est_picos < b.est_picos) - i64::from(a.est_picos > b.est_picos);
-            let dm = i64::from(a.measured_picos < b.measured_picos)
-                - i64::from(a.measured_picos > b.measured_picos);
-            match de * dm {
-                1 => concordant += 1,
-                -1 => discordant += 1,
-                _ => {}
-            }
-        }
-    }
-    let pairs = (n * (n - 1) / 2) as i64;
-    (concordant - discordant) * 1000 / pairs
-}
-
-/// Compares the surrogate and simulator orders over the validated
-/// sample. An inversion counts as a [`Misrank`] only past
-/// `tie_threshold_pct` (measured times within the threshold are
-/// documented ties, same rule as the placement advisor).
-#[must_use]
-pub fn audit(sample: &[Validated], tie_threshold_pct: u64) -> Audit {
-    let mut by_rank: Vec<&Validated> = sample.iter().collect();
-    by_rank.sort_by_key(|v| v.surrogate_rank);
-    let mut misranks = Vec::new();
-    for i in 0..by_rank.len() {
-        for j in i + 1..by_rank.len() {
-            let (fast, slow) = (by_rank[i], by_rank[j]);
-            // Surrogate says fast <= slow; is the measurement inverted
-            // beyond a tie?
-            if fast.measured_picos * 100 > slow.measured_picos * (100 + tie_threshold_pct) {
-                let (term, term_gap) = responsible_term(fast, slow);
-                misranks.push(Misrank {
-                    fast: fast.clone(),
-                    slow: slow.clone(),
-                    term,
-                    term_gap,
-                });
-            }
-        }
-    }
-    misranks.sort_by_key(|m| {
-        std::cmp::Reverse((
-            m.fast.measured_picos - m.slow.measured_picos,
-            m.fast.surrogate_rank,
-            m.slow.surrogate_rank,
-        ))
-    });
-    let top1_ok = by_rank.first().is_none_or(|top| {
-        let best = sample
-            .iter()
-            .map(|v| v.measured_picos)
-            .min()
-            .expect("sample nonempty");
-        top.measured_picos * 100 <= best * (100 + tie_threshold_pct)
-    });
-    Audit {
-        kendall_tau_x1000: kendall_tau(sample),
-        misranks,
-        top1_ok,
-    }
-}
-
-/// The cost term whose surrogate exposure differs most between two
-/// points — the constant the misrank most plausibly hides in.
-fn responsible_term(a: &Validated, b: &Validated) -> (CostTerm, u64) {
-    let mut best = (CostTerm::Issue, 0u64);
-    for (&(ta, va), &(tb, vb)) in a.terms.iter().zip(b.terms.iter()) {
-        debug_assert_eq!(ta, tb, "terms align with CostTerm::ALL");
-        let gap = va.abs_diff(vb);
-        if gap > best.1 {
-            best = (ta, gap);
-        }
-    }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn micro_workload() -> workloads::suite::Workload {
-        workloads::suite::all()
-            .into_iter()
-            .find(|w| w.name == "implicit")
-            .expect("suite has implicit")
-    }
 
     #[test]
     fn default_space_meets_scale_floor_and_contains_paper_point() {
@@ -646,151 +371,95 @@ mod tests {
             pts.len(),
             "indices decode to distinct points"
         );
-        assert_eq!(pts[0], space.point(0));
-        assert_eq!(pts[pts.len() - 1], space.point(space.len() - 1));
-    }
-
-    #[test]
-    fn pruning_monotone_dims_shrinks_the_sweep() {
-        let mut space = Space::default_space();
-        let before = space.len();
-        let removed = space.prune_provably_monotone();
-        assert_eq!(before - space.len(), removed);
-        assert!(removed > 0);
-        // Geometric dims survive pruning untouched.
-        assert_eq!(space.mesh_side, Space::default_space().mesh_side);
-        assert_eq!(space.l2_banks, Space::default_space().l2_banks);
-        // Latency axes collapse to their minimum.
-        assert_eq!(space.hop_x, vec![3]);
-        assert_eq!(space.l2_base, vec![20]);
-    }
-
-    #[test]
-    fn evaluation_ranks_deterministically_and_respects_monotone_dims() {
-        let w = micro_workload();
-        let sys = SystemConfig::for_microbenchmarks();
-        let program = (w.build)(MemConfigKind::Stash);
-        let mut space = Space::smoke_space();
-        // Keep the test fast: a thin slice of the smoke space.
-        space.mesh_side = vec![2, 4];
-        space.l2_banks = vec![16];
-        space.l2_interleave = vec![1];
-        space.stash_map_entries = vec![64];
-        space.l2_base = vec![29, 44];
-        space.hop_x = vec![5];
-        let ranked = evaluate_space(&program, &sys, MemConfigKind::Stash, &space);
-        assert_eq!(ranked.len(), space.len());
-        let again = evaluate_space(&program, &sys, MemConfigKind::Stash, &space);
-        for (a, b) in ranked.iter().zip(again.iter()) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.est_picos, b.est_picos);
+        for (i, p) in pts.iter().enumerate() {
+            assert_eq!(space.index_of(p), Some(i), "index_of inverts point");
         }
-        // Provable monotonicity shows up in the data: same geometry,
-        // larger l2_base never ranks strictly faster.
-        for e in &ranked {
-            let slower = DesignPoint {
-                l2_base_cycles: e.point.l2_base_cycles + 15,
-                ..e.point
-            };
-            if let Some(s) = ranked.iter().find(|x| x.point == slower) {
-                assert!(s.est_picos >= e.est_picos);
+        let off_axis = DesignPoint {
+            mesh_side: 7,
+            ..DesignPoint::default()
+        };
+        assert_eq!(space.index_of(&off_axis), None);
+    }
+
+    #[test]
+    fn rank_sorts_by_runtime_then_index() {
+        assert_eq!(rank(&[30, 10, 20, 10]), vec![1, 3, 2, 0]);
+        assert!(rank(&[]).is_empty());
+    }
+
+    #[test]
+    fn axis_classifier_covers_every_shape() {
+        assert_eq!(Sensitivity::of_axis(&[5, 5, 5]), Sensitivity::Flat);
+        assert_eq!(Sensitivity::of_axis(&[5]), Sensitivity::Flat);
+        assert_eq!(
+            Sensitivity::of_axis(&[5, 7, 12]),
+            Sensitivity::Monotone { worst_step: 5 }
+        );
+        assert_eq!(
+            Sensitivity::of_axis(&[12, 7, 7]),
+            Sensitivity::Monotone { worst_step: -5 }
+        );
+        assert_eq!(
+            Sensitivity::of_axis(&[5, 9, 2]),
+            Sensitivity::NonMonotone {
+                max_up: 4,
+                max_down: -7
             }
-        }
+        );
     }
 
+    /// A hand-built grid over a 3 × 2 × 2 slice: runtime grows with mesh
+    /// side, dips at the middle bank count, and ignores the map size.
     #[test]
-    fn sensitivities_label_without_evaluating_latency_dims() {
-        let w = micro_workload();
-        let sys = SystemConfig::for_microbenchmarks();
-        let program = (w.build)(MemConfigKind::Stash);
-        let space = Space::smoke_space();
-        let report = sensitivities(&program, &sys, MemConfigKind::Stash, &space);
-        assert_eq!(report.len(), Dim::ALL.len());
-        for (dim, s) in &report {
-            if dim.provably_monotone() {
-                assert_eq!(*s, Sensitivity::ProvablyMonotone, "{}", dim.name());
-            } else {
-                assert_ne!(*s, Sensitivity::ProvablyMonotone, "{}", dim.name());
-            }
-        }
-        // Mesh side must not be flat: bigger meshes mean longer trips.
-        let (_, mesh) = report
+    fn sensitivities_read_the_axes_through_the_base_point() {
+        let base = DesignPoint::default();
+        let space = Space {
+            mesh_side: vec![2, 4, 8],
+            hop_x: vec![base.hop_x_cycles],
+            hop_y: vec![base.hop_y_cycles],
+            l2_banks: vec![8, 16, 32],
+            l2_interleave: vec![base.l2_interleave_lines],
+            stash_map_entries: vec![16, 64],
+            l2_base: vec![base.l2_base_cycles],
+            dram_extra: vec![base.dram_extra_cycles],
+            remote_base: vec![base.remote_base_cycles],
+            stash_xlat: vec![base.stash_translation_cycles],
+            energy_scale: vec![base.energy_scale_pct],
+        };
+        let picos: Vec<u64> = space
+            .points()
             .iter()
-            .find(|(d, _)| *d == Dim::MeshSide)
-            .expect("mesh dim present");
-        assert_ne!(*mesh, Sensitivity::Flat);
-    }
-
-    #[test]
-    fn validation_sample_is_seeded_and_covers_top_k() {
-        let a = validation_sample(288, 12, 12, 8);
-        let b = validation_sample(288, 12, 12, 8);
-        assert_eq!(a, b, "same seed, same sample");
-        assert_eq!(a.len(), 24);
-        let distinct: std::collections::HashSet<_> = a.iter().collect();
-        assert_eq!(distinct.len(), 24);
-        for i in 0..12 {
-            assert!(a.contains(&i), "top-{i} must be validated");
-        }
-        let c = validation_sample(288, 12, 12, 9);
-        assert_ne!(a, c, "different seed, different audit picks");
-        // Degenerate sizes clamp instead of panicking.
-        assert_eq!(validation_sample(5, 12, 12, 1).len(), 5);
-    }
-
-    fn validated(rank: usize, est: u64, measured: u64, dram: u64) -> Validated {
-        Validated {
-            surrogate_rank: rank,
-            index: rank,
-            point: DesignPoint::default(),
-            est_picos: est,
-            measured_picos: measured,
-            terms: CostTerm::ALL
+            .map(|p| {
+                let bank_cost = if p.l2_banks == 16 { 0 } else { 40 };
+                1000 * p.mesh_side as u64 + bank_cost
+            })
+            .collect();
+        assert_eq!(space.axis_len(Dim::MeshSide), 3);
+        assert_eq!(space.axis_len(Dim::HopX), 1);
+        let at = space.index_of(&base).expect("base on every axis");
+        let report = sensitivities(&space, at, &picos);
+        assert_eq!(report.len(), Dim::ALL.len());
+        let verdict = |dim: Dim| {
+            report
                 .iter()
-                .map(|&t| (t, if t == CostTerm::Dram { dram } else { 1 }))
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn audit_finds_inversions_and_blames_the_widest_term() {
-        // Ranks 0..3; rank 1 measured far slower than rank 2 → one
-        // misrank, and the Dram exposure gap (900 vs 100) is blamed.
-        let sample = vec![
-            validated(0, 100, 100, 50),
-            validated(1, 200, 900, 900),
-            validated(2, 300, 300, 100),
-            validated(3, 400, 950, 40),
-        ];
-        let a = audit(&sample, 5);
-        assert!(a.top1_ok);
-        assert_eq!(a.misranks.len(), 1);
-        let m = &a.misranks[0];
-        assert_eq!(m.fast.surrogate_rank, 1);
-        assert_eq!(m.slow.surrogate_rank, 2);
-        assert_eq!(m.term, CostTerm::Dram);
-        assert_eq!(m.term_gap, 800);
-        let d = m.diagnostic();
-        assert_eq!(d.rule.code(), "SR030");
-        assert!(d.message.contains("dram"), "{}", d.message);
-        assert!(a.kendall_tau_x1000 < 1000);
-        // A perfectly ordered sample has tau 1000 and no misranks.
-        let clean = vec![
-            validated(0, 100, 100, 1),
-            validated(1, 200, 200, 1),
-            validated(2, 300, 300, 1),
-        ];
-        let a = audit(&clean, 5);
-        assert_eq!(a.kendall_tau_x1000, 1000);
-        assert!(a.misranks.is_empty());
-        assert!(a.top1_ok);
-    }
-
-    #[test]
-    fn audit_tie_threshold_suppresses_noise_inversions() {
-        // Measured 103 vs 100 is within the 5% documented tie.
-        let sample = vec![validated(0, 100, 103, 1), validated(1, 110, 100, 1)];
-        assert!(audit(&sample, 5).misranks.is_empty());
-        assert!(!audit(&sample, 0).misranks.is_empty());
+                .find(|(d, _)| *d == dim)
+                .map(|&(_, s)| s)
+                .expect("every dimension reported")
+        };
+        assert_eq!(
+            verdict(Dim::MeshSide),
+            Sensitivity::Monotone { worst_step: 4000 }
+        );
+        assert_eq!(
+            verdict(Dim::L2Banks),
+            Sensitivity::NonMonotone {
+                max_up: 40,
+                max_down: -40
+            }
+        );
+        assert_eq!(verdict(Dim::StashMapEntries), Sensitivity::Flat);
+        // Single-valued axes are flat by construction.
+        assert_eq!(verdict(Dim::HopX), Sensitivity::Flat);
+        assert_eq!(verdict(Dim::EnergyScale), Sensitivity::Flat);
     }
 }

@@ -30,13 +30,12 @@
 //!    stores, copy loops without reuse, redundant DMA), and a
 //!    per-configuration counter/cost predictor whose output is
 //!    cross-validated against simulator runs.
-//! 5. [`dse`] — a **surrogate-driven design-space explorer** that scales
-//!    the analyzer's predictor across thousands of hardware
-//!    [`DesignPoint`]s (mesh geometry, NoC latencies, LLC banking,
-//!    stash-map capacity), prunes provably-monotone dimensions without
-//!    evaluation, ranks the rest, and audits the ranking against real
-//!    simulations — every inversion becomes a stable `SR030`
-//!    diagnostic naming the suspect cost-model term.
+//! 5. [`dse`] — the **design space** around the paper's machine:
+//!    thousands of hardware [`DesignPoint`]s (mesh geometry, NoC
+//!    latencies, LLC banking, stash-map capacity, latency and energy
+//!    constants). The `dse` bin simulates every point, ranks them by
+//!    measured runtime, and reads each dimension's sensitivity from the
+//!    same simulated grid.
 //!
 //! DeNovo's guarantees hold only for data-race-free programs, so the
 //! layers complement each other: the model checker proves the protocol
@@ -54,7 +53,7 @@ pub mod dse;
 pub mod lint;
 pub mod model;
 
-pub use analyze::predict::{CostTerm, Prediction};
+pub use analyze::predict::Prediction;
 pub use analyze::{
     analyze_workload, recommend, recommendation_ok, validate_prediction, Analysis, Note, NoteKind,
 };

@@ -7,7 +7,7 @@
 //! **uncertifiable** by `verify::dataflow`'s conflict pass on any
 //! multi-CU machine: coherent stash *loads* register ownership, so the
 //! shared table makes every pair of CUs claim the same words during the
-//! epoch merge. The certified merge fast path must refuse exactly this
+//! staged-op merge. The certified merge fast path must refuse exactly this
 //! shape (certificates require full access disjointness, not just
 //! write disjointness), which is what this workload exists to pin down
 //! in tests and in the worked EXPERIMENTS example.

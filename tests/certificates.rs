@@ -1,10 +1,9 @@
 //! Conflict-certificate end-to-end tests (DESIGN.md §13): the
 //! `verify::dataflow` conflict pass certifies kernels, the machine's
-//! epoch merge consumes the certificate through its fast path, and
+//! staged-op merge consumes the certificate through its fast path, and
 //! nothing observable may change — reports, stall breakdowns, and
 //! architectural-state digests stay byte-identical to the uncertified
-//! run on every Figure 5/6 matrix cell, at every thread count and epoch
-//! length. The `--verify` dynamic footprint oracle cross-checks every
+//! run on every Figure 5/6 matrix cell, at every thread count. The `--verify` dynamic footprint oracle cross-checks every
 //! certified merge, and each deliberate `ConflictMutation` weakening of
 //! the pass is proven to be *caught* by that oracle at runtime.
 
@@ -37,7 +36,6 @@ fn fingerprint(
     workload: &Workload,
     kind: MemConfigKind,
     threads: usize,
-    epoch_cycles: u64,
     certified: bool,
     verify: bool,
 ) -> (String, u64) {
@@ -45,8 +43,7 @@ fn fingerprint(
     let mut machine = Machine::new(workload.set.system_config(), kind);
     machine.memory_mut().enable_trace(1 << 12);
     machine.memory_mut().set_verify(verify);
-    let mut par = ParallelConfig::with_threads(threads);
-    par.epoch_cycles = epoch_cycles;
+    let par = ParallelConfig::with_threads(threads);
     if certified {
         let cert = certify(&program, &shape_of(&machine, &par));
         machine.set_certificate(cert);
@@ -64,29 +61,24 @@ fn fingerprint(
     )
 }
 
-/// Asserts that certified runs over `grid` reproduce the uncertified
-/// `(threads=1, epoch=1)` fingerprint bit-for-bit; returns the certified
-/// kernel-merge count observed (identical across the grid).
-fn assert_certified_invariant(
-    workload: &Workload,
-    kind: MemConfigKind,
-    grid: &[(usize, u64)],
-) -> u64 {
-    let (baseline, _) = fingerprint(workload, kind, 1, 1, false, false);
+/// Asserts that certified runs at every thread count in `threads`
+/// reproduce the uncertified 1-thread fingerprint bit-for-bit; returns
+/// the certified kernel-merge count observed (identical across counts).
+fn assert_certified_invariant(workload: &Workload, kind: MemConfigKind, threads: &[usize]) -> u64 {
+    let (baseline, _) = fingerprint(workload, kind, 1, false, false);
     let mut fast_merges = None;
-    for &(threads, epoch_cycles) in grid {
-        let (got, certified) = fingerprint(workload, kind, threads, epoch_cycles, true, false);
+    for &t in threads {
+        let (got, certified) = fingerprint(workload, kind, t, true, false);
         assert_eq!(
             baseline, got,
-            "{} / {kind}: certified run at threads={threads} epoch_cycles={epoch_cycles} \
-             diverged from the uncertified baseline",
+            "{} / {kind}: certified run at threads={t} diverged from the uncertified baseline",
             workload.name
         );
         match fast_merges {
             None => fast_merges = Some(certified),
             Some(n) => assert_eq!(
                 n, certified,
-                "{} / {kind}: certified-merge count changed across the grid",
+                "{} / {kind}: certified-merge count changed across thread counts",
                 workload.name
             ),
         }
@@ -95,19 +87,15 @@ fn assert_certified_invariant(
 }
 
 /// Full Figure 5 matrix (4 microbenchmarks × 4 configurations), every
-/// certified `(threads, epoch)` combination against the uncertified
-/// baseline. The microbenchmark machine has a single CU, so every
-/// kernel is vacuously disjoint: the fast path runs on *every* merge,
-/// and still nothing may change.
+/// certified thread count against the uncertified baseline. The
+/// microbenchmark machine has a single CU, so every kernel is vacuously
+/// disjoint: the fast path runs on *every* merge, and still nothing may
+/// change.
 #[test]
 fn figure5_certified_matrix_is_byte_identical() {
-    let grid: Vec<(usize, u64)> = [1, 2, 4, 8]
-        .iter()
-        .flat_map(|&t| [1u64, 16, 256].iter().map(move |&e| (t, e)))
-        .collect();
     for workload in suite::micros() {
         for &kind in workload.set.figure_kinds() {
-            let fast = assert_certified_invariant(&workload, kind, &grid);
+            let fast = assert_certified_invariant(&workload, kind, &[1, 2, 4, 8]);
             assert!(
                 fast > 0,
                 "{} / {kind}: single-CU kernels must all certify",
@@ -117,18 +105,16 @@ fn figure5_certified_matrix_is_byte_identical() {
     }
 }
 
-/// Full Figure 6 application matrix on the 15-CU machine. The grid
-/// covers every thread count and every epoch length (the full cross
-/// product runs on the cheap Figure 5 matrix above). At least one
-/// application kernel must genuinely certify — the fast path has to be
-/// exercised with real inter-CU sharding, not only vacuously.
+/// Full Figure 6 application matrix on the 15-CU machine, at every
+/// thread count. At least one application kernel must genuinely
+/// certify — the fast path has to be exercised with real inter-CU
+/// sharding, not only vacuously.
 #[test]
 fn figure6_certified_matrix_is_byte_identical() {
-    let grid = [(1, 1), (2, 16), (4, 256), (8, 256)];
     let mut total_fast = 0;
     for workload in suite::applications() {
         for &kind in workload.set.figure_kinds() {
-            total_fast += assert_certified_invariant(&workload, kind, &grid);
+            total_fast += assert_certified_invariant(&workload, kind, &[1, 2, 4, 8]);
         }
     }
     assert!(
@@ -166,13 +152,13 @@ fn nw_certifies_on_the_application_machine() {
 fn certified_runs_pass_the_dynamic_oracle() {
     for workload in suite::micros() {
         for &kind in workload.set.figure_kinds() {
-            let (_, fast) = fingerprint(&workload, kind, 4, 16, true, true);
+            let (_, fast) = fingerprint(&workload, kind, 4, true, true);
             assert!(fast > 0, "{} / {kind}: nothing certified", workload.name);
         }
     }
     let backprop = suite::by_name("backprop").expect("backprop is in the suite");
     for kind in [MemConfigKind::Stash, MemConfigKind::StashG] {
-        let (_, fast) = fingerprint(&backprop, kind, 4, 16, true, true);
+        let (_, fast) = fingerprint(&backprop, kind, 4, true, true);
         assert!(fast > 0, "backprop / {kind}: nothing certified");
     }
 }
@@ -193,8 +179,8 @@ fn aliasing_micro_is_uncertifiable_but_runs_identically() {
         0,
         "read-shared coherent tiles must not certify: {cert:?}"
     );
-    let (baseline, _) = fingerprint(&workload, MemConfigKind::Stash, 1, 1, false, false);
-    let (got, fast) = fingerprint(&workload, MemConfigKind::Stash, 4, 16, true, true);
+    let (baseline, _) = fingerprint(&workload, MemConfigKind::Stash, 1, false, false);
+    let (got, fast) = fingerprint(&workload, MemConfigKind::Stash, 4, true, true);
     assert_eq!(
         baseline, got,
         "aliasing diverged under a refused certificate"
@@ -338,7 +324,7 @@ fn oracle_catches_word_verdict_for_lines() {
     // Two CUs store disjoint halves of one 64-byte line: word-disjoint,
     // line-shared. Under the line-granularity registration ablation each
     // store claims the *whole* line, so presenting the word verdict as
-    // the line verdict is a lie the oracle sees on the first epoch.
+    // the line verdict is a lie the oracle sees on the first merge.
     let p = one_kernel(vec![
         global_store_block(0x3000, 8),
         global_store_block(0x3020, 8),

@@ -1,8 +1,8 @@
-//! Thread-sweep determinism for the epoch-parallel runner (DESIGN.md
+//! Thread-sweep determinism for the parallel shard runner (DESIGN.md
 //! §12): `Machine::run_parallel` must produce byte-identical reports,
 //! stall breakdowns, and architectural-state digests for every thread
-//! count and every epoch length — parallelism is a wall-clock
-//! optimization with zero observable effect. The sweeps cover the full
+//! count — parallelism is a wall-clock optimization with zero
+//! observable effect. The sweeps cover the full
 //! Figure 5 matrix, the Figure 6 applications, and chaos (fault
 //! injection) under parallelism.
 
@@ -18,7 +18,6 @@ fn fingerprint(
     workload: &Workload,
     kind: MemConfigKind,
     threads: usize,
-    epoch_cycles: u64,
     fault: Option<&FaultConfig>,
 ) -> String {
     let program = (workload.build)(kind);
@@ -27,9 +26,7 @@ fn fingerprint(
     if let Some(cfg) = fault {
         machine.memory_mut().set_fault_injector(cfg.clone());
     }
-    let mut par = ParallelConfig::with_threads(threads);
-    par.epoch_cycles = epoch_cycles;
-    let outcome = machine.run_parallel(&program, &par);
+    let outcome = machine.run_parallel(&program, &ParallelConfig::with_threads(threads));
     let digest = machine.memory().state_digest();
     let stalls = machine
         .memory()
@@ -44,57 +41,40 @@ fn fingerprint(
     format!("report={outcome:?} digest={digest:#018x} stalls={stalls} faults={faults}")
 }
 
-/// Sweeps one cell over the full thread × epoch grid and asserts every
-/// combination reproduces the `(threads=1, epoch=1)` fingerprint.
-fn assert_invariant(workload: &Workload, kind: MemConfigKind, grid: &[(usize, u64)]) {
-    let ((t0, e0), rest) = grid.split_first().expect("non-empty grid");
-    let baseline = fingerprint(workload, kind, *t0, *e0, None);
-    for &(threads, epoch_cycles) in rest {
-        let got = fingerprint(workload, kind, threads, epoch_cycles, None);
+/// Runs one cell at every thread count in `threads` and asserts each
+/// reproduces the first count's fingerprint.
+fn assert_invariant(workload: &Workload, kind: MemConfigKind, threads: &[usize]) {
+    let (t0, rest) = threads.split_first().expect("non-empty sweep");
+    let baseline = fingerprint(workload, kind, *t0, None);
+    for &t in rest {
+        let got = fingerprint(workload, kind, t, None);
         assert_eq!(
             baseline, got,
-            "{} / {kind}: threads={threads} epoch_cycles={epoch_cycles} \
-             diverged from threads={t0} epoch_cycles={e0}",
+            "{} / {kind}: threads={t} diverged from threads={t0}",
             workload.name
         );
     }
 }
 
-const FULL_GRID: [(usize, u64); 12] = [
-    (1, 1),
-    (1, 16),
-    (1, 256),
-    (2, 1),
-    (2, 16),
-    (2, 256),
-    (4, 1),
-    (4, 16),
-    (4, 256),
-    (8, 1),
-    (8, 16),
-    (8, 256),
-];
-
 /// The full Figure 5 matrix (4 microbenchmarks × 4 configurations),
-/// swept over threads ∈ {1,2,4,8} × epoch lengths ∈ {1,16,256}.
+/// swept over threads ∈ {1,2,4,8}.
 #[test]
-fn figure5_matrix_is_thread_and_epoch_invariant() {
+fn figure5_matrix_is_thread_invariant() {
     for workload in suite::micros() {
         for &kind in workload.set.figure_kinds() {
-            assert_invariant(&workload, kind, &FULL_GRID);
+            assert_invariant(&workload, kind, &[1, 2, 4, 8]);
         }
     }
 }
 
-/// Every Figure 6 application cell, 1 vs 8 threads at the extreme epoch
-/// lengths (the applications run on the 15-CU configuration, where the
-/// shards genuinely interleave).
+/// Every Figure 6 application cell, 1 vs 8 threads (the applications
+/// run on the 15-CU configuration, where the shards genuinely
+/// interleave).
 #[test]
-fn figure6_applications_are_thread_and_epoch_invariant() {
-    let grid = [(1, 1), (8, 1), (1, 256), (8, 256)];
+fn figure6_applications_are_thread_invariant() {
     for workload in suite::applications() {
         for &kind in workload.set.figure_kinds() {
-            assert_invariant(&workload, kind, &grid);
+            assert_invariant(&workload, kind, &[1, 8]);
         }
     }
 }
@@ -108,9 +88,9 @@ fn chaos_is_thread_invariant() {
     for seed in [1, 7, 23] {
         let cfg = FaultConfig::chaos(seed);
         for workload in [suite::micros()[0], suite::applications()[0]] {
-            let baseline = fingerprint(&workload, MemConfigKind::Stash, 1, 16, Some(&cfg));
+            let baseline = fingerprint(&workload, MemConfigKind::Stash, 1, Some(&cfg));
             for threads in [2, 4, 8] {
-                let got = fingerprint(&workload, MemConfigKind::Stash, threads, 16, Some(&cfg));
+                let got = fingerprint(&workload, MemConfigKind::Stash, threads, Some(&cfg));
                 assert_eq!(
                     baseline, got,
                     "{} seed={seed}: chaos diverged at threads={threads}",
@@ -126,7 +106,7 @@ fn chaos_is_thread_invariant() {
 #[test]
 fn repeat_runs_are_reproducible() {
     let workload = suite::applications()[0];
-    let a = fingerprint(&workload, MemConfigKind::StashG, 8, 64, None);
-    let b = fingerprint(&workload, MemConfigKind::StashG, 8, 64, None);
+    let a = fingerprint(&workload, MemConfigKind::StashG, 8, None);
+    let b = fingerprint(&workload, MemConfigKind::StashG, 8, None);
     assert_eq!(a, b);
 }
