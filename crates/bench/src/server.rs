@@ -11,7 +11,7 @@
 //!
 //! A result is addressed by the canonical byte string built in
 //! [`Server::request_key`]: the compiled-in [`CODE_VERSION`], the
-//! request kind, the FNV fingerprint of every lowered program the
+//! request kind, the structural fingerprint of every lowered program the
 //! request touches, the [`sim::config::SystemConfig::stable_hash`] of
 //! every machine it runs, and the request's own parameters (seeds,
 //! configuration names, inline trace text). Anything that could change
@@ -423,7 +423,7 @@ impl Server {
         self.resident_entry(w, kind).0
     }
 
-    /// Resident program plus its FNV fingerprint. The fingerprint is
+    /// Resident program plus its structural fingerprint. The fingerprint is
     /// computed once at lowering time so cache-key derivation on the
     /// hit path costs a map probe, not a rehash of the whole IR.
     fn resident_entry(&mut self, w: &Workload, kind: MemConfigKind) -> (Arc<Program>, u64) {

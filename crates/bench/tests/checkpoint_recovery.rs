@@ -206,15 +206,20 @@ fn truncated_and_corrupt_snapshots_are_rejected_with_fallback() {
 #[test]
 fn future_format_version_is_a_version_mismatch_not_corruption() {
     let (snap, _, _) = real_snapshot();
-    let mut bytes = snap.to_bytes();
-    // Version lives at offset 8 (after the 8-byte magic), LE u32.
-    bytes[8] = bytes[8].wrapping_add(1);
-    match Snapshot::from_bytes(&bytes) {
-        Err(SimError::CheckpointVersionMismatch { found, expected }) => {
-            assert_eq!(expected, sim::snapshot::FORMAT_VERSION);
-            assert_eq!(found, u32::from(bytes[8]));
+    let bytes = snap.to_bytes();
+    // A newer format, and version 1: the format whose META fingerprint
+    // hashed the program's debug text. An old file is not damage.
+    for version in [sim::snapshot::FORMAT_VERSION + 1, 1] {
+        let mut patched = bytes.clone();
+        // Version lives at offset 8 (after the 8-byte magic), LE u32.
+        patched[8..12].copy_from_slice(&version.to_le_bytes());
+        match Snapshot::from_bytes(&patched) {
+            Err(SimError::CheckpointVersionMismatch { found, expected }) => {
+                assert_eq!(expected, sim::snapshot::FORMAT_VERSION);
+                assert_eq!(found, version);
+            }
+            other => panic!("version {version}: expected CheckpointVersionMismatch, got {other:?}"),
         }
-        other => panic!("expected CheckpointVersionMismatch, got {other:?}"),
     }
 }
 

@@ -9,6 +9,7 @@ use crate::program::{Kernel, Phase, Program, ThreadBlock};
 use crate::report::RunReport;
 use sim::config::SystemConfig;
 use sim::SimError;
+use std::hash::{Hash as _, Hasher as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -107,10 +108,15 @@ pub struct RunCursor {
 
 /// A stable fingerprint of a program's full structure, stored in every
 /// checkpoint so a snapshot can only resume the program it was taken
-/// from.
+/// from. It is the derived `Hash` of the IR fed through
+/// [`sim::snapshot::Fnv1aHasher`], so every field counts by
+/// construction, and it costs one hash step per field instead of
+/// printing the program.
 #[must_use]
 pub fn program_fingerprint(program: &Program) -> u64 {
-    sim::snapshot::fnv1a(format!("{program:?}").as_bytes())
+    let mut h = sim::snapshot::Fnv1aHasher::default();
+    program.hash(&mut h);
+    h.finish()
 }
 
 /// Checkpoint section tag: machine progress metadata.
@@ -524,7 +530,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{AllocId, CpuOp, CpuPhase, LocalAlloc, MapReq, Stage, WarpOp};
+    use crate::program::{AllocId, CpuOp, CpuPhase, DmaReq, LocalAlloc, MapReq, Stage, WarpOp};
     use mem::addr::VAddr;
     use mem::tile::TileMap;
     use stash::UsageMode;
@@ -854,5 +860,209 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    fn tile(base: u64) -> TileMap {
+        TileMap::new(VAddr(base), 4, 16, 8, 256, 2).unwrap()
+    }
+
+    /// One program using every `WarpOp`, `CpuOp` and `Phase` variant and
+    /// every field of every IR type.
+    fn every_variant_program() -> Program {
+        let mut stage = Stage::new(2);
+        stage.maps.push(MapReq {
+            slot: 1,
+            alloc: AllocId(0),
+            tile: tile(0x4000),
+            mode: UsageMode::MappedCoherent,
+        });
+        stage.dmas.push(DmaReq {
+            alloc: AllocId(1),
+            tile: tile(0x8000),
+            load: true,
+            store: false,
+        });
+        stage.warps[0] = vec![
+            WarpOp::Compute(3),
+            WarpOp::GlobalMem {
+                write: false,
+                lanes: vec![VAddr(0x100), VAddr(0x104)],
+            },
+        ];
+        stage.warps[1] = vec![WarpOp::LocalMem {
+            write: true,
+            alloc: AllocId(0),
+            slot: 1,
+            lanes: (0..5).collect(),
+        }];
+        let block = ThreadBlock {
+            allocs: vec![LocalAlloc { words: 16 }, LocalAlloc { words: 32 }],
+            stages: vec![stage],
+        };
+        let cpu = CpuPhase {
+            per_core: vec![vec![
+                CpuOp::Compute(2),
+                CpuOp::Mem {
+                    write: true,
+                    vaddr: VAddr(0x200),
+                },
+                CpuOp::StashMem {
+                    write: false,
+                    slot: 0,
+                    word: 7,
+                },
+            ]],
+            stash_maps: vec![vec![tile(0xC000)]],
+        };
+        Program {
+            phases: vec![
+                Phase::Gpu(Kernel {
+                    blocks: vec![block],
+                }),
+                Phase::Cpu(cpu),
+            ],
+        }
+    }
+
+    fn block(p: &mut Program) -> &mut ThreadBlock {
+        match &mut p.phases[0] {
+            Phase::Gpu(k) => &mut k.blocks[0],
+            Phase::Cpu(_) => unreachable!(),
+        }
+    }
+
+    fn gpu_stage(p: &mut Program) -> &mut Stage {
+        &mut block(p).stages[0]
+    }
+
+    fn cpu_phase(p: &mut Program) -> &mut CpuPhase {
+        match &mut p.phases[1] {
+            Phase::Cpu(c) => c,
+            Phase::Gpu(_) => unreachable!(),
+        }
+    }
+
+    fn global_op(p: &mut Program) -> (&mut bool, &mut Vec<VAddr>) {
+        match &mut gpu_stage(p).warps[0][1] {
+            WarpOp::GlobalMem { write, lanes } => (write, lanes),
+            _ => unreachable!(),
+        }
+    }
+
+    fn local_op(p: &mut Program) -> (&mut bool, &mut AllocId, &mut usize, &mut Vec<u32>) {
+        match &mut gpu_stage(p).warps[1][0] {
+            WarpOp::LocalMem {
+                write,
+                alloc,
+                slot,
+                lanes,
+            } => (write, alloc, slot, lanes),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn fingerprint_changes_when_any_single_field_changes() {
+        type Mutation = (&'static str, fn(&mut Program));
+        let mutations: &[Mutation] = &[
+            ("alloc words", |p| block(p).allocs[1].words += 1),
+            ("map slot", |p| gpu_stage(p).maps[0].slot = 2),
+            ("map alloc", |p| gpu_stage(p).maps[0].alloc = AllocId(1)),
+            ("map tile base", |p| {
+                gpu_stage(p).maps[0].tile = tile(0x4010)
+            }),
+            ("map tile shape", |p| {
+                gpu_stage(p).maps[0].tile = TileMap::new(VAddr(0x4000), 4, 16, 8, 256, 3).unwrap();
+            }),
+            ("map mode", |p| {
+                gpu_stage(p).maps[0].mode = UsageMode::MappedNonCoherent;
+            }),
+            ("dma alloc", |p| gpu_stage(p).dmas[0].alloc = AllocId(0)),
+            ("dma tile", |p| gpu_stage(p).dmas[0].tile = tile(0x8010)),
+            ("dma load", |p| gpu_stage(p).dmas[0].load = false),
+            ("dma store", |p| gpu_stage(p).dmas[0].store = true),
+            ("compute count", |p| {
+                gpu_stage(p).warps[0][0] = WarpOp::Compute(4);
+            }),
+            ("global write", |p| *global_op(p).0 = true),
+            ("global lane", |p| global_op(p).1[1] = VAddr(0x108)),
+            ("global lane count", |p| global_op(p).1.truncate(1)),
+            ("local write", |p| *local_op(p).0 = false),
+            ("local alloc", |p| *local_op(p).1 = AllocId(1)),
+            ("local slot", |p| *local_op(p).2 = 0),
+            ("local lane", |p| local_op(p).3[4] = 9),
+            ("warp op moved to the other warp", |p| {
+                let op = gpu_stage(p).warps[0].remove(0);
+                gpu_stage(p).warps[1].insert(0, op);
+            }),
+            ("tainted", |p| gpu_stage(p).tainted = true),
+            ("cpu compute", |p| {
+                cpu_phase(p).per_core[0][0] = CpuOp::Compute(1)
+            }),
+            ("cpu mem write", |p| {
+                cpu_phase(p).per_core[0][1] = CpuOp::Mem {
+                    write: false,
+                    vaddr: VAddr(0x200),
+                };
+            }),
+            ("cpu mem vaddr", |p| {
+                cpu_phase(p).per_core[0][1] = CpuOp::Mem {
+                    write: true,
+                    vaddr: VAddr(0x204),
+                };
+            }),
+            ("cpu stash write", |p| {
+                cpu_phase(p).per_core[0][2] = CpuOp::StashMem {
+                    write: true,
+                    slot: 0,
+                    word: 7,
+                };
+            }),
+            ("cpu stash slot", |p| {
+                cpu_phase(p).per_core[0][2] = CpuOp::StashMem {
+                    write: false,
+                    slot: 1,
+                    word: 7,
+                };
+            }),
+            ("cpu stash word", |p| {
+                cpu_phase(p).per_core[0][2] = CpuOp::StashMem {
+                    write: false,
+                    slot: 0,
+                    word: 8,
+                };
+            }),
+            ("cpu stash map", |p| {
+                cpu_phase(p).stash_maps[0][0] = tile(0xC010)
+            }),
+            ("empty cpu core added", |p| {
+                cpu_phase(p).per_core.push(Vec::new())
+            }),
+            ("phases swapped", |p| p.phases.swap(0, 1)),
+        ];
+        let base = every_variant_program();
+        let mut seen = vec![(program_fingerprint(&base), "unmutated")];
+        for (what, mutate) in mutations {
+            let mut p = base.clone();
+            mutate(&mut p);
+            assert_ne!(p, base, "{what}: the mutation must change the program");
+            let fp = program_fingerprint(&p);
+            if let Some((_, other)) = seen.iter().find(|(f, _)| *f == fp) {
+                panic!("{what}: fingerprint {fp:#018x} equals that of {other}");
+            }
+            seen.push((fp, what));
+        }
+    }
+
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        // If this moves — a toolchain changed how `#[derive(Hash)]`
+        // feeds the IR in, or the hasher changed — snapshots written
+        // before the change name a different fingerprint: bump
+        // `sim::snapshot::FORMAT_VERSION` along with this value.
+        assert_eq!(
+            program_fingerprint(&every_variant_program()),
+            0x09cf_85aa_cc4e_e534
+        );
     }
 }

@@ -23,7 +23,7 @@ use stash::UsageMode;
 pub struct AllocId(pub usize);
 
 /// A local-memory allocation request (scratchpad or stash space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocalAlloc {
     /// Size in 4-byte words.
     pub words: u64,
@@ -32,7 +32,7 @@ pub struct LocalAlloc {
 /// A mapping request: bind `tile` to map-index-table slot `slot`, backed
 /// by allocation `alloc`. The first binding of a slot is an `AddMap`;
 /// rebinding an already-bound slot is a `ChgMap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MapReq {
     /// The map-index-table slot being bound.
     pub slot: usize,
@@ -45,7 +45,7 @@ pub struct MapReq {
 }
 
 /// A DMA transfer request for the `ScratchGD` configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DmaReq {
     /// Which allocation the transfer fills / drains.
     pub alloc: AllocId,
@@ -58,7 +58,7 @@ pub struct DmaReq {
 }
 
 /// One warp-level operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WarpOp {
     /// `n` non-memory instructions (ALU, control, address arithmetic).
     Compute(u32),
@@ -94,7 +94,7 @@ impl WarpOp {
 }
 
 /// A barrier-separated phase of a thread block.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Stage {
     /// Slot bindings performed before the stage body (AddMap/ChgMap).
     pub maps: Vec<MapReq>,
@@ -135,7 +135,7 @@ impl Stage {
 }
 
 /// One thread block: allocations plus its staged execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ThreadBlock {
     /// Local allocations (index = [`AllocId`]).
     pub allocs: Vec<LocalAlloc>,
@@ -167,14 +167,14 @@ impl ThreadBlock {
 
 /// One GPU kernel: the unit of CPU→GPU invocation, and of scratchpad
 /// flushing / stash self-invalidation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Kernel {
     /// Thread blocks, distributed round-robin over the CUs.
     pub blocks: Vec<ThreadBlock>,
 }
 
 /// One CPU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuOp {
     /// `n` non-memory instructions.
     Compute(u32),
@@ -200,7 +200,7 @@ pub enum CpuOp {
 }
 
 /// A CPU phase: each core runs its op stream; cores run in parallel.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct CpuPhase {
     /// One op stream per participating CPU core.
     pub per_core: Vec<Vec<CpuOp>>,
@@ -210,7 +210,7 @@ pub struct CpuPhase {
 }
 
 /// One phase of an application.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// A GPU kernel launch (runs to completion).
     Gpu(Kernel),
@@ -219,7 +219,7 @@ pub enum Phase {
 }
 
 /// A whole application, as the memory system sees it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Phases in program order.
     pub phases: Vec<Phase>,

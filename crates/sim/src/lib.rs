@@ -19,7 +19,9 @@
 //! * [`trace`] — the ring-buffered, cycle-attributed event sink behind the
 //!   observability layer (Perfetto export, stall attribution) in `bench`.
 //! * [`snapshot`] — the versioned, checksummed binary container and
-//!   crash-consistent file store behind machine-state checkpoint/restore.
+//!   crash-consistent file store behind machine-state checkpoint/restore,
+//!   plus the stable identity hashes (`fnv1a`, `Fnv1aHasher`) behind
+//!   program fingerprints and the daemon's cache keys.
 //!
 //! # Example
 //!

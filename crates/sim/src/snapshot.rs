@@ -27,6 +27,11 @@
 //! numbered `ckpt-NNNN.snap` files on top and scans newest-first past any
 //! torn or corrupt file, so recovery always lands on the latest snapshot
 //! that validates end to end.
+//!
+//! Besides the container, the module holds the repo's two stable 64-bit
+//! identity hashes: [`fnv1a`] over byte strings (cache keys, config
+//! hashes) and [`Fnv1aHasher`] over `#[derive(Hash)]` values (program
+//! fingerprints).
 
 use std::fs;
 use std::io::Write as _;
@@ -38,51 +43,173 @@ use crate::error::SimError;
 pub const MAGIC: [u8; 8] = *b"STSHSNAP";
 
 /// Snapshot format version written and accepted by this build.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 changed what the checkpoint META fingerprint means (the
+/// structural [`Fnv1aHasher`] hash of the program, not FNV-1a over its
+/// debug text), so a version-1 file reads as
+/// [`SimError::CheckpointVersionMismatch`] rather than as a snapshot of
+/// some other program.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte table,
+/// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight input bytes fold into the CRC with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ CRC32_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte slice.
 ///
-/// Hand-rolled nibble-table implementation: 16-entry table, no external
-/// deps, fast enough for checkpoint-sized payloads.
+/// Slice-by-8: eight bytes per step through eight 256-entry tables
+/// built at compile time, then a byte-at-a-time tail. The values are
+/// the standard IEEE ones, so every section written by any build of the
+/// container validates the same way.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1DB7_1064,
-        0x3B6E_20C8,
-        0x26D9_30AC,
-        0x76DC_4190,
-        0x6B6B_51F4,
-        0x4DB2_6158,
-        0x5005_713C,
-        0xEDB8_8320,
-        0xF00F_9344,
-        0xD6D6_A3E8,
-        0xCB61_B38C,
-        0x9B64_C2B0,
-        0x86D3_D2D4,
-        0xA00A_E278,
-        0xBDBD_F21C,
-    ];
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xF) as usize] ^ (crc >> 4);
-        crc = TABLE[((crc ^ (u32::from(b) >> 4)) & 0xF) as usize] ^ (crc >> 4);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a over a byte slice: the stable 64-bit content hash used wherever
-/// the repo needs an *identity* rather than an error-detecting code —
-/// program fingerprints in checkpoint META sections and the daemon's
-/// content-addressed result-cache keys. (CRC-32 stays the per-section
-/// damage detector; FNV is the addressing hash.)
+/// the repo needs an *identity* of bytes rather than an error-detecting
+/// code — the daemon's content-addressed result-cache keys and
+/// `SystemConfig::stable_hash`. (CRC-32 stays the per-section damage
+/// detector; FNV is the addressing hash. Structured values such as a
+/// program are hashed with [`Fnv1aHasher`] instead.)
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// A stable [`std::hash::Hasher`] for structural identities, such as the
+/// program fingerprint a checkpoint's META section stores: derive `Hash`
+/// on a type and feed a value through this hasher.
+///
+/// It uses FNV-1a's constants, but each integer write is a single
+/// xor-multiply step on the whole value widened to `u64`, not one step
+/// per byte. `write(&[u8])` (the path a `Vec<u32>`'s elements take, as
+/// one slice of their in-memory bytes) steps once per 8-byte
+/// little-endian chunk; a shorter tail is zero-padded with its length in
+/// the top byte, so `[0]`, `[0, 0]` and `[]` all differ. A value
+/// therefore costs about one multiply per field. The output is *not*
+/// [`fnv1a`] of any byte string, and because those element bytes are in
+/// host order, a value is the same on every little-endian host only.
+///
+/// Unlike `std::collections::hash_map::DefaultHasher`, whose output
+/// Rust leaves unspecified across releases, every step here is fixed.
+/// What can still move is how `#[derive(Hash)]` feeds a value in (the
+/// width of an enum discriminant, the length prefix of a slice), which
+/// is why `gpu::machine`'s tests pin one program's fingerprint.
+#[derive(Debug, Clone)]
+pub struct Fnv1aHasher(u64);
+
+impl Default for Fnv1aHasher {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
+    }
+}
+
+impl Fnv1aHasher {
+    #[inline]
+    fn step(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
+    }
+}
+
+impl std::hash::Hasher for Fnv1aHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.step(u64::from_le_bytes([
+                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+            ]));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            word[7] = tail.len() as u8;
+            self.step(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.step(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.step(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.step(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.step(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.step(i as u64);
+    }
 }
 
 /// Append-only little-endian byte sink for section payloads.
@@ -516,6 +643,72 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The reference: IEEE CRC-32 one bit at a time, straight from the
+    /// definition, sharing nothing with the table-driven version.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length_and_alignment() {
+        let mut rng = crate::rng::SplitMix64::new(0x5eed_c3c3);
+        let buf: Vec<u8> = (0..8 + 64).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "length {len} at offset {start}");
+            }
+        }
+        let big: Vec<u8> = (0..4099).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+    }
+
+    fn hash_of(f: impl FnOnce(&mut Fnv1aHasher)) -> u64 {
+        use std::hash::Hasher as _;
+        let mut h = Fnv1aHasher::default();
+        f(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn structural_hasher_steps_once_per_integer_and_per_chunk() {
+        use std::hash::Hasher as _;
+        let step = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
+        assert_eq!(hash_of(|_| {}), FNV_OFFSET);
+        // Every integer width is one step on the value widened to u64.
+        let one = step(FNV_OFFSET, 0xAB);
+        assert_eq!(hash_of(|h| h.write_u8(0xAB)), one);
+        assert_eq!(hash_of(|h| h.write_u16(0xAB)), one);
+        assert_eq!(hash_of(|h| h.write_u32(0xAB)), one);
+        assert_eq!(hash_of(|h| h.write_u64(0xAB)), one);
+        assert_eq!(hash_of(|h| h.write_usize(0xAB)), one);
+        // Bytes go in 8-byte little-endian chunks.
+        let bytes: Vec<u8> = (1..=16).collect();
+        let lo = u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]);
+        let hi = u64::from_le_bytes([9, 10, 11, 12, 13, 14, 15, 16]);
+        assert_eq!(hash_of(|h| h.write(&bytes)), step(step(FNV_OFFSET, lo), hi));
+        // A short tail carries its length: no padding collisions.
+        let tails: Vec<u64> = (0..=7)
+            .map(|n| hash_of(|h| h.write(&vec![0u8; n])))
+            .collect();
+        for (i, a) in tails.iter().enumerate() {
+            for b in &tails[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 
     #[test]

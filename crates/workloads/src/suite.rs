@@ -54,12 +54,16 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// The FNV fingerprint of this workload lowered for `kind` — the
-    /// identity of a lowered program. It is the same value
-    /// `Machine::checkpoint` stores in a snapshot's META section and the
-    /// daemon uses as the program component of its result-cache key, so
-    /// the three layers can never disagree about what "the same program"
-    /// means.
+    /// The structural fingerprint of this workload lowered for `kind`
+    /// (`gpu::machine::program_fingerprint`: the IR's derived `Hash`
+    /// through `sim::snapshot::Fnv1aHasher`) — the identity of a lowered
+    /// program. Across the Figure 5/6 cells two lowerings share it
+    /// exactly when they are `==` (nw's Scratch and ScratchG are, and so
+    /// are its Stash and StashG), which the tests below pin. It is the
+    /// same value `Machine::checkpoint` stores in a snapshot's META
+    /// section and the daemon uses as the program component of its
+    /// result-cache key, so the three layers can never disagree about
+    /// what "the same program" means.
     #[must_use]
     pub fn fingerprint(&self, kind: MemConfigKind) -> u64 {
         gpu::machine::program_fingerprint(&(self.build)(kind))
@@ -210,6 +214,48 @@ mod tests {
             w.fingerprint(MemConfigKind::Stash),
             other.fingerprint(MemConfigKind::Stash)
         );
+        // Across the 51 Figure 5/6 cells, two fingerprints are equal
+        // exactly when the lowered programs are `==`. Only lowerings of one
+        // workload can coincide (nw's Scratch/ScratchG and Stash/StashG do), so
+        // programs are compared within a workload, one workload in memory
+        // at a time, and fingerprints must differ across workloads.
+        let mut cells = 0;
+        let mut across: Vec<(u64, String)> = Vec::new();
+        for w in all() {
+            let lowered: Vec<(MemConfigKind, Program)> = w
+                .set
+                .figure_kinds()
+                .iter()
+                .map(|&kind| (kind, (w.build)(kind)))
+                .collect();
+            let fps: Vec<u64> = lowered
+                .iter()
+                .map(|(_, p)| gpu::machine::program_fingerprint(p))
+                .collect();
+            for (i, (a, pa)) in lowered.iter().enumerate() {
+                for (j, (b, pb)) in lowered.iter().enumerate().skip(i + 1) {
+                    assert_eq!(
+                        fps[i] == fps[j],
+                        pa == pb,
+                        "{} {a} vs {b}: fingerprints {:#018x} / {:#018x}",
+                        w.name,
+                        fps[i],
+                        fps[j]
+                    );
+                }
+            }
+            cells += lowered.len();
+            let mut own = fps.clone();
+            own.sort_unstable();
+            own.dedup();
+            for fp in own {
+                if let Some((_, other)) = across.iter().find(|(f, _)| *f == fp) {
+                    panic!("{} and {other} share fingerprint {fp:#018x}", w.name);
+                }
+                across.push((fp, w.name.to_string()));
+            }
+        }
+        assert_eq!(cells, 51);
     }
 
     #[test]
