@@ -1,4 +1,5 @@
-//! Static placement advisor, cross-validated against the simulator.
+//! Static placement advisor: access-pattern notes, exact counters
+//! checked against the simulator, and the measured-best placement.
 //!
 //! ```text
 //! cargo run --release -p bench --bin advise                 # built-in suite
@@ -10,16 +11,15 @@
 //! the trace files given as arguments) the binary:
 //!
 //! 1. runs the static analyzer (`verify::analyze`) over the figure's
-//!    configuration set, producing access-pattern notes, one counter/cost
-//!    [`verify::Prediction`] per configuration, and a recommended
-//!    placement;
+//!    configuration set, producing access-pattern notes and one
+//!    [`verify::ExactCounts`] per configuration;
 //! 2. runs the simulator on the same matrix cells (concurrently, on the
 //!    job pool — `--threads N` / `STASH_THREADS`);
-//! 3. cross-validates: exact counters and instruction counts must match
-//!    the measurement exactly, modeled counters within the documented
-//!    tolerances, and the recommendation must be the measured-best
-//!    configuration or a documented tie (`verify::validate_prediction`,
-//!    `verify::recommendation_ok`).
+//! 3. checks every exact counter and the instruction total against the
+//!    measurement (`verify::check_counts`), and recommends the
+//!    configuration with the lowest measured runtime
+//!    (`verify::measured_best`; on an exact tie, the first in figure
+//!    order).
 //!
 //! The `verify::dataflow` bounds pass also runs over every analyzed
 //! program: **proven out-of-bounds** accesses fail the run (exit 1)
@@ -27,9 +27,10 @@
 //! (neither provable nor refutable) are reported but exit 0 — unless
 //! `--deny-unknown` makes them fatal too.
 //!
-//! Exits 1 on any validation or recommendation failure, so the binary is
-//! its own CI gate. `--verify` additionally turns on the runtime protocol
-//! oracle during the simulation runs.
+//! Exits 1 on an exact-counter mismatch, a failed simulation or a proven
+//! out-of-bounds access, so the binary is its own CI gate. `--verify`
+//! additionally turns on the runtime protocol oracle during the
+//! simulation runs.
 
 use bench::cli;
 use bench::pool::JobPool;
@@ -39,15 +40,13 @@ use gpu::program::Program;
 use gpu::report::RunReport;
 use verify::dataflow::{check_bounds, BoundsSummary};
 use verify::{
-    analyze_workload, recommendation_ok, symbols_for_trace, validate_prediction, Analysis,
-    Diagnostic, Symbols,
+    analyze_workload, check_counts, measured_best, symbols_for_trace, Diagnostic, Note, Symbols,
 };
 use workloads::suite::{self, WorkloadSet};
 
-/// One matrix cell: the prediction's estimate vs the simulator.
+/// One matrix cell: the simulator's runtime and any check failures.
 struct Cell {
     kind: MemConfigKind,
-    est_picos: u64,
     measured_picos: Option<u64>,
     errors: Vec<String>,
 }
@@ -56,10 +55,10 @@ struct Cell {
 struct Outcome {
     name: String,
     set: WorkloadSet,
-    analysis: Analysis,
+    notes: Vec<Note>,
     cells: Vec<Cell>,
-    measured_best: Option<MemConfigKind>,
-    rec_ok: bool,
+    /// The measured-best configuration; `None` if a cell failed.
+    recommended: Option<MemConfigKind>,
     bounds: BoundsSummary,
     bounds_diags: Vec<Diagnostic>,
 }
@@ -67,7 +66,7 @@ struct Outcome {
 impl Outcome {
     fn failures(&self) -> usize {
         let cell_errors: usize = self.cells.iter().map(|c| c.errors.len()).sum();
-        cell_errors + usize::from(!self.rec_ok) + self.bounds.proven_oob
+        cell_errors + self.bounds.proven_oob
     }
 }
 
@@ -78,8 +77,8 @@ fn set_name(set: WorkloadSet) -> &'static str {
     }
 }
 
-/// Analyzes one workload, simulates its figure matrix row, and
-/// cross-validates the two.
+/// Analyzes one workload, simulates its figure matrix row, checks the
+/// exact counters against it, and recommends its fastest cell.
 fn advise_one(
     pool: &JobPool,
     name: &str,
@@ -123,27 +122,25 @@ fn advise_one(
 
     let mut cells = Vec::new();
     let mut measured: Vec<(MemConfigKind, u64)> = Vec::new();
-    for (pred, result) in analysis.predictions.iter().zip(results) {
+    for (counts, result) in analysis.counts.iter().zip(results) {
         match result.value {
             Ok(report) => {
                 let report: RunReport = report;
-                measured.push((pred.kind, report.total_picos));
+                measured.push((counts.kind, report.total_picos));
                 cells.push(Cell {
-                    kind: pred.kind,
-                    est_picos: pred.est_picos,
+                    kind: counts.kind,
                     measured_picos: Some(report.total_picos),
-                    errors: validate_prediction(pred, &report),
+                    errors: check_counts(counts, &report),
                 });
             }
             Err(e) => {
                 // A watchdog deadlock prints its in-flight diagnostic
                 // dump on stderr right away; the failure still flows into
                 // the cell's error list (and the nonzero exit).
-                let context = format!("advise: {name} on {}", pred.kind.name());
+                let context = format!("advise: {name} on {}", counts.kind.name());
                 let _ = cli::sim_failure_status(&context, &e);
                 cells.push(Cell {
-                    kind: pred.kind,
-                    est_picos: pred.est_picos,
+                    kind: counts.kind,
                     measured_picos: None,
                     errors: vec![format!("simulation failed: {e}")],
                 });
@@ -151,16 +148,18 @@ fn advise_one(
         }
     }
 
-    let complete = measured.len() == kinds.len();
-    let measured_best = measured.iter().min_by_key(|&&(_, t)| t).map(|&(k, _)| k);
-    let rec_ok = complete && recommendation_ok(analysis.recommended, &measured);
+    // A failed cell might have been the fastest: no recommendation then.
+    let recommended = if measured.len() == kinds.len() {
+        measured_best(&measured)
+    } else {
+        None
+    };
     Outcome {
         name: name.to_string(),
         set,
-        analysis,
+        notes: analysis.notes,
         cells,
-        measured_best,
-        rec_ok,
+        recommended,
         bounds,
         bounds_diags,
     }
@@ -173,7 +172,7 @@ fn print_text(o: &Outcome) {
         set_name(o.set),
         o.cells.len()
     );
-    for n in &o.analysis.notes {
+    for n in &o.notes {
         println!("  {} {}: {n}", n.rule.code(), n.severity().name());
     }
     println!(
@@ -183,10 +182,7 @@ fn print_text(o: &Outcome) {
     for d in &o.bounds_diags {
         println!("    {} {}: {d}", d.rule.code(), d.severity().name());
     }
-    println!(
-        "  {:<10}{:>16}{:>16}  validation",
-        "config", "predicted (ps)", "measured (ps)"
-    );
+    println!("  {:<10}{:>16}  validation", "config", "measured (ps)");
     for c in &o.cells {
         let measured = c
             .measured_picos
@@ -196,24 +192,15 @@ fn print_text(o: &Outcome) {
         } else {
             format!("{} error(s)", c.errors.len())
         };
-        println!(
-            "  {:<10}{:>16}{:>16}  {status}",
-            c.kind.name(),
-            c.est_picos,
-            measured
-        );
+        println!("  {:<10}{measured:>16}  {status}", c.kind.name());
         for e in &c.errors {
             println!("      {e}");
         }
     }
-    let best = o
-        .measured_best
-        .map_or_else(|| "-".to_string(), |k| k.name().to_string());
-    println!(
-        "  recommended {}; measured best {best} — {}",
-        o.analysis.recommended.name(),
-        if o.rec_ok { "agreement OK" } else { "MISMATCH" }
-    );
+    match o.recommended {
+        Some(k) => println!("  recommended {} (lowest measured time)", k.name()),
+        None => println!("  no recommendation: a configuration failed to simulate"),
+    }
 }
 
 fn print_json(outcomes: &[Outcome], failures: usize) {
@@ -224,12 +211,8 @@ fn print_json(outcomes: &[Outcome], failures: usize) {
         println!("      \"name\": \"{}\",", cli::json_escape(&o.name));
         println!("      \"set\": \"{}\",", set_name(o.set));
         println!("      \"notes\": [");
-        for (j, n) in o.analysis.notes.iter().enumerate() {
-            let comma = if j + 1 < o.analysis.notes.len() {
-                ","
-            } else {
-                ""
-            };
+        for (j, n) in o.notes.iter().enumerate() {
+            let comma = if j + 1 < o.notes.len() { "," } else { "" };
             println!(
                 "        {{\"ruleId\": \"{}\", \"level\": \"{}\", \"kind\": \"{}\", \
                  \"message\": \"{}\"}}{comma}",
@@ -252,10 +235,9 @@ fn print_json(outcomes: &[Outcome], failures: usize) {
                 .map(|e| format!("\"{}\"", cli::json_escape(e)))
                 .collect();
             println!(
-                "        {{\"config\": \"{}\", \"predicted_picos\": {}, \
-                 \"measured_picos\": {measured}, \"errors\": [{}]}}{comma}",
+                "        {{\"config\": \"{}\", \"measured_picos\": {measured}, \
+                 \"errors\": [{}]}}{comma}",
                 c.kind.name(),
-                c.est_picos,
                 errors.join(", ")
             );
         }
@@ -264,15 +246,10 @@ fn print_json(outcomes: &[Outcome], failures: usize) {
             "      \"bounds\": {{\"proven_safe\": {}, \"proven_oob\": {}, \"unknown\": {}}},",
             o.bounds.proven_safe, o.bounds.proven_oob, o.bounds.unknown
         );
-        println!(
-            "      \"recommended\": \"{}\",",
-            o.analysis.recommended.name()
-        );
-        let best = o
-            .measured_best
+        let recommended = o
+            .recommended
             .map_or_else(|| "null".to_string(), |k| format!("\"{}\"", k.name()));
-        println!("      \"measured_best\": {best},");
-        println!("      \"recommendation_ok\": {}", o.rec_ok);
+        println!("      \"recommended\": {recommended}");
         let comma = if i + 1 < outcomes.len() { "," } else { "" };
         println!("    }}{comma}");
     }
@@ -282,13 +259,11 @@ fn print_json(outcomes: &[Outcome], failures: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args: Vec<String> = std::env::args().collect();
     let threads = cli::thread_count(&args);
     let verify = cli::verify_flag(&args);
     let json = cli::json_flag(&args);
-    let mut args = args;
-    let deny_unknown = args.iter().any(|a| a == "--deny-unknown");
-    args.retain(|a| a != "--deny-unknown");
+    let deny_unknown = cli::take_flag(&mut args, "--deny-unknown");
     cli::strip_common_flags(&mut args);
 
     let pool = JobPool::new(threads);
@@ -323,7 +298,7 @@ fn main() {
             print_text(o);
         }
         if failures == 0 {
-            println!("\nall predictions validated; all recommendations agree with measurement");
+            println!("\nall exact counters and instruction totals match the simulator");
         }
     }
 

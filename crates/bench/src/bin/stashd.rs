@@ -43,30 +43,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// A flag taking a value, in `--flag V` or `--flag=V` spelling.
-fn value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Some(v);
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        let v = args.remove(i)[prefix.len()..].to_string();
-        return Some(v);
-    }
-    None
-}
-
-fn bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
 fn hello_line() -> String {
     format!(
         "{{\"event\":\"hello\",\"code_version\":\"{}\",\"protocol\":1}}",
@@ -209,13 +185,12 @@ fn serve_socket(server: &Arc<Mutex<Server>>, path: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let mut args: Vec<String> = std::env::args().collect();
     let threads = cli::thread_count(&args);
-    let mut args = args;
     cli::strip_common_flags(&mut args);
-    let socket = value_flag(&mut args, "--socket");
-    let cache_dir = value_flag(&mut args, "--cache-dir");
-    let cache_max = value_flag(&mut args, "--cache-max")
+    let socket = cli::take_value(&mut args, "--socket");
+    let cache_dir = cli::take_value(&mut args, "--cache-dir");
+    let cache_max = cli::take_value(&mut args, "--cache-max")
         .map(|s| {
             s.parse::<usize>().unwrap_or_else(|_| {
                 eprintln!("--cache-max must be an unsigned integer, got {s:?}");
@@ -223,7 +198,7 @@ fn main() {
             })
         })
         .unwrap_or(bench::server::DEFAULT_CACHE_MAX);
-    let no_cache = bool_flag(&mut args, "--no-cache");
+    let no_cache = cli::take_flag(&mut args, "--no-cache");
     if args.len() > 1 {
         usage();
     }

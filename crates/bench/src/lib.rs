@@ -1,12 +1,12 @@
 //! Experiment harness: runs the configuration matrix and formats every
 //! table and figure of the paper.
 //!
-//! The binaries (`fig5`, `fig6`, `table1`–`table3`, `sweep`, `ablation`,
-//! `run-trace`, `inspect`) and the benches build on
-//! [`run_matrix_parallel`] / [`FigurePanel`]: fan the `(workload ×
-//! configuration)` cells out across a [`pool::JobPool`], normalize to
-//! the Scratch baseline (exactly as the paper's figures do), and print
-//! the rows. Parallelism never changes output: results are collected in
+//! The figure binaries (`fig5`, `fig6`) build on [`run_matrix_checked`]
+//! / [`FigurePanel`]: fan the `(workload × configuration)` cells out
+//! across a [`pool::JobPool`], normalize to the Scratch baseline (exactly
+//! as the paper's figures do), and print the rows; `sweep`, `ablation`,
+//! `run-trace`, `advise` and `dse` submit their cells to a `JobPool`
+//! directly. Parallelism never changes output: results are collected in
 //! input order and every simulation is deterministic, so an `N`-thread
 //! run is byte-identical to a serial one (see `tests/determinism.rs`).
 
@@ -110,53 +110,9 @@ impl MatrixStats {
     }
 }
 
-/// Runs `workload` on every configuration in `kinds`, serially.
-///
-/// # Panics
-///
-/// Panics if a simulation rejects the program (a workload/config bug).
-pub fn run_workload(workload: &Workload, kinds: &[MemConfigKind]) -> MatrixRow {
-    let reports = kinds
-        .iter()
-        .map(|&kind| (kind, run_cell(workload, kind)))
-        .collect();
-    MatrixRow {
-        workload: workload.name,
-        reports,
-    }
-}
-
-/// One cell of the matrix: `workload` on `kind`, a self-contained job.
-///
-/// # Panics
-///
-/// Panics if the simulation rejects the program (a workload/config bug).
-pub fn run_cell(workload: &Workload, kind: MemConfigKind) -> RunReport {
-    run_cell_verified(workload, kind, false)
-}
-
-/// [`run_cell`] with the runtime invariant oracle optionally enabled
-/// (`--verify` on the binaries): the memory system then cross-checks the
-/// protocol invariants after every transition.
-///
-/// # Panics
-///
-/// Panics if the simulation rejects the program, or — with `verify` on —
-/// if the oracle finds an invariant violation.
-pub fn run_cell_verified(workload: &Workload, kind: MemConfigKind, verify: bool) -> RunReport {
-    try_run_cell(workload, kind, verify)
-        .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
-}
-
-/// [`run_cell_verified`] with simulation failures returned as values —
-/// in particular a no-progress watchdog trip ([`SimError::Deadlock`]),
-/// which carries its in-flight diagnostic dump for the caller to print.
-///
-/// # Errors
-///
-/// Returns the simulation's error (configuration, mapping, or watchdog
-/// deadlock) instead of panicking.
-pub fn try_run_cell(
+/// One cell of the matrix: `workload` on `kind` as a self-contained job,
+/// with the runtime invariant oracle on when `verify` is set.
+fn try_run_cell(
     workload: &Workload,
     kind: MemConfigKind,
     verify: bool,
@@ -188,56 +144,27 @@ impl std::fmt::Display for MatrixCellError {
 
 impl std::error::Error for MatrixCellError {}
 
-/// Runs several workloads over the configuration list, serially.
-///
-/// The serial reference path: identical output to
-/// [`run_matrix_parallel`] at any thread count.
-pub fn run_matrix(workloads: &[Workload], kinds: &[MemConfigKind]) -> Vec<MatrixRow> {
-    run_matrix_parallel(workloads, kinds, 1).0
-}
-
 /// Fans the full `(workload × configuration)` matrix out across
-/// `threads` pool workers and reassembles the rows in input order.
+/// `threads` pool workers and reassembles the rows in input order, with
+/// the runtime invariant oracle on every cell when `verify` is set (the
+/// binaries' `--verify` flag).
 ///
 /// Every cell is an independent [`Machine`], so scheduling cannot affect
-/// results; the returned rows are byte-identical to a serial run.
-///
-/// # Panics
-///
-/// Panics if any simulation rejects its program (a workload/config bug).
-pub fn run_matrix_parallel(
-    workloads: &[Workload],
-    kinds: &[MemConfigKind],
-    threads: usize,
-) -> (Vec<MatrixRow>, MatrixStats) {
-    run_matrix_verified(workloads, kinds, threads, false)
-}
-
-/// [`run_matrix_parallel`] with the runtime invariant oracle optionally
-/// enabled on every cell (the binaries' `--verify` flag).
-///
-/// # Panics
-///
-/// Panics if any simulation rejects its program, or — with `verify` on —
-/// if the oracle finds an invariant violation in any cell.
-pub fn run_matrix_verified(
-    workloads: &[Workload],
-    kinds: &[MemConfigKind],
-    threads: usize,
-    verify: bool,
-) -> (Vec<MatrixRow>, MatrixStats) {
-    run_matrix_checked(workloads, kinds, threads, verify).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_matrix_verified`] with simulation failures returned as values:
-/// the first failing cell (in matrix order) comes back as a
-/// [`MatrixCellError`] instead of a panic, so the binaries can print a
-/// watchdog deadlock's diagnostic dump and exit nonzero.
+/// results; the returned rows are byte-identical at any thread count.
+/// A simulation failure comes back as a [`MatrixCellError`] instead of a
+/// panic, so the binaries can print a watchdog deadlock's diagnostic
+/// dump and exit nonzero.
 ///
 /// # Errors
 ///
 /// Returns the first cell (in `workloads × kinds` order) whose simulation
-/// failed.
+/// failed: a configuration or mapping error, or a watchdog deadlock
+/// ([`SimError::Deadlock`]).
+///
+/// # Panics
+///
+/// With `verify` on, panics if the oracle finds an invariant violation
+/// in any cell.
 pub fn run_matrix_checked(
     workloads: &[Workload],
     kinds: &[MemConfigKind],

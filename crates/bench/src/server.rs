@@ -47,7 +47,7 @@ use crate::{csv_bytes, MatrixRow};
 /// The code-version string baked into every cache key. Bumping the
 /// crate version (or this protocol suffix) invalidates every cached
 /// result, because a different build may compute different bytes.
-pub const CODE_VERSION: &str = concat!("stash-repro/", env!("CARGO_PKG_VERSION"), "/proto1");
+pub const CODE_VERSION: &str = concat!("stash-repro/", env!("CARGO_PKG_VERSION"), "/proto2");
 
 /// Tag of the cache-entry section holding the full request key bytes.
 pub const TAG_KEY: u32 = u32::from_le_bytes(*b"RQKY");
@@ -70,8 +70,8 @@ pub enum Request {
     Fig5,
     /// The Figure 6 application matrix as CSV.
     Fig6,
-    /// Static analysis cross-validated against measurement for one
-    /// suite workload.
+    /// Access-pattern notes, measured runtimes and the measured-best
+    /// configuration for one suite workload's figure row.
     Advise {
         /// Registry name of the workload.
         workload: String,
@@ -359,8 +359,8 @@ enum Unit {
     Report(Box<RunReport>),
     /// A self-contained rendered fragment.
     Text(String),
-    /// The static analyzer's output for an advise request.
-    Analysis(Box<verify::Analysis>),
+    /// The static analyzer's notes for an advise request.
+    Notes(Vec<verify::Note>),
 }
 
 type Job = Box<dyn FnOnce() -> Result<Unit, String> + Send>;
@@ -572,8 +572,8 @@ impl Server {
         }
     }
 
-    /// Advise: the static analysis as one job, the measured figure row
-    /// as one job per configuration; assembly cross-validates the two.
+    /// Advise: the static notes as one job, the measured figure row as
+    /// one job per configuration; assembly picks the fastest cell.
     fn plan_advise(&mut self, wl: Workload) -> Plan {
         let sys = wl.set.system_config();
         let kinds = wl.set.figure_kinds();
@@ -583,9 +583,9 @@ impl Server {
             let sys = sys.clone();
             move || {
                 let symbols = verify::Symbols::new();
-                Ok(Unit::Analysis(Box::new(verify::analyze_workload(
+                Ok(Unit::Notes(verify::workload_notes(
                     build, &sys, kinds, &symbols,
-                ))))
+                )))
             }
         }));
         for &kind in kinds {
@@ -604,7 +604,7 @@ impl Server {
             jobs,
             assemble: Box::new(move |units| {
                 let mut it = units.into_iter();
-                let Some(Unit::Analysis(analysis)) = it.next() else {
+                let Some(Unit::Notes(notes)) = it.next() else {
                     return Err("internal: unit shape mismatch".to_string());
                 };
                 let mut measured = Vec::new();
@@ -614,7 +614,7 @@ impl Server {
                     };
                     measured.push((kind, r.total_picos));
                 }
-                Ok(render_advise(name, &analysis, &measured))
+                Ok(render_advise(name, &notes, &measured))
             }),
         }
     }
@@ -839,41 +839,19 @@ fn plan_trace(trace: &str, kinds: &[MemConfigKind]) -> Result<Plan, String> {
     })
 }
 
-fn render_advise(
-    name: &str,
-    analysis: &verify::Analysis,
-    measured: &[(MemConfigKind, u64)],
-) -> String {
+fn render_advise(name: &str, notes: &[verify::Note], measured: &[(MemConfigKind, u64)]) -> String {
     use std::fmt::Write as _;
     let mut out = format!("workload {name}\n");
-    for note in &analysis.notes {
+    for note in notes {
         writeln!(out, "note {} {}", note.rule.code(), note.message)
             .expect("writing to String cannot fail");
     }
-    for (pred, &(kind, picos)) in analysis.predictions.iter().zip(measured) {
-        writeln!(
-            out,
-            "config {} est_ps {} measured_ps {picos}",
-            kind.name(),
-            pred.est_picos,
-        )
-        .expect("writing to String cannot fail");
+    for &(kind, picos) in measured {
+        writeln!(out, "config {} measured_ps {picos}", kind.name())
+            .expect("writing to String cannot fail");
     }
-    let best = measured
-        .iter()
-        .min_by_key(|&&(_, t)| t)
-        .map_or("-", |&(k, _)| k.name());
-    writeln!(
-        out,
-        "recommended {} measured_best {best} agreement {}",
-        analysis.recommended.name(),
-        if verify::recommendation_ok(analysis.recommended, measured) {
-            "ok"
-        } else {
-            "MISMATCH"
-        }
-    )
-    .expect("writing to String cannot fail");
+    let recommended = verify::measured_best(measured).map_or("-", MemConfigKind::name);
+    writeln!(out, "recommended {recommended}").expect("writing to String cannot fail");
     out
 }
 

@@ -3,19 +3,27 @@
 //! produce equal `RunReport`s — every cycle count, counter, energy and
 //! traffic figure — and byte-identical CSV output.
 
-use bench::{csv_bytes, run_matrix, run_matrix_parallel};
+use bench::{csv_bytes, run_matrix_checked, MatrixRow, MatrixStats};
 use gpu::config::MemConfigKind;
-use workloads::suite;
+use workloads::suite::{self, Workload};
+
+fn run_matrix(
+    workloads: &[Workload],
+    kinds: &[MemConfigKind],
+    threads: usize,
+) -> (Vec<MatrixRow>, MatrixStats) {
+    run_matrix_checked(workloads, kinds, threads, false).unwrap_or_else(|e| panic!("{e}"))
+}
 
 #[test]
 fn fig5_matrix_is_identical_at_any_thread_count() {
     let workloads = suite::micros();
     let kinds = MemConfigKind::FIGURE5;
 
-    let serial = run_matrix(&workloads, &kinds);
+    let (serial, _) = run_matrix(&workloads, &kinds, 1);
     let n = bench::cli::default_threads().max(3);
     for threads in [2, n] {
-        let (parallel, stats) = run_matrix_parallel(&workloads, &kinds, threads);
+        let (parallel, stats) = run_matrix(&workloads, &kinds, threads);
         assert_eq!(stats.threads, threads);
         assert_eq!(stats.jobs, workloads.len() * kinds.len());
         assert_eq!(serial.len(), parallel.len());
@@ -45,7 +53,7 @@ fn pool_reports_throughput_counters() {
     // One small workload: the stats must still be internally consistent.
     let workloads = &suite::micros()[..1];
     let kinds = [MemConfigKind::Scratch, MemConfigKind::Stash];
-    let (rows, stats) = run_matrix_parallel(workloads, &kinds, 2);
+    let (rows, stats) = run_matrix(workloads, &kinds, 2);
     assert_eq!(rows.len(), 1);
     assert_eq!(stats.jobs, 2);
     let cycles: u64 = rows[0]

@@ -7,6 +7,8 @@
 //! * a corrupted disk entry is detected (CRC / key verification from
 //!   the `sim::snapshot` container), dropped, and recomputed — damage
 //!   is **never served**;
+//! * an entry an earlier payload generation stored (the same request
+//!   under the previous `CODE_VERSION`) is never served either;
 //! * a bad request inside a batch yields an `error` event and leaves
 //!   the rest of the batch answered.
 
@@ -130,6 +132,34 @@ fn every_key_component_changes_the_address() {
         .request_key_versioned("stash-repro/9.9.9/proto2", &req)
         .unwrap();
     assert_ne!(v_now, v_next, "a code-version bump must miss");
+}
+
+#[test]
+fn previous_generation_advise_entry_is_recomputed_not_served() {
+    // The `proto1` advise payload carried `est_ps` and `agreement`
+    // fields; its key differs from today's only in the code version.
+    let dir = temp_dir("proto1");
+    let req = Request::Advise {
+        workload: "reuse".to_string(),
+    };
+    let proto1 = concat!("stash-repro/", env!("CARGO_PKG_VERSION"), "/proto1");
+    {
+        let mut server = Server::new(1, ResultCache::disabled());
+        let stale_key = server.request_key_versioned(proto1, &req).unwrap();
+        let mut cache = ResultCache::on_disk(&dir, 64).unwrap();
+        cache.store(
+            &stale_key,
+            "workload reuse\nconfig Stash est_ps 1 measured_ps 2\n\
+             recommended Stash measured_best Stash agreement ok\n",
+        );
+    }
+
+    let mut server = Server::new(2, ResultCache::on_disk(&dir, 64).unwrap());
+    let (cached, payload) = ask(&mut server, &req);
+    assert!(!cached, "a previous generation's entry must not be served");
+    let (_, fresh) = ask(&mut Server::new(2, ResultCache::disabled()), &req);
+    assert_eq!(payload, fresh, "the answer is a recomputation");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

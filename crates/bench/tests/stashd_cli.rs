@@ -103,3 +103,16 @@ fn deeply_nested_line_is_an_error_and_serving_continues() {
         "{events:?}"
     );
 }
+
+#[test]
+fn flag_without_a_value_names_the_flag_and_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_stashd"))
+        .arg("--cache-dir")
+        .stdin(Stdio::null())
+        .output()
+        .expect("stashd runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cache-dir needs a value"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no hello before the flags parse");
+}

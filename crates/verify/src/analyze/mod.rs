@@ -1,4 +1,4 @@
-//! Static access-pattern analysis and placement advice.
+//! Static access-pattern analysis for the placement advisor.
 //!
 //! The analyzer family consumes the same lowered [`Program`] IR the
 //! simulator executes and produces two kinds of output:
@@ -7,57 +7,42 @@
 //!   symbolized statements about the access pattern — poor coalescing,
 //!   footprint-vs-capacity thrashing, copy loops without reuse, data
 //!   written but never re-read, redundant DMA.
-//! * **Predictions** ([`predict::Prediction`]s): per-configuration
-//!   counter and cost estimates, from which [`analyze_workload`] derives
-//!   a recommended [`MemConfigKind`] placement.
+//! * **Exact counts** ([`ExactCounts`]): per configuration, the
+//!   simulator counters program structure alone determines —
+//!   transactions, local-op classes, map and DMA totals, and the
+//!   instruction total.
 //!
-//! # Prediction-vs-measurement contract
+//! # The advisor's contract
 //!
-//! Every prediction is checkable against a simulator [`RunReport`] with
-//! [`validate_prediction`]:
-//!
-//! * [`Prediction::exact`] counters and the instruction count must match
-//!   the simulator **exactly** — they are structural facts.
-//! * [`Prediction::modeled`] counters come from a functional replay that
-//!   deliberately simplifies scheduling (a wave's blocks interleave at
-//!   stage granularity, not cycle by cycle), so they must agree within
-//!   [`MODELED_REL_TOL_PCT`] percent (plus [`MODELED_ABS_SLACK`] events
-//!   of absolute slack for small counts).
-//! * The advisor's recommendation must be the measured-best
-//!   configuration, or within [`TIE_THRESHOLD_PCT`] percent of it
-//!   (a documented tie).
+//! The advisor (the `advise` bin and the daemon's `advise` request)
+//! simulates every configuration it analyzes, so it recommends from
+//! measurement: [`measured_best`] picks the configuration with the
+//! lowest measured runtime. The static side is an independent check on
+//! the simulator's accounting: [`check_counts`] compares every exact
+//! counter and the instruction total with a [`RunReport`], and any
+//! difference is a bug in the analyzer or the machine. Nothing here
+//! estimates hits, misses or time — that would take most of a
+//! simulation, which the advisor runs anyway.
 //!
 //! The sub-modules are usable on their own: [`reuse`] for word-granular
 //! reuse-distance and scope classification, [`coalesce`] for static
 //! coalescing efficiency, [`waste`] for dead data movement, and
-//! [`predict`] for counter/cost prediction.
+//! [`counts`] for the exact counter pass.
 
 pub mod coalesce;
-pub mod predict;
+pub mod counts;
 pub mod reuse;
 pub mod waste;
 
 use crate::lint::Symbols;
+use counts::ExactCounts;
 use gpu::config::MemConfigKind;
 use gpu::program::Program;
 use gpu::report::RunReport;
 use mem::addr::{VAddr, WORD_BYTES};
-use predict::Prediction;
 use sim::config::SystemConfig;
 use stash::StashConfig;
 use std::collections::HashMap;
-
-/// Relative tolerance (percent of the measured value) for modeled
-/// counters.
-pub const MODELED_REL_TOL_PCT: u64 = 40;
-
-/// Absolute slack (events) added to the modeled tolerance so tiny
-/// counters do not fail on scheduling noise.
-pub const MODELED_ABS_SLACK: u64 = 128;
-
-/// Two configurations whose measured runtimes are within this many
-/// percent of each other count as a tie for the advisor.
-pub const TIE_THRESHOLD_PCT: u64 = 5;
 
 /// Category of an analyzer diagnostic — the advisory (`SR02x`) subset of
 /// the crate-wide unified [`Rule`](crate::diag::Rule) enum.
@@ -71,10 +56,8 @@ pub type Note = crate::diag::Diagnostic;
 pub struct Analysis {
     /// Symbolized diagnostics about the access pattern.
     pub notes: Vec<Note>,
-    /// One prediction per requested configuration, in input order.
-    pub predictions: Vec<Prediction>,
-    /// The configuration the cost model ranks fastest.
-    pub recommended: MemConfigKind,
+    /// One [`ExactCounts`] per requested configuration, in input order.
+    pub counts: Vec<ExactCounts>,
 }
 
 /// Names the array holding `word` (a global word index), or its address.
@@ -89,9 +72,16 @@ fn region_of(symbols: &Symbols, va: VAddr) -> String {
     word_region(symbols, va.0 / WORD_BYTES)
 }
 
-/// Builds the symbolized diagnostics for one workload (see module docs
-/// for which lowering feeds which analysis).
-fn workload_notes<F: Fn(MemConfigKind) -> Program>(
+/// Builds the symbolized diagnostics for one workload: coalescing on the
+/// cache lowering, reuse, waste and capacity on the stash lowering, copy
+/// loops on the scratch lowering and redundant DMA on `ScratchGD`, each
+/// when `kinds` includes it.
+///
+/// # Panics
+///
+/// Panics if `kinds` is empty.
+#[must_use]
+pub fn workload_notes<F: Fn(MemConfigKind) -> Program>(
     build: F,
     sys: &SystemConfig,
     kinds: &[MemConfigKind],
@@ -291,8 +281,8 @@ fn workload_notes<F: Fn(MemConfigKind) -> Program>(
 }
 
 /// Runs the full analysis for one workload: diagnostics from the
-/// pattern-revealing lowerings, one [`Prediction`] per configuration in
-/// `kinds`, and the cost model's recommended placement.
+/// pattern-revealing lowerings and one [`ExactCounts`] per configuration
+/// in `kinds`.
 ///
 /// # Panics
 ///
@@ -305,89 +295,46 @@ pub fn analyze_workload<F: Fn(MemConfigKind) -> Program>(
     symbols: &Symbols,
 ) -> Analysis {
     assert!(!kinds.is_empty(), "need at least one configuration");
-    let predictions: Vec<Prediction> = kinds
+    let counts = kinds
         .iter()
-        .map(|&k| predict::predict(&build(k), sys, k))
+        .map(|&k| counts::exact_counts(&build(k), sys, k))
         .collect();
-    let recommended = recommend(&predictions);
     Analysis {
         notes: workload_notes(build, sys, kinds, symbols),
-        predictions,
-        recommended,
+        counts,
     }
 }
 
-/// The configuration the cost model ranks fastest (first wins ties).
-///
-/// # Panics
-///
-/// Panics if `predictions` is empty.
+/// Checks exact counts against a simulator report, returning one message
+/// per mismatch (empty = every counter and the instruction total match).
 #[must_use]
-pub fn recommend(predictions: &[Prediction]) -> MemConfigKind {
-    predictions
-        .iter()
-        .min_by_key(|p| p.est_picos)
-        .expect("at least one prediction")
-        .kind
-}
-
-fn within_tolerance(predicted: u64, measured: u64) -> bool {
-    let tol = (measured * MODELED_REL_TOL_PCT / 100).max(MODELED_ABS_SLACK);
-    predicted.abs_diff(measured) <= tol
-}
-
-/// Checks a prediction against a simulator report, returning one message
-/// per violated contract clause (empty = fully validated).
-#[must_use]
-pub fn validate_prediction(pred: &Prediction, report: &RunReport) -> Vec<String> {
+pub fn check_counts(counts: &ExactCounts, report: &RunReport) -> Vec<String> {
     let mut errors = Vec::new();
-    if pred.gpu_instructions != report.gpu_instructions {
+    if counts.gpu_instructions != report.gpu_instructions {
         errors.push(format!(
-            "{}: gpu_instructions predicted {} but measured {}",
-            pred.kind, pred.gpu_instructions, report.gpu_instructions
+            "{}: gpu_instructions counted {} but measured {}",
+            counts.kind, counts.gpu_instructions, report.gpu_instructions
         ));
     }
-    for &(c, v) in &pred.exact {
+    for &(c, v) in &counts.counters {
         let m = report.counters.value(c);
         if v != m {
             errors.push(format!(
-                "{}: {c:?} predicted {v} but measured {m} (exact counter)",
-                pred.kind
-            ));
-        }
-    }
-    for &(c, v) in &pred.modeled {
-        let m = report.counters.value(c);
-        if !within_tolerance(v, m) {
-            errors.push(format!(
-                "{}: {c:?} predicted {v} but measured {m} \
-                 (outside ±{MODELED_REL_TOL_PCT}% / ±{MODELED_ABS_SLACK})",
-                pred.kind
+                "{}: {c:?} counted {v} but measured {m}",
+                counts.kind
             ));
         }
     }
     errors
 }
 
-/// Whether `recommended` is the measured-best configuration or within
-/// the documented tie threshold of it.
-///
-/// # Panics
-///
-/// Panics if `measured` is empty or does not contain `recommended`.
+/// The advisor's recommendation: the configuration with the lowest
+/// measured runtime (`RunReport::total_picos`). On an exact tie the
+/// first in `measured` order wins, so callers pass the figure's order.
+/// `None` when nothing was measured.
 #[must_use]
-pub fn recommendation_ok(recommended: MemConfigKind, measured: &[(MemConfigKind, u64)]) -> bool {
-    let best = measured
-        .iter()
-        .map(|&(_, t)| t)
-        .min()
-        .expect("at least one measurement");
-    let rec = measured
-        .iter()
-        .find(|&&(k, _)| k == recommended)
-        .map(|&(_, t)| t)
-        .expect("recommended configuration was measured");
-    rec * 100 <= best * (100 + TIE_THRESHOLD_PCT)
+pub fn measured_best(measured: &[(MemConfigKind, u64)]) -> Option<MemConfigKind> {
+    measured.iter().min_by_key(|&&(_, t)| t).map(|&(k, _)| k)
 }
 
 #[cfg(test)]
@@ -403,16 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn analysis_produces_notes_and_predictions() {
+    fn analysis_produces_notes_and_counts() {
         let w = implicit();
         let sys = SystemConfig::for_microbenchmarks();
         let a = analyze_workload(w.build, &sys, &MemConfigKind::FIGURE5, &Symbols::new());
-        assert_eq!(a.predictions.len(), 4);
-        assert!(
-            MemConfigKind::FIGURE5.contains(&a.recommended),
-            "recommendation {} must come from the analyzed set",
-            a.recommended
-        );
+        let kinds: Vec<MemConfigKind> = a.counts.iter().map(|c| c.kind).collect();
+        assert_eq!(kinds, MemConfigKind::FIGURE5);
         assert!(!a.notes.is_empty(), "implicit's AoS stream must be flagged");
         for n in &a.notes {
             // Display forms are the lint style: "[kind] message".
@@ -426,36 +369,35 @@ mod tests {
         let sys = SystemConfig::for_microbenchmarks();
         for kind in MemConfigKind::FIGURE5 {
             let program = (w.build)(kind);
-            let pred = predict::predict(&program, &sys, kind);
+            let counts = counts::exact_counts(&program, &sys, kind);
             let report = Machine::new(sys.clone(), kind)
                 .run(&program)
                 .expect("implicit runs clean");
-            let errors: Vec<String> = validate_prediction(&pred, &report)
-                .into_iter()
-                .filter(|e| e.contains("exact counter") || e.contains("gpu_instructions"))
-                .collect();
+            let errors = check_counts(&counts, &report);
             assert!(errors.is_empty(), "{kind}: {errors:?}");
         }
     }
 
     #[test]
-    fn tolerance_accepts_close_and_rejects_far() {
-        assert!(within_tolerance(100, 100));
-        assert!(within_tolerance(0, MODELED_ABS_SLACK));
-        assert!(within_tolerance(1400, 1000));
-        assert!(!within_tolerance(2000, 1000));
+    fn recommendation_is_the_lowest_measured_time() {
+        let measured = [
+            (MemConfigKind::Scratch, 1000),
+            (MemConfigKind::Cache, 951),
+            (MemConfigKind::Stash, 950),
+        ];
+        assert_eq!(measured_best(&measured), Some(MemConfigKind::Stash));
+        assert_eq!(measured_best(&[]), None);
     }
 
     #[test]
-    fn recommendation_tie_rule() {
+    fn recommendation_breaks_exact_ties_in_figure_order() {
         let measured = [
             (MemConfigKind::Scratch, 1000),
-            (MemConfigKind::Cache, 960),
-            (MemConfigKind::Stash, 950),
+            (MemConfigKind::Stash, 900),
+            (MemConfigKind::StashG, 900),
         ];
-        assert!(recommendation_ok(MemConfigKind::Stash, &measured));
-        // 960 is within 5% of 950: a documented tie.
-        assert!(recommendation_ok(MemConfigKind::Cache, &measured));
-        assert!(!recommendation_ok(MemConfigKind::Scratch, &measured));
+        assert_eq!(measured_best(&measured), Some(MemConfigKind::Stash));
+        let reversed = [(MemConfigKind::StashG, 900), (MemConfigKind::Stash, 900)];
+        assert_eq!(measured_best(&reversed), Some(MemConfigKind::StashG));
     }
 }

@@ -23,13 +23,14 @@
 //!    cross-thread-block races, cross-core CPU races, CPU stale reads
 //!    across unsynchronized GPU/CPU phase boundaries, and out-of-bounds
 //!    stash-map / AoS index expressions, before any simulation runs.
-//! 4. [`analyze`] — a static **access-pattern analyzer and placement
-//!    advisor** over the same IR: word-granular reuse-distance analysis,
-//!    static coalescing efficiency (via the machine's own coalescer),
-//!    footprint-vs-capacity thrash prediction, waste detection (dead
-//!    stores, copy loops without reuse, redundant DMA), and a
-//!    per-configuration counter/cost predictor whose output is
-//!    cross-validated against simulator runs.
+//! 4. [`analyze`] — a static **access-pattern analyzer** for the
+//!    placement advisor over the same IR: word-granular reuse-distance
+//!    analysis, static coalescing efficiency (via the machine's own
+//!    coalescer), footprint-vs-capacity thrash notes, waste detection
+//!    (dead stores, copy loops without reuse, redundant DMA), and the
+//!    per-configuration counters program structure determines exactly,
+//!    which must equal the simulator's. The advisor recommends the
+//!    configuration with the lowest *measured* runtime.
 //! 5. [`dse`] — the **design space** around the paper's machine:
 //!    thousands of hardware [`DesignPoint`]s (mesh geometry, NoC
 //!    latencies, LLC banking, stash-map capacity, latency and energy
@@ -41,8 +42,9 @@
 //! layers complement each other: the model checker proves the protocol
 //! rules sound, the oracle proves the implementation follows them on
 //! real runs, the linter proves the inputs satisfy the DRF precondition
-//! those proofs assume, and the analyzer predicts — and the simulator
-//! confirms — what the protocol costs on each placement.
+//! those proofs assume, and the analyzer explains each placement's
+//! access pattern and checks the simulator's accounting of it, while
+//! the simulator alone says what each placement costs.
 
 #![forbid(unsafe_code)]
 
@@ -53,9 +55,9 @@ pub mod dse;
 pub mod lint;
 pub mod model;
 
-pub use analyze::predict::Prediction;
+pub use analyze::counts::ExactCounts;
 pub use analyze::{
-    analyze_workload, recommend, recommendation_ok, validate_prediction, Analysis, Note, NoteKind,
+    analyze_workload, check_counts, measured_best, workload_notes, Analysis, Note, NoteKind,
 };
 pub use diag::{Diagnostic, Rule, Severity};
 pub use dse::{DesignPoint, Space};
