@@ -7,16 +7,11 @@
 //! cargo run --release -p bench --bin inspect -- lud StashG
 //! ```
 
+use bench::cli;
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
 use noc::MsgClass;
 use workloads::suite;
-
-fn parse_kind(s: &str) -> Option<MemConfigKind> {
-    MemConfigKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -40,10 +35,7 @@ fn main() {
         eprintln!("unknown workload {name}");
         std::process::exit(2);
     };
-    let Some(kind) = parse_kind(kind_s) else {
-        eprintln!("unknown configuration {kind_s}");
-        std::process::exit(2);
-    };
+    let kind = cli::config_by_name(kind_s);
 
     // A single simulation is one job; it runs inline (the pool's serial
     // path) but still reports its host cost like the matrix binaries.
@@ -56,7 +48,7 @@ fn main() {
             // A deadlock prints its in-flight diagnostic dump (exit 3);
             // anything else reports the cell and exits 1.
             let context = format!("inspect: {name} on {}", kind.name());
-            std::process::exit(bench::cli::sim_failure_status(&context, &e));
+            std::process::exit(cli::sim_failure_status(&context, &e));
         }
     };
     let host = host.elapsed();

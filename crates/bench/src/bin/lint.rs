@@ -1,5 +1,5 @@
-//! Static analysis gate: DRF linting plus the `verify::dataflow`
-//! bounds and race passes over workload programs.
+//! Static analysis gate: the `verify::dataflow` bounds and race passes
+//! over workload programs.
 //!
 //! ```text
 //! cargo run --release -p bench --bin lint                    # built-in suite
@@ -10,16 +10,16 @@
 //! cargo run --release -p bench --bin lint -- --json --baseline ci/lint-baseline.json
 //! ```
 //!
-//! Every program is walked by three passes reporting through the
-//! unified `verify::Diagnostic` type with stable `SR0xx` rule codes:
-//! the syntactic DRF linter (`verify::lint`), the three-valued bounds
-//! pass (`verify::dataflow::oob`), and the footprint race pass
-//! (`verify::dataflow::drf`).
+//! Every program is walked by two passes reporting through the unified
+//! `verify::Diagnostic` type with stable `SR0xx` rule codes: the
+//! three-valued bounds pass (`verify::dataflow::oob`), and the race pass
+//! over footprints (`verify::dataflow::drf`), which also applies the
+//! CPU stale-read rule.
 //!
 //! **Exit policy** (severity-driven): any *error*-level finding —
-//! proven races, proven out-of-bounds, the syntactic lint rules —
-//! exits 1. *Warning*-level findings (data-dependent unknowns:
-//! neither provable nor refutable) exit 0 unless `--deny-unknown`.
+//! proven races, proven out-of-bounds, CPU stale reads — exits 1.
+//! *Warning*-level findings (data-dependent unknowns: neither provable
+//! nor refutable) exit 0 unless `--deny-unknown`.
 //! Build failures exit 2.
 //!
 //! With `--json` the findings print as a SARIF-style document
@@ -36,7 +36,7 @@
 use bench::cli;
 use gpu::config::MemConfigKind;
 use verify::dataflow::{self, BoundsSummary};
-use verify::{lint_program, symbols_for_trace, Diagnostic, Rule, Severity, Symbols};
+use verify::{symbols_for_trace, Diagnostic, Rule, Severity, Symbols};
 use workloads::suite;
 
 struct Finding {
@@ -68,9 +68,7 @@ fn analyze_program(
     findings: &mut Vec<Finding>,
     bounds: &mut BoundsSummary,
 ) {
-    let mut diags = lint_program(program, symbols);
-    let (flow, summary) = dataflow::dataflow_diagnostics(program, symbols);
-    diags.extend(flow);
+    let (diags, summary) = dataflow::dataflow_diagnostics(program, symbols);
     bounds.proven_safe += summary.proven_safe;
     bounds.proven_oob += summary.proven_oob;
     bounds.unknown += summary.unknown;

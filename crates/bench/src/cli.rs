@@ -140,23 +140,21 @@ pub fn load_trace(path: &str) -> workloads::trace::TraceWorkload {
     })
 }
 
-/// Resolves a configuration name (case-insensitive), exiting with status 2
-/// and the list of valid names if it is unknown.
+/// Resolves a configuration name (case-insensitive, see
+/// [`crate::server::config_named`]), exiting with status 2 and the list
+/// of valid names if it is unknown.
 pub fn config_by_name(s: &str) -> gpu::config::MemConfigKind {
-    gpu::config::MemConfigKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
-        .unwrap_or_else(|| {
-            let names: Vec<_> = gpu::config::MemConfigKind::ALL
-                .into_iter()
-                .map(|k| k.name())
-                .collect();
-            eprintln!(
-                "unknown configuration {s} (expected one of {})",
-                names.join(", ")
-            );
-            std::process::exit(2);
-        })
+    crate::server::config_named(s).unwrap_or_else(|| {
+        let names: Vec<_> = gpu::config::MemConfigKind::ALL
+            .into_iter()
+            .map(|k| k.name())
+            .collect();
+        eprintln!(
+            "unknown configuration {s} (expected one of {})",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    })
 }
 
 /// Escapes a string for embedding in a JSON string literal.

@@ -108,8 +108,8 @@ impl Request {
 }
 
 /// Resolves a configuration name case-insensitively, without exiting
-/// the process (unlike `cli::config_by_name` — a daemon answers bad
-/// requests with an error event and keeps serving).
+/// the process (unlike `cli::config_by_name`, which wraps it — a daemon
+/// answers bad requests with an error event and keeps serving).
 pub fn config_named(name: &str) -> Option<MemConfigKind> {
     MemConfigKind::ALL
         .into_iter()

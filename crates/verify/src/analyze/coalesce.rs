@@ -9,7 +9,7 @@
 //! into up to 32 transactions (§2's poor-coalescing motivation); the
 //! diagnostics quantify exactly how many extra transactions that costs.
 
-use crate::lint::Symbols;
+use crate::diag::Symbols;
 use gpu::coalescer::coalesce;
 use gpu::program::{Phase, Program, WarpOp};
 use mem::addr::WORD_BYTES;

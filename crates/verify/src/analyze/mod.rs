@@ -3,10 +3,10 @@
 //! The analyzer family consumes the same lowered [`Program`] IR the
 //! simulator executes and produces two kinds of output:
 //!
-//! * **Diagnostics** ([`Note`]s, in the style of [`crate::lint`]):
-//!   symbolized statements about the access pattern — poor coalescing,
-//!   footprint-vs-capacity thrashing, copy loops without reuse, data
-//!   written but never re-read, redundant DMA.
+//! * **Diagnostics** ([`Note`]s: the crate's [`crate::Diagnostic`] with
+//!   `SR02x` codes): symbolized statements about the access pattern —
+//!   poor coalescing, footprint-vs-capacity thrashing, copy loops
+//!   without reuse, data written but never re-read, redundant DMA.
 //! * **Exact counts** ([`ExactCounts`]): per configuration, the
 //!   simulator counters program structure alone determines —
 //!   transactions, local-op classes, map and DMA totals, and the
@@ -34,7 +34,7 @@ pub mod counts;
 pub mod reuse;
 pub mod waste;
 
-use crate::lint::Symbols;
+use crate::diag::Symbols;
 use counts::ExactCounts;
 use gpu::config::MemConfigKind;
 use gpu::program::Program;

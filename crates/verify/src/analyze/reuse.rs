@@ -245,7 +245,7 @@ fn push_warp_event(
             for &lane in lanes {
                 let lane = u64::from(lane);
                 if lane >= tile.local_words() {
-                    continue; // The linter reports out-of-bounds lanes.
+                    continue; // `dataflow::oob` reports out-of-bounds lanes.
                 }
                 let va = tile.virt_of_local_offset(lane * WORD_BYTES);
                 out.push(WordEvent {

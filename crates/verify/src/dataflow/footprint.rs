@@ -1,16 +1,15 @@
 //! Footprint extraction: abstract interpretation of the workload IR
 //! into per-thread-block read/write sets over the [`domain`] lattice.
 //!
-//! This mirrors the concrete access walk of [`crate::lint`] exactly —
-//! same slot-binding semantics (bindings accumulate across stages, only
-//! mapped modes bind), same address translation (`LocalMem` lanes
-//! through the bound tile, mapped stash data *is* global data), same
-//! DMA tile coverage — but abstracts the result into [`AffineSet`]s
-//! instead of enumerating words into hash maps, and tracks the
-//! [`Taint`] lattice: a stage whose lanes were computed from input
-//! *data* contributes its whole hardware-checked region (mapped tile →
-//! [`Taint::Widened`]) or poisons the block outright (raw global
-//! access → [`Taint::Top`]).
+//! This is the one walk that turns IR ops into global words for the
+//! race, stale-read and conflict checks. Slot bindings accumulate across
+//! stages and only mapped modes bind; `LocalMem` lanes translate through
+//! the bound tile (mapped stash data *is* global data); DMA transfers
+//! cover their whole tiles. The result is abstracted into
+//! [`AffineSet`]s, and the walk tracks the [`Taint`] lattice: a stage
+//! whose lanes were computed from input *data* contributes its whole
+//! hardware-checked region (mapped tile → [`Taint::Widened`]) or
+//! poisons the block outright (raw global access → [`Taint::Top`]).
 //!
 //! Soundness obligations this module carries for the conflict pass:
 //!
@@ -255,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_lanes_translate_like_the_linter() {
+    fn mapped_lanes_translate_through_the_bound_tile() {
         // 1 field word of a 2-word object, 4 elems/row, 2 rows.
         let tile = TileMap::new(VAddr(0x1000), 4, 8, 4, 0x100, 2).unwrap();
         let fp = block_footprint(&mapped_block(tile, true, vec![0, 1, 2, 3], false));
@@ -326,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn footprint_covers_every_linted_word() {
+    fn footprint_covers_every_global_and_mapped_lane() {
         // Cross-check against the concrete semantics: global lanes plus
         // mapped lanes land in the abstract sets.
         let tile = TileMap::new(VAddr(0x4000), 4, 4, 16, 0, 1).unwrap();

@@ -1,9 +1,8 @@
 //! Abstract-interpretation dataflow framework over the workload IR.
 //!
-//! Where the crate's other passes either enumerate concrete words
-//! ([`crate::lint`]) or score access streams ([`crate::analyze`]), this
-//! framework interprets a [`Program`] over symbolic **abstract
-//! domains** — intervals and affine-stride span sets
+//! Where the access-pattern analyzer ([`crate::analyze`]) scores access
+//! streams, this framework interprets a [`Program`] over symbolic
+//! **abstract domains** — intervals and affine-stride span sets
 //! ([`domain::AffineSpan`]), qualified by a taint lattice
 //! ([`domain::Taint`]) that sends data-dependent index expressions to
 //! ⊤ — and derives three client passes from one shared footprint
@@ -17,14 +16,17 @@
 //! 2. [`oob`] — three-valued bounds verdicts: proven safe, proven out
 //!    of bounds ([`crate::Rule::ProvenOob`]), or unknown because
 //!    data-dependent ([`crate::Rule::DataDependentBounds`]).
-//! 3. [`drf`] — the linter's race rules re-derived from footprints,
-//!    with witness word ranges ([`crate::Rule::ProvenRace`]) and the
-//!    honest data-dependent middle ground
-//!    ([`crate::Rule::DataDependentRace`]).
+//! 3. [`drf`] — the race rule: an exact per-word sweep over exact
+//!    footprints ([`crate::Rule::ProvenRace`], with the conflicting
+//!    range), the honest data-dependent middle ground
+//!    ([`crate::Rule::DataDependentRace`]), and the CPU stale-read rule
+//!    ([`crate::Rule::CpuStaleRead`]).
 //!
-//! All three passes report through the crate's unified
-//! [`crate::Diagnostic`] type; [`dataflow_diagnostics`] runs the two
-//! diagnostic passes together.
+//! [`oob`] and [`drf`] are the crate's only bounds and race checks, and
+//! [`footprint`] is the only code that turns thread-block ops into
+//! global words for them. All three passes report through the crate's
+//! unified [`crate::Diagnostic`] type; [`dataflow_diagnostics`] runs the
+//! two diagnostic passes together.
 //!
 //! [`Program`]: gpu::program::Program
 
@@ -40,11 +42,10 @@ pub use drf::check_races;
 pub use footprint::{block_footprint, program_footprints, BlockFootprint, KernelFootprints};
 pub use oob::{check_bounds, BoundsSummary, BoundsVerdict};
 
-use crate::diag::Diagnostic;
-use crate::lint::Symbols;
+use crate::diag::{Diagnostic, Symbols};
 use gpu::program::Program;
 
-/// Runs the bounds and DRF passes, returning their diagnostics merged
+/// Runs the bounds and race passes, returning their diagnostics merged
 /// (bounds first) plus the bounds verdict tally.
 #[must_use]
 pub fn dataflow_diagnostics(

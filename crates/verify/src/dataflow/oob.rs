@@ -1,7 +1,10 @@
 //! The value-range bounds pass: three-valued out-of-bounds verdicts.
 //!
-//! Where [`crate::lint`] reports the concrete lanes it can see, this
-//! pass classifies every bounds check three ways:
+//! This is the crate's only bounds check. It covers a mapped tile
+//! larger than its allocation, a tile (mapped or DMA) past the end of
+//! its array when symbols are known, a local lane past its tile or
+//! allocation, and a CPU stash slot that is unmapped or indexed past
+//! its tile. It classifies every check three ways:
 //!
 //! * **proven safe** — the lane interval fits inside the limit on
 //!   every execution (no diagnostic; counted in the summary);
@@ -15,8 +18,7 @@
 //! [`Stage::tainted`]: gpu::program::Stage::tainted
 
 use crate::dataflow::domain::Interval;
-use crate::diag::{Diagnostic, Rule};
-use crate::lint::Symbols;
+use crate::diag::{Diagnostic, Rule, Symbols};
 use gpu::program::{CpuOp, Phase, Program, ThreadBlock, WarpOp};
 use mem::addr::WORD_BYTES;
 use mem::tile::TileMap;

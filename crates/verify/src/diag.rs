@@ -1,27 +1,32 @@
 //! The unified diagnostic type shared by every static analysis in this
-//! crate.
+//! crate, and the symbol table that names arrays in its messages.
 //!
-//! The DRF linter ([`crate::lint`]), the access-pattern analyzer
-//! ([`crate::analyze`]) and the dataflow framework
-//! ([`crate::dataflow`]) all report findings as one [`Diagnostic`]
-//! carrying a [`Rule`]. Rules have **stable codes** (`SR0xx`) and
-//! **severity levels**, so machine consumers (the `lint` bin's
-//! SARIF-style JSON, CI baseline diffs) can match findings across
+//! The race and bounds passes ([`crate::dataflow`]) and the
+//! access-pattern analyzer ([`crate::analyze`]) all report findings as
+//! one [`Diagnostic`] carrying a [`Rule`]. Rules have **stable codes**
+//! (`SR0xx`) and **severity levels**, so machine consumers (the `lint`
+//! bin's SARIF-style JSON, CI baseline diffs) can match findings across
 //! revisions without parsing messages:
 //!
-//! * `SR00x` — the PR 2 syntactic lint rules (errors);
+//! * `SR003` — the CPU stale-read rule (an error);
 //! * `SR01x` — dataflow verdicts: proven violations are errors,
 //!   data-dependent *unknowns* are warnings (the honest third state the
 //!   abstract interpretation adds — neither proven safe nor proven
 //!   broken);
 //! * `SR02x` — advisory access-pattern notes (informational).
 //!
-//! `SR030` is retired: it named a misrank of the design-space
-//! explorer's cost-model surrogate, which was deleted when [`crate::dse`]
-//! switched to ranking every point by simulation. The code stays
-//! unassigned and is never reused, so an old report that carries it
-//! cannot be mistaken for a newer finding.
+//! Retired codes stay unassigned and are never reused, so an old report
+//! that carries one cannot be mistaken for a newer finding:
+//!
+//! * `SR001`, `SR002` and `SR004` named the word-enumerating linter's
+//!   cross-block race, CPU race and out-of-bounds rules. The dataflow
+//!   passes decide the same cases, as `SR012` (races) and `SR010`
+//!   (bounds), and the linter was deleted.
+//! * `SR030` named a misrank of the design-space explorer's cost-model
+//!   surrogate, which was deleted when [`crate::dse`] switched to
+//!   ranking every point by simulation.
 
+use mem::addr::{VAddr, WORD_BYTES};
 use std::fmt;
 
 /// How severe a finding is — drives exit codes and SARIF levels.
@@ -51,15 +56,9 @@ impl Severity {
 /// Which rule a diagnostic comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Conflicting accesses from two thread blocks of one kernel.
-    CrossBlockRace,
-    /// Conflicting accesses from two cores of one CPU phase.
-    CpuRace,
     /// A CPU core re-reads a word another agent overwrote while the
     /// core still held it Shared (CPUs never self-invalidate).
     CpuStaleRead,
-    /// An index expression escapes its allocation, mapping, or array.
-    OutOfBounds,
     /// Dataflow proved an access is out of bounds on every execution.
     ProvenOob,
     /// Dataflow could not bound a data-dependent index expression —
@@ -90,11 +89,8 @@ pub enum Rule {
 impl Rule {
     /// Every rule, in code order (stable; used to emit SARIF rule
     /// tables without enumerating variants at each call site).
-    pub const ALL: [Rule; 15] = [
-        Rule::CrossBlockRace,
-        Rule::CpuRace,
+    pub const ALL: [Rule; 12] = [
         Rule::CpuStaleRead,
-        Rule::OutOfBounds,
         Rule::ProvenOob,
         Rule::DataDependentBounds,
         Rule::ProvenRace,
@@ -112,10 +108,7 @@ impl Rule {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Rule::CrossBlockRace => "cross-block-race",
-            Rule::CpuRace => "cpu-race",
             Rule::CpuStaleRead => "cpu-stale-read",
-            Rule::OutOfBounds => "out-of-bounds",
             Rule::ProvenOob => "proven-oob",
             Rule::DataDependentBounds => "data-dependent-bounds",
             Rule::ProvenRace => "proven-race",
@@ -134,10 +127,7 @@ impl Rule {
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
-            Rule::CrossBlockRace => "SR001",
-            Rule::CpuRace => "SR002",
             Rule::CpuStaleRead => "SR003",
-            Rule::OutOfBounds => "SR004",
             Rule::ProvenOob => "SR010",
             Rule::DataDependentBounds => "SR011",
             Rule::ProvenRace => "SR012",
@@ -156,12 +146,7 @@ impl Rule {
     #[must_use]
     pub fn severity(self) -> Severity {
         match self {
-            Rule::CrossBlockRace
-            | Rule::CpuRace
-            | Rule::CpuStaleRead
-            | Rule::OutOfBounds
-            | Rule::ProvenOob
-            | Rule::ProvenRace => Severity::Error,
+            Rule::CpuStaleRead | Rule::ProvenOob | Rule::ProvenRace => Severity::Error,
             Rule::DataDependentBounds | Rule::DataDependentRace => Severity::Warning,
             Rule::PoorCoalescing
             | Rule::CapacityThrash
@@ -205,6 +190,48 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// Array names for diagnostics: `(name, base, footprint)` triples.
+///
+/// Built from a trace workload's arrays (or any other source of symbol
+/// information); an empty table degrades diagnostics to raw hex ranges.
+#[derive(Debug, Clone, Default)]
+pub struct Symbols {
+    entries: Vec<(String, u64, u64)>, // (name, base byte addr, bytes)
+}
+
+impl Symbols {
+    /// An empty table.
+    pub fn new() -> Symbols {
+        Symbols::default()
+    }
+
+    /// Registers an array covering `[base, base + bytes)`.
+    pub fn add(&mut self, name: &str, base: VAddr, bytes: u64) {
+        self.entries.push((name.to_string(), base.0, bytes));
+    }
+
+    /// The array containing byte address `addr`, with the element word
+    /// index inside it.
+    pub(crate) fn locate(&self, addr: u64) -> Option<(&str, u64)> {
+        self.entries
+            .iter()
+            .find(|(_, base, bytes)| addr >= *base && addr < base + bytes)
+            .map(|(name, base, _)| (name.as_str(), (addr - base) / WORD_BYTES))
+    }
+
+    /// Formats a word range `[lo, hi]` (inclusive, in global word
+    /// numbers) as `name[words a..b]` or a raw address range.
+    pub(crate) fn range(&self, lo: u64, hi: u64) -> String {
+        match self.locate(lo * WORD_BYTES) {
+            Some((name, w)) => {
+                let span = hi - lo;
+                format!("{name}[word {w}..{}]", w + span)
+            }
+            None => format!("{:#x}..{:#x}", lo * WORD_BYTES, (hi + 1) * WORD_BYTES),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,11 +245,14 @@ mod tests {
             assert!(!r.name().is_empty());
         }
         // Pin a few codes: these are the stable external interface.
-        assert_eq!(Rule::CrossBlockRace.code(), "SR001");
+        assert_eq!(Rule::CpuStaleRead.code(), "SR003");
         assert_eq!(Rule::ProvenOob.code(), "SR010");
+        assert_eq!(Rule::ProvenRace.code(), "SR012");
         assert_eq!(Rule::PoorCoalescing.code(), "SR020");
         // Retired codes stay unassigned.
-        assert!(Rule::ALL.iter().all(|r| r.code() != "SR030"));
+        for retired in ["SR001", "SR002", "SR004", "SR030"] {
+            assert!(Rule::ALL.iter().all(|r| r.code() != retired), "{retired}");
+        }
     }
 
     #[test]
@@ -236,7 +266,7 @@ mod tests {
 
     #[test]
     fn display_includes_rule_name() {
-        let d = Diagnostic::new(Rule::OutOfBounds, "lane 99 past the end");
-        assert_eq!(d.to_string(), "[out-of-bounds] lane 99 past the end");
+        let d = Diagnostic::new(Rule::ProvenOob, "lane 99 past the end");
+        assert_eq!(d.to_string(), "[proven-oob] lane 99 past the end");
     }
 }

@@ -1,6 +1,6 @@
 //! Protocol verification layer for the stash reproduction.
 //!
-//! Four coordinated analyses guard the DeNovo coherence protocol the
+//! Five coordinated analyses guard the DeNovo coherence protocol the
 //! timing model is built on (paper §4.3–§4.4):
 //!
 //! 1. [`model`] — an exhaustive **model checker** that enumerates every
@@ -19,10 +19,13 @@
 //!    structures after every transition of a workload run. The
 //!    `oracle_matrix` integration test in this crate exercises it over
 //!    the full Figure 5 matrix.
-//! 3. [`lint`] — a static **DRF linter** over the workload IR that flags
-//!    cross-thread-block races, cross-core CPU races, CPU stale reads
-//!    across unsynchronized GPU/CPU phase boundaries, and out-of-bounds
-//!    stash-map / AoS index expressions, before any simulation runs.
+//! 3. [`dataflow`] — static **race and bounds checks** over the
+//!    workload IR, before any simulation runs. One footprint extraction
+//!    feeds the race pass ([`dataflow::drf`]: cross-thread-block and
+//!    cross-core CPU races, and CPU stale reads across unsynchronized
+//!    GPU/CPU phase boundaries), the bounds pass ([`dataflow::oob`]:
+//!    stash-map, allocation and AoS index expressions) and the conflict
+//!    certificates the parallel merge consumes.
 //! 4. [`analyze`] — a static **access-pattern analyzer** for the
 //!    placement advisor over the same IR: word-granular reuse-distance
 //!    analysis, static coalescing efficiency (via the machine's own
@@ -41,10 +44,11 @@
 //! DeNovo's guarantees hold only for data-race-free programs, so the
 //! layers complement each other: the model checker proves the protocol
 //! rules sound, the oracle proves the implementation follows them on
-//! real runs, the linter proves the inputs satisfy the DRF precondition
-//! those proofs assume, and the analyzer explains each placement's
-//! access pattern and checks the simulator's accounting of it, while
-//! the simulator alone says what each placement costs.
+//! real runs, the race and bounds checks prove the inputs satisfy the
+//! DRF precondition those proofs assume (or name the data-dependent
+//! accesses they cannot decide), and the analyzer explains each
+//! placement's access pattern and checks the simulator's accounting of
+//! it, while the simulator alone says what each placement costs.
 
 #![forbid(unsafe_code)]
 
@@ -52,16 +56,14 @@ pub mod analyze;
 pub mod dataflow;
 pub mod diag;
 pub mod dse;
-pub mod lint;
 pub mod model;
 
 pub use analyze::counts::ExactCounts;
 pub use analyze::{
     analyze_workload, check_counts, measured_best, workload_notes, Analysis, Note, NoteKind,
 };
-pub use diag::{Diagnostic, Rule, Severity};
+pub use diag::{Diagnostic, Rule, Severity, Symbols};
 pub use dse::{DesignPoint, Space};
-pub use lint::{lint_program, Symbols};
 pub use model::{check, CheckStats, Counterexample, Event, Mutation, MAX_VERSION};
 
 use workloads::trace::TraceWorkload;

@@ -1,65 +1,81 @@
-//! The DRF linter is silent on every shipped workload and loud on a
-//! seeded racy trace — the acceptance gate for `verify::lint`.
+//! The race and bounds passes find no proven violation in any shipped
+//! workload and prove the races in seeded racy traces — the acceptance
+//! gate for `verify::dataflow_diagnostics`, the `lint` bin's checks.
 
 use gpu::config::MemConfigKind;
-use verify::{lint_program, symbols_for_trace, Rule, Symbols};
+use verify::dataflow::dataflow_diagnostics;
+use verify::{symbols_for_trace, Rule, Severity, Symbols};
 use workloads::suite;
 use workloads::trace::parse_trace;
 
 #[test]
-fn shipped_suite_is_race_free_under_every_configuration() {
+fn shipped_suite_has_no_proven_violation_under_any_configuration() {
     let empty = Symbols::new();
     for workload in suite::all() {
         for kind in MemConfigKind::ALL {
             let program = (workload.build)(kind);
-            let diags = lint_program(&program, &empty);
+            let (diags, _) = dataflow_diagnostics(&program, &empty);
+            let errors: Vec<String> = diags
+                .iter()
+                .filter(|d| d.severity() == Severity::Error)
+                .map(ToString::to_string)
+                .collect();
             assert!(
-                diags.is_empty(),
+                errors.is_empty(),
                 "{} on {kind} flagged:\n{}",
                 workload.name,
-                diags
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
+                errors.join("\n")
             );
         }
     }
 }
 
 #[test]
-fn seeded_racy_trace_is_flagged_in_every_configuration() {
+fn seeded_racy_traces_are_proven_races_in_every_configuration() {
     // Two thread blocks of one kernel read-modify-write overlapping
-    // element ranges of `a` (128..256 is written by both) with no
-    // synchronization between blocks — a textbook cross-block data race.
-    let trace = parse_trace(
-        "array a elems=1024 object=4
-         kernel
-         block
-         task a 0 256 rw global
-         block
-         task a 128 256 rw global",
-    )
-    .unwrap();
-    let symbols = symbols_for_trace(&trace);
-    for kind in MemConfigKind::ALL {
-        let program = trace.try_build(kind).unwrap();
-        let diags = lint_program(&program, &symbols);
-        assert!(
-            diags.iter().any(|d| d.rule == Rule::CrossBlockRace),
-            "racy trace not flagged on {kind}: {diags:?}"
-        );
-        // The diagnostic names the array and the conflicting tasks.
-        let text = diags
-            .iter()
-            .find(|d| d.rule == Rule::CrossBlockRace)
-            .unwrap()
-            .to_string();
-        assert!(text.contains("a[word"), "no symbolized range in: {text}");
-        assert!(
-            text.contains("block 0") && text.contains("block 1"),
-            "{text}"
-        );
+    // element ranges of `a` with no synchronization between blocks — a
+    // textbook cross-block data race. The second trace's tasks are far
+    // larger than any span enumeration cap.
+    let cases = [
+        (
+            "array a elems=1024 object=4
+             kernel
+             block
+             task a 0 256 rw global
+             block
+             task a 128 256 rw global",
+            "a[word 128..255] (128 words",
+        ),
+        (
+            "array a elems=32768 object=4
+             kernel
+             block
+             task a 0 12000 rw global
+             block
+             task a 4000 12000 rw global",
+            "a[word 4000..11999] (8000 words",
+        ),
+    ];
+    for (text, range) in cases {
+        let trace = parse_trace(text).unwrap();
+        let symbols = symbols_for_trace(&trace);
+        for kind in MemConfigKind::ALL {
+            let program = trace.try_build(kind).unwrap();
+            let (diags, _) = dataflow_diagnostics(&program, &symbols);
+            let races: Vec<String> = diags
+                .iter()
+                .filter(|d| d.rule == Rule::ProvenRace)
+                .map(ToString::to_string)
+                .collect();
+            assert_eq!(races.len(), 1, "{range} on {kind}: {diags:?}");
+            // The diagnostic names the conflicting tasks and the array.
+            let race = &races[0];
+            assert!(
+                race.contains("kernel 0 block 0 and kernel 0 block 1"),
+                "{race}"
+            );
+            assert!(race.contains(range), "{kind}: {race}");
+        }
     }
 }
 
@@ -77,7 +93,7 @@ fn clean_trace_with_disjoint_blocks_is_silent() {
     let symbols = symbols_for_trace(&trace);
     for kind in MemConfigKind::ALL {
         let program = trace.try_build(kind).unwrap();
-        let diags = lint_program(&program, &symbols);
+        let (diags, _) = dataflow_diagnostics(&program, &symbols);
         assert!(diags.is_empty(), "clean trace flagged on {kind}: {diags:?}");
     }
 }
