@@ -10,9 +10,10 @@
 //!    (On-demand vs Implicit show the trade-off).
 //!
 //! Every ablation cell is an independent simulation; the whole grid is
-//! one pool batch (`--threads N` / `STASH_THREADS`), and each printed
-//! block reports the host wall-clock its simulations took.
+//! one pool batch (`--threads N`), and each printed block reports the
+//! host wall-clock its simulations took.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use bench::cli;
@@ -54,8 +55,11 @@ fn host_ms(results: &[&JobResult<RunReport>]) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pool = JobPool::new(cli::thread_count(&args));
+    let mut args: Vec<String> = std::env::args().collect();
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    cli::finish(args, false);
+    let pool = JobPool::new(threads);
     let start = std::time::Instant::now();
 
     // The full ablation grid as one batch; indices name the cells below.

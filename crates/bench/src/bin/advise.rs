@@ -14,7 +14,7 @@
 //!    configuration set, producing access-pattern notes and one
 //!    [`verify::ExactCounts`] per configuration;
 //! 2. runs the simulator on the same matrix cells (concurrently, on the
-//!    job pool — `--threads N` / `STASH_THREADS`);
+//!    job pool — `--threads N`);
 //! 3. checks every exact counter and the instruction total against the
 //!    measurement (`verify::check_counts`), and recommends the
 //!    configuration with the lowest measured runtime
@@ -31,6 +31,8 @@
 //! out-of-bounds access, so the binary is its own CI gate. `--verify`
 //! additionally turns on the runtime protocol oracle during the
 //! simulation runs.
+
+use std::num::NonZeroUsize;
 
 use bench::cli;
 use bench::pool::JobPool;
@@ -260,17 +262,18 @@ fn print_json(outcomes: &[Outcome], failures: usize) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let verify = cli::verify_flag(&args);
-    let json = cli::json_flag(&args);
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    let verify = cli::take_flag(&mut args, "--verify");
+    let json = cli::take_flag(&mut args, "--json");
     let deny_unknown = cli::take_flag(&mut args, "--deny-unknown");
-    cli::strip_common_flags(&mut args);
+    let traces = cli::finish(args, true);
 
     let pool = JobPool::new(threads);
     let mut outcomes = Vec::new();
 
-    if args.len() > 1 {
-        for path in &args[1..] {
+    if !traces.is_empty() {
+        for path in &traces {
             let trace = cli::load_trace(path);
             let symbols = symbols_for_trace(&trace);
             let build = |kind| trace.build(kind);

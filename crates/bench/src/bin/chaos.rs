@@ -17,6 +17,8 @@
 //! escape occurred), so demonstration runs can assert the machinery is
 //! load-bearing instead of reporting failure.
 
+use std::num::NonZeroUsize;
+
 use bench::chaos::{run_campaign, CampaignConfig, CellRun, Outcome, Target};
 use bench::cli;
 use bench::crash::{run_crash_campaign, CrashCampaignConfig, CrashRun};
@@ -211,36 +213,29 @@ fn run_crash_mode(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let verify = cli::verify_flag(&args);
-    let json = cli::json_flag(&args);
-    let seed_base = cli::fault_seed(&args).unwrap_or(1);
-    let mut args = args;
-    cli::strip_common_flags(&mut args);
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let mut args: Vec<String> = std::env::args().collect();
+    if cli::take_flag(&mut args, "--help") || cli::take_flag(&mut args, "-h") {
         usage();
     }
-
-    let seed_count: u64 = match cli::take_value(&mut args, "--seeds") {
-        Some(v) => v.parse().unwrap_or_else(|_| usage()),
-        None => 16,
-    };
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    let verify = cli::take_flag(&mut args, "--verify");
+    let json = cli::take_flag(&mut args, "--json");
+    let seed_base: u64 = cli::take_parsed(&mut args, "--fault-seed").unwrap_or(1);
+    let seed_count: u64 = cli::take_parsed(&mut args, "--seeds").unwrap_or(16);
     let resilience = !cli::take_flag(&mut args, "--no-resilience");
     let parity = !cli::take_flag(&mut args, "--no-parity");
     let expect_escapes = cli::take_flag(&mut args, "--expect-escapes");
     let crash = cli::take_flag(&mut args, "--crash");
     let crash_dir = cli::take_value(&mut args, "--crash-dir");
-    if args.iter().any(|a| a.starts_with("--")) {
-        usage();
-    }
+    let paths = cli::finish(args, true);
     if crash && (!resilience || !parity || expect_escapes) {
         eprintln!("--crash is incompatible with --no-resilience/--no-parity/--expect-escapes");
         std::process::exit(2);
     }
 
     // Targets: the trace files given, or the Figure 5 microbenchmarks.
-    let traces: Vec<(String, workloads::trace::TraceWorkload)> = args[1..]
+    let traces: Vec<(String, workloads::trace::TraceWorkload)> = paths
         .iter()
         .map(|p| (p.clone(), cli::load_trace(p)))
         .collect();

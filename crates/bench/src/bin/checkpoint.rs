@@ -17,24 +17,24 @@
 
 use bench::cli;
 use gpu::config::MemConfigKind;
-use gpu::machine::{Machine, RunCursor, SECTION_META, SECTION_MSYS};
+use gpu::machine::{CheckpointMeta, Machine, RunCursor, SECTION_META, SECTION_MSYS};
 use gpu::program::Program;
 use gpu::report::RunReport;
 use sim::config::SystemConfig;
-use sim::snapshot::{read_snapshot, CheckpointStore, Reader};
+use sim::snapshot::{read_snapshot, CheckpointStore};
 use sim::SimError;
 use workloads::suite;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: checkpoint save <workload|file.trace> <config> --dir DIR [--until K] [flags]\n\
-         checkpoint resume <workload|file.trace> <config> --dir DIR [flags]\n\
+        "usage: checkpoint save <workload|file.trace> <config> --dir DIR [--until K] [--verify]\n\
+         checkpoint resume <workload|file.trace> <config> --dir DIR [--verify]\n\
          checkpoint inspect --dir DIR\n\
          <workload>    a suite name ({}) or a .trace file\n\
          <config>      one of {}\n\
          --dir DIR     the checkpoint directory\n\
          --until K     (save) stop after phase K's barrier instead of finishing\n\
-         {}\n{}",
+         {}",
         suite::all()
             .iter()
             .map(|w| w.name)
@@ -46,7 +46,6 @@ fn usage() -> ! {
             .collect::<Vec<_>>()
             .join(", "),
         cli::VERIFY_USAGE,
-        cli::JSON_USAGE,
     );
     std::process::exit(2);
 }
@@ -194,28 +193,21 @@ fn cmd_inspect(dir: &str) -> i32 {
                     .collect();
                 println!("{}: {bytes} bytes, {}", path.display(), sections.join(", "));
                 match snap.section(SECTION_META, "checkpoint META section") {
-                    Ok(meta) => {
-                        let mut r = Reader::new(meta, "checkpoint META section");
-                        let decoded = (|| -> Result<_, SimError> {
-                            let fp = r.take_u64()?;
-                            let next_phase = r.take_usize()?;
-                            let ordinal = r.take_u64()?;
-                            let gpu_cycles = r.take_u64()?;
-                            let cpu_cycles = r.take_u64()?;
-                            Ok((fp, next_phase, ordinal, gpu_cycles, cpu_cycles))
-                        })();
-                        match decoded {
-                            Ok((fp, next_phase, ordinal, gpu_cycles, cpu_cycles)) => println!(
-                                "  program {fp:016x}, next phase {next_phase}, \
-                                 {ordinal} kernel(s) done, {gpu_cycles} GPU + \
-                                 {cpu_cycles} CPU cycles"
-                            ),
-                            Err(e) => {
-                                println!("  META undecodable: {e}");
-                                status = 1;
-                            }
+                    Ok(meta) => match CheckpointMeta::decode(meta) {
+                        Ok(CheckpointMeta {
+                            fingerprint,
+                            cursor,
+                            ..
+                        }) => println!(
+                            "  program {fingerprint:016x}, next phase {}, \
+                             {} kernel(s) done, {} GPU + {} CPU cycles",
+                            cursor.next_phase, cursor.ordinal, cursor.gpu_cycles, cursor.cpu_cycles
+                        ),
+                        Err(e) => {
+                            println!("  META undecodable: {e}");
+                            status = 1;
                         }
-                    }
+                    },
                     Err(e) => {
                         println!("  {e}");
                         status = 1;
@@ -232,30 +224,25 @@ fn cmd_inspect(dir: &str) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let verify = cli::verify_flag(&args);
-    let mut args = args;
-    cli::strip_common_flags(&mut args);
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let mut args: Vec<String> = std::env::args().collect();
+    if cli::take_flag(&mut args, "--help") || cli::take_flag(&mut args, "-h") {
         usage();
     }
+    let verify = cli::take_flag(&mut args, "--verify");
     let dir = cli::take_value(&mut args, "--dir").unwrap_or_else(|| usage());
-    let until = cli::take_value(&mut args, "--until")
-        .map(|v| v.parse::<usize>().unwrap_or_else(|_| usage()));
-    if args.iter().any(|a| a.starts_with("--")) {
-        usage();
-    }
+    let until: Option<usize> = cli::take_parsed(&mut args, "--until");
+    let args = cli::finish(args, true);
 
-    let status = match args.get(1).map(String::as_str) {
-        Some("inspect") if args.len() == 2 => cmd_inspect(&dir),
-        Some("save") if args.len() == 4 => {
-            cmd_save(&args[2], cli::config_by_name(&args[3]), &dir, until, verify)
+    let status = match args.as_slice() {
+        [cmd] if cmd == "inspect" => cmd_inspect(&dir),
+        [cmd, spec, kind] if cmd == "save" => {
+            cmd_save(spec, cli::config_by_name(kind), &dir, until, verify)
         }
-        Some("resume") if args.len() == 4 => {
+        [cmd, spec, kind] if cmd == "resume" => {
             if until.is_some() {
                 usage();
             }
-            cmd_resume(&args[2], cli::config_by_name(&args[3]), &dir, verify)
+            cmd_resume(spec, cli::config_by_name(kind), &dir, verify)
         }
         _ => usage(),
     };

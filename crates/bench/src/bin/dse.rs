@@ -21,6 +21,8 @@
 //! Output is independent of `--threads`: results are assembled in job
 //! order, never arrival order.
 
+use std::num::NonZeroUsize;
+
 use bench::cli;
 use bench::pool::JobPool;
 use gpu::config::MemConfigKind;
@@ -180,20 +182,15 @@ fn print_json(r: &Report) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let json = cli::json_flag(&args);
-    let mut args = args;
-    cli::strip_common_flags(&mut args);
-
+    let mut args: Vec<String> = std::env::args().collect();
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    let json = cli::take_flag(&mut args, "--json");
     let smoke = cli::take_flag(&mut args, "--smoke");
     let name = cli::take_value(&mut args, "--workload").unwrap_or_else(|| "implicit".to_string());
     let kind = cli::take_value(&mut args, "--config")
         .map_or(MemConfigKind::Stash, |s| cli::config_by_name(&s));
-    if args.len() > 1 {
-        eprintln!("dse: unknown argument `{}`", args[1]);
-        std::process::exit(2);
-    }
+    cli::finish(args, false);
 
     let workload = suite::by_name(&name).unwrap_or_else(|| {
         eprintln!("dse: unknown workload `{name}`");

@@ -5,77 +5,26 @@
 //! cargo run --release -p bench --bin fig5            # all four panels
 //! cargo run --release -p bench --bin fig5 -- --panel time --threads 4
 //! ```
+//!
+//! Takes `--threads N`, `--verify`, `--panel P` and `--csv PATH`.
 
-use bench::{average_reduction, cli, print_panel, run_matrix_checked, write_csv, FigurePanel};
+use bench::{figure_main, Figure, FigurePanel};
 use gpu::config::MemConfigKind;
-use workloads::suite;
+use workloads::suite::WorkloadSet;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let panels: Vec<FigurePanel> = match args.iter().position(|a| a == "--panel") {
-        Some(i) => {
-            let name = args.get(i + 1).map(String::as_str).unwrap_or("");
-            vec![FigurePanel::parse(name).unwrap_or_else(|| {
-                eprintln!("unknown panel {name}; use time|energy|instructions|traffic");
-                std::process::exit(2);
-            })]
-        }
-        None => FigurePanel::FIG5.to_vec(),
-    };
-
-    let verify = cli::verify_flag(&args);
-    let kinds = MemConfigKind::FIGURE5;
-    println!("Figure 5 — microbenchmarks on 1 GPU CU + 15 CPU cores");
-    if verify {
-        println!("(runtime invariant oracle on — checking after every transition)");
-    }
-    let (rows, stats) = run_matrix_checked(&suite::micros(), &kinds, threads, verify)
-        .unwrap_or_else(|e| {
-            let context = format!("fig5: {} on {}", e.workload, e.kind.name());
-            std::process::exit(cli::sim_failure_status(&context, &e.error));
-        });
-    println!("{}", stats.summary());
-    if args.iter().any(|a| a == "--debug") {
-        println!("\n-- raw cycles (gpu/cpu) --");
-        for row in &rows {
-            for (k, r) in &row.reports {
-                println!(
-                    "{:<12}{:<10} gpu {:>10}  cpu {:>10}  picos {:>14}",
-                    row.workload,
-                    k.name(),
-                    r.gpu_cycles,
-                    r.cpu_cycles,
-                    r.total_picos
-                );
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        let path =
-            std::path::PathBuf::from(args.get(i + 1).map(String::as_str).unwrap_or("fig5.csv"));
-        if let Err(e) = write_csv(&path, &rows, &kinds) {
-            eprintln!("fig5: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
-    for panel in panels {
-        print_panel(panel, &rows, &kinds);
-    }
-
-    println!("\n=== §6.2 headline comparisons (stash reduction vs …) ===");
-    for (panel, label) in [
-        (FigurePanel::Time, "cycles"),
-        (FigurePanel::Energy, "energy"),
-    ] {
-        let vs_scratch =
-            average_reduction(&rows, panel, MemConfigKind::Stash, MemConfigKind::Scratch);
-        let vs_cache = average_reduction(&rows, panel, MemConfigKind::Stash, MemConfigKind::Cache);
-        let vs_dma =
-            average_reduction(&rows, panel, MemConfigKind::Stash, MemConfigKind::ScratchGD);
-        println!(
-            "{label:<7} vs Scratch {vs_scratch:>3}%  vs Cache {vs_cache:>3}%  vs ScratchGD {vs_dma:>3}%   (paper: 27/13/14% cycles, 53/35/32% energy)"
-        );
-    }
+    figure_main(&Figure {
+        bin: "fig5",
+        set: WorkloadSet::Micro,
+        title: "Figure 5 — microbenchmarks on 1 GPU CU + 15 CPU cores",
+        panels: &FigurePanel::FIG5,
+        headline: "§6.2 headline comparisons (stash reduction vs …)",
+        subject: MemConfigKind::Stash,
+        versus: &[
+            MemConfigKind::Scratch,
+            MemConfigKind::Cache,
+            MemConfigKind::ScratchGD,
+        ],
+        paper: "27/13/14% cycles, 53/35/32% energy",
+    });
 }

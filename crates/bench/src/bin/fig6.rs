@@ -5,60 +5,22 @@
 //! cargo run --release -p bench --bin fig6            # both panels
 //! cargo run --release -p bench --bin fig6 -- --panel energy --threads 4
 //! ```
+//!
+//! Takes `--threads N`, `--verify`, `--panel P` and `--csv PATH`.
 
-use bench::{average_reduction, cli, print_panel, run_matrix_checked, write_csv, FigurePanel};
+use bench::{figure_main, Figure, FigurePanel};
 use gpu::config::MemConfigKind;
-use workloads::suite;
+use workloads::suite::WorkloadSet;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let panels: Vec<FigurePanel> = match args.iter().position(|a| a == "--panel") {
-        Some(i) => {
-            let name = args.get(i + 1).map(String::as_str).unwrap_or("");
-            vec![FigurePanel::parse(name).unwrap_or_else(|| {
-                eprintln!("unknown panel {name}; use time|energy");
-                std::process::exit(2);
-            })]
-        }
-        None => vec![FigurePanel::Time, FigurePanel::Energy],
-    };
-
-    let verify = cli::verify_flag(&args);
-    let kinds = MemConfigKind::FIGURE6;
-    println!("Figure 6 — applications on 15 GPU CUs + 1 CPU core");
-    if verify {
-        println!("(runtime invariant oracle on — checking after every transition)");
-    }
-    let (rows, stats) = run_matrix_checked(&suite::applications(), &kinds, threads, verify)
-        .unwrap_or_else(|e| {
-            let context = format!("fig6: {} on {}", e.workload, e.kind.name());
-            std::process::exit(cli::sim_failure_status(&context, &e.error));
-        });
-    println!("{}", stats.summary());
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        let path =
-            std::path::PathBuf::from(args.get(i + 1).map(String::as_str).unwrap_or("fig6.csv"));
-        if let Err(e) = write_csv(&path, &rows, &kinds) {
-            eprintln!("fig6: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
-    for panel in panels {
-        print_panel(panel, &rows, &kinds);
-    }
-
-    println!("\n=== §6.3 headline comparisons (StashG reduction vs …) ===");
-    for (panel, label) in [
-        (FigurePanel::Time, "cycles"),
-        (FigurePanel::Energy, "energy"),
-    ] {
-        let vs_scratch =
-            average_reduction(&rows, panel, MemConfigKind::StashG, MemConfigKind::Scratch);
-        let vs_cache = average_reduction(&rows, panel, MemConfigKind::StashG, MemConfigKind::Cache);
-        println!(
-            "{label:<7} vs Scratch {vs_scratch:>3}%  vs Cache {vs_cache:>3}%   (paper: 10/12% cycles, 16/32% energy)"
-        );
-    }
+    figure_main(&Figure {
+        bin: "fig6",
+        set: WorkloadSet::Apps,
+        title: "Figure 6 — applications on 15 GPU CUs + 1 CPU core",
+        panels: &[FigurePanel::Time, FigurePanel::Energy],
+        headline: "§6.3 headline comparisons (StashG reduction vs …)",
+        subject: MemConfigKind::StashG,
+        versus: &[MemConfigKind::Scratch, MemConfigKind::Cache],
+        paper: "10/12% cycles, 16/32% energy",
+    });
 }

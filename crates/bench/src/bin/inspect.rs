@@ -14,8 +14,8 @@ use noc::MsgClass;
 use workloads::suite;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(name), Some(kind_s)) = (args.get(1), args.get(2)) else {
+    let args = cli::finish(std::env::args().collect(), true);
+    let [name, kind_s] = args.as_slice() else {
         eprintln!("usage: inspect <workload> <config>");
         eprintln!(
             "  workloads: {}",

@@ -20,7 +20,7 @@
 //! proven races, proven out-of-bounds, CPU stale reads — exits 1.
 //! *Warning*-level findings (data-dependent unknowns: neither provable
 //! nor refutable) exit 0 unless `--deny-unknown`.
-//! Build failures exit 2.
+//! Argument errors and trace files that do not parse exit 2.
 //!
 //! With `--json` the findings print as a SARIF-style document
 //! (`version`/`runs`/`tool.driver.rules`/`results`), one result per
@@ -114,12 +114,12 @@ fn sarif_document(findings: &[Finding]) -> String {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let json = cli::json_flag(&args);
+    let json = cli::take_flag(&mut args, "--json");
     let extras = cli::take_flag(&mut args, "--extras");
     let deny_unknown = cli::take_flag(&mut args, "--deny-unknown");
     let update_baseline = cli::take_flag(&mut args, "--update-baseline");
     let baseline_path = cli::take_value(&mut args, "--baseline");
-    cli::strip_common_flags(&mut args);
+    let traces = cli::finish(args, true);
 
     let baseline: std::collections::HashSet<String> = baseline_path
         .as_deref()
@@ -164,14 +164,11 @@ fn main() {
         }
     }
 
-    for path in &args[1..] {
+    for path in &traces {
         let trace = cli::load_trace(path);
         let symbols = symbols_for_trace(&trace);
         for kind in MemConfigKind::ALL {
-            let program = trace.try_build(kind).unwrap_or_else(|e| {
-                eprintln!("{path} on {kind}: {e}");
-                std::process::exit(2);
-            });
+            let program = trace.build(kind);
             analyze_program(&program, &symbols, path, kind, &mut findings, &mut bounds);
         }
     }

@@ -8,9 +8,9 @@
 //! `--workload` takes a suite workload name (`implicit`, `lud`, ...), a
 //! `.trace` file path, or a bare name resolved as `examples/<name>.trace`.
 //! `--config` accepts a comma-separated list; multiple configurations run
-//! concurrently on the job pool (`--threads N` / `STASH_THREADS`) and each
-//! job keeps its own trace, so output is deterministic at any thread
-//! count. With several configurations, `--out trace.json` writes
+//! concurrently on the job pool (`--threads N`) and each job keeps its
+//! own trace, so output is deterministic at any thread count. With
+//! several configurations, `--out trace.json` writes
 //! `trace-<config>.json` per cell.
 //!
 //! The binary self-validates before exiting: the emitted JSON must pass
@@ -18,6 +18,8 @@
 //! and every CU's stall decomposition must sum exactly to the run's
 //! `gpu_cycles`. Any violation exits nonzero, which is what CI's smoke
 //! step relies on.
+
+use std::num::NonZeroUsize;
 
 use bench::cli;
 use bench::pool::JobPool;
@@ -94,11 +96,9 @@ fn out_path(base: &str, kind: MemConfigKind, multi: bool) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let mut args = args;
-    cli::strip_common_flags(&mut args);
-
+    let mut args: Vec<String> = std::env::args().collect();
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
     let Some(workload_arg) = cli::take_value(&mut args, "--workload") else {
         usage();
     };
@@ -109,20 +109,9 @@ fn main() {
         eprintln!("--report must be stalls, latency, both or none, got {report:?}");
         usage();
     }
-    let capacity = match cli::take_value(&mut args, "--capacity") {
-        None => DEFAULT_CAPACITY,
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--capacity must be a positive integer, got {s:?}");
-                usage();
-            }
-        },
-    };
-    if args.len() > 1 {
-        eprintln!("unexpected argument {:?}", args[1]);
-        usage();
-    }
+    let capacity =
+        cli::take_parsed(&mut args, "--capacity").map_or(DEFAULT_CAPACITY, NonZeroUsize::get);
+    cli::finish(args, false);
 
     let kinds: Vec<MemConfigKind> = configs.split(',').map(cli::config_by_name).collect();
     let (name, source) = resolve_workload(&workload_arg);

@@ -6,8 +6,12 @@
 //! cargo run --release -p bench --bin run-trace -- my_workload.trace Stash StashG
 //! ```
 //!
-//! The configurations run concurrently on the job pool (`--threads N` /
-//! `STASH_THREADS`); rows print in the requested order regardless.
+//! The configurations run concurrently on the job pool (`--threads N`);
+//! rows print in the requested order regardless. `--verify` turns on the
+//! runtime protocol oracle and `--fault-seed S` injects the chaos fault
+//! schedule seeded by `S`.
+
+use std::num::NonZeroUsize;
 
 use bench::cli;
 use bench::pool::JobPool;
@@ -16,13 +20,13 @@ use gpu::machine::Machine;
 use sim::fault::FaultConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    let verify = cli::verify_flag(&args);
-    let fault_seed = cli::fault_seed(&args);
-    let mut args = args;
-    cli::strip_common_flags(&mut args);
-    let Some(path) = args.get(1) else {
+    let mut args: Vec<String> = std::env::args().collect();
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    let verify = cli::take_flag(&mut args, "--verify");
+    let fault_seed: Option<u64> = cli::take_parsed(&mut args, "--fault-seed");
+    let args = cli::finish(args, true);
+    let Some((path, configs)) = args.split_first() else {
         eprintln!(
             "usage: run-trace <file.trace> [configs...] [--threads N] [--verify] [--fault-seed S]"
         );
@@ -30,10 +34,10 @@ fn main() {
     };
     let workload = cli::load_trace(path);
 
-    let kinds: Vec<MemConfigKind> = if args.len() > 2 {
-        args[2..].iter().map(|s| cli::config_by_name(s)).collect()
-    } else {
+    let kinds: Vec<MemConfigKind> = if configs.is_empty() {
         MemConfigKind::ALL.to_vec()
+    } else {
+        configs.iter().map(|s| cli::config_by_name(s)).collect()
     };
 
     let pool = JobPool::new(threads);

@@ -24,24 +24,17 @@
 //! --cache-dir D   persist the result cache under D (default: memory only)
 //! --cache-max N   bound the disk cache to N entries (default 512)
 //! --no-cache      disable the result cache entirely
-//! --threads N     simulation pool width (also STASH_THREADS)
+//! --threads N     simulation pool width (default: all cores)
 //! ```
 
 use std::io::{BufRead, BufReader, Write};
+use std::num::NonZeroUsize;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use bench::cli;
 use bench::json;
 use bench::server::{parse_request, Request, ResultCache, Server, CODE_VERSION};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: stashd [--socket PATH] [--cache-dir DIR] [--cache-max N] [--no-cache] \
-         [--threads N]"
-    );
-    std::process::exit(2);
-}
 
 fn hello_line() -> String {
     format!(
@@ -186,22 +179,14 @@ fn serve_socket(server: &Arc<Mutex<Server>>, path: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let threads = cli::thread_count(&args);
-    cli::strip_common_flags(&mut args);
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
     let socket = cli::take_value(&mut args, "--socket");
     let cache_dir = cli::take_value(&mut args, "--cache-dir");
-    let cache_max = cli::take_value(&mut args, "--cache-max")
-        .map(|s| {
-            s.parse::<usize>().unwrap_or_else(|_| {
-                eprintln!("--cache-max must be an unsigned integer, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(bench::server::DEFAULT_CACHE_MAX);
+    let cache_max =
+        cli::take_parsed(&mut args, "--cache-max").unwrap_or(bench::server::DEFAULT_CACHE_MAX);
     let no_cache = cli::take_flag(&mut args, "--no-cache");
-    if args.len() > 1 {
-        usage();
-    }
+    cli::finish(args, false);
 
     let cache = if no_cache {
         ResultCache::disabled()

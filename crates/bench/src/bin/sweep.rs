@@ -11,9 +11,10 @@
 //!
 //! Without `--sweep`, all three run. Every `(sweep-point, config)` cell
 //! is an independent simulation, so each sweep fans its whole grid
-//! through the job pool (`--threads N` / `STASH_THREADS`); the `host ms`
-//! column is the summed per-cell wall-clock of that row's simulations.
+//! through the job pool (`--threads N`); the `host ms` column is the
+//! summed per-cell wall-clock of that row's simulations.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use bench::cli;
@@ -174,21 +175,19 @@ fn sweep_reuse(pool: &JobPool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pool = JobPool::new(cli::thread_count(&args));
+    let mut args: Vec<String> = std::env::args().collect();
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    let which = cli::take_value(&mut args, "--sweep");
+    cli::finish(args, false);
+    let pool = JobPool::new(threads);
     let start = std::time::Instant::now();
-    let which = args
-        .iter()
-        .position(|a| a == "--sweep")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
-    match which {
+    match which.as_deref() {
         Some("compaction") => sweep_compaction(&pool),
         Some("selectivity") => sweep_selectivity(&pool),
         Some("reuse") => sweep_reuse(&pool),
         Some(other) => {
             eprintln!("unknown sweep {other}; use compaction|selectivity|reuse");
-            eprintln!("{}", cli::THREADS_USAGE);
             std::process::exit(2);
         }
         None => {

@@ -3,6 +3,7 @@
 //! Each row is also an executable test in `tests/feature_matrix.rs`.
 
 fn main() {
+    bench::cli::finish(std::env::args().collect(), false);
     let rows: [(&str, &str, bool, bool, bool); 10] = [
         (
             "Directly addressed",

@@ -3,6 +3,7 @@
 use sim::config::SystemConfig;
 
 fn main() {
+    bench::cli::finish(std::env::args().collect(), false);
     let c = SystemConfig::default();
     let micro = SystemConfig::for_microbenchmarks();
     let apps = SystemConfig::for_applications();

@@ -5,6 +5,7 @@ use energy::model::EnergyModel;
 use energy::table3;
 
 fn main() {
+    bench::cli::finish(std::env::args().collect(), false);
     let model = EnergyModel::default();
     println!("Table 3 — per-access energy for various hardware units\n");
     println!(

@@ -20,6 +20,7 @@
 use verify::{check, Mutation};
 
 fn main() {
+    bench::cli::finish(std::env::args().collect(), false);
     let mut failed = false;
 
     println!("=== exhaustive check, unmutated protocol ===");

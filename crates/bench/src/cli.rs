@@ -1,14 +1,22 @@
 //! Shared command-line conventions for the experiment binaries.
 //!
-//! Every binary accepts `--threads N` (or the `STASH_THREADS` environment
-//! variable) to size the simulation job pool; unset, the pool uses every
-//! available core. Parallelism never changes results — see the
-//! determinism contract in [`crate::pool`].
+//! Every binary reads its command line through one consuming parser:
+//! it takes exactly the flags it honours — [`take_flag`] for switches,
+//! [`take_value`] for `--flag value` / `--flag=value`, [`take_parsed`]
+//! for values that must parse — and then calls [`finish`], which refuses
+//! whatever is left before any work starts. Every argument error exits
+//! with status 2 and names the offending argument.
+//!
+//! `--threads N` sizes a binary's simulation job pool; absent, the pool
+//! uses every available core ([`default_threads`]). Parallelism never
+//! changes results — see the determinism contract in [`crate::pool`].
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// The usage line binaries print for the shared flags.
 pub const THREADS_USAGE: &str =
-    "--threads N   worker threads for the simulation pool (default: all cores;\n              \
-     also settable via STASH_THREADS)";
+    "--threads N   worker threads for the simulation pool (default: all cores)";
 
 /// The usage line for the runtime invariant oracle flag.
 pub const VERIFY_USAGE: &str =
@@ -20,55 +28,14 @@ pub const JSON_USAGE: &str = "--json        emit machine-readable JSON instead o
 
 /// The usage line for deterministic fault injection.
 pub const FAULT_SEED_USAGE: &str =
-    "--fault-seed S  inject the deterministic chaos fault schedule seeded by S\n              \
-     (also settable via STASH_FAULT_SEED); omitted = no injection";
+    "--fault-seed S  inject the deterministic chaos fault schedule seeded by S;\n              \
+     omitted = no injection";
 
-/// True when `--verify` appears in the arguments (or `STASH_VERIFY=1`).
-pub fn verify_flag(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--verify") || std::env::var("STASH_VERIFY").is_ok_and(|v| v == "1")
-}
-
-/// True when `--json` appears in the arguments.
-pub fn json_flag(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--json")
-}
-
-/// Removes the shared flags (`--threads N`, `--threads=N`, `--verify`,
-/// `--json`, `--fault-seed S`, `--fault-seed=S`) from `args`, leaving only
-/// the binary name and positional operands. Read the flags first with
-/// [`thread_count`] / [`verify_flag`] / [`json_flag`] / [`fault_seed`];
-/// this only cleans up for positional parsing.
-pub fn strip_common_flags(args: &mut Vec<String>) {
-    for flag in ["--threads", "--fault-seed"] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            args.drain(i..(i + 2).min(args.len()));
-        }
-    }
-    args.retain(|a| {
-        !a.starts_with("--threads=")
-            && !a.starts_with("--fault-seed=")
-            && a != "--verify"
-            && a != "--json"
-    });
-}
-
-/// Removes a binary-specific `--flag value` / `--flag=value` from `args`
-/// and returns its value (`None` if the flag is absent). A trailing
-/// `--flag` with no value names the flag and exits with status 2, like
-/// the binaries' other argument errors.
+/// Removes a `--flag value` / `--flag=value` from `args` and returns its
+/// value (`None` if the flag is absent). A trailing `--flag` with no
+/// value names the flag and exits with status 2.
 pub fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Some(v);
-    }
-    let prefix = format!("{flag}=");
-    let i = args.iter().position(|a| a.starts_with(&prefix))?;
-    Some(args.remove(i)[prefix.len()..].to_string())
+    or_exit(value(args, flag))
 }
 
 /// Removes every occurrence of the switch `flag` from `args`; true if
@@ -79,29 +46,71 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() != before
 }
 
-/// The fault-injection seed from `--fault-seed S` / `--fault-seed=S`,
-/// then `STASH_FAULT_SEED`; `None` means injection stays off.
-///
-/// Malformed values exit with usage (status 2), like the binaries' other
-/// argument errors.
-pub fn fault_seed(args: &[String]) -> Option<u64> {
-    if let Some(i) = args.iter().position(|a| a == "--fault-seed") {
-        return Some(parse_fault_seed(
-            args.get(i + 1).map(String::as_str).unwrap_or(""),
-        ));
-    }
-    if let Some(eq) = args.iter().find_map(|a| a.strip_prefix("--fault-seed=")) {
-        return Some(parse_fault_seed(eq));
-    }
-    if let Ok(env) = std::env::var("STASH_FAULT_SEED") {
-        return Some(parse_fault_seed(&env));
-    }
-    None
+/// Like [`take_value`], then parses the value as a `T`. A missing or
+/// malformed value names the flag and exits with status 2. Use
+/// `NonZeroUsize` for counts that must be positive (`--threads`).
+pub fn take_parsed<T>(args: &mut Vec<String>, flag: &str) -> Option<T>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    or_exit(parsed(args, flag))
 }
 
-fn parse_fault_seed(s: &str) -> u64 {
-    s.parse::<u64>().unwrap_or_else(|_| {
-        eprintln!("--fault-seed/STASH_FAULT_SEED must be an unsigned integer, got {s:?}");
+/// The final check of a command line, once the binary has taken every
+/// flag it honours: exits with status 2, naming the first argument left
+/// over that the binary does not take. A binary without operands takes
+/// no leftover argument at all; one with operands takes any that does
+/// not start with `--`. Returns the operands (without the program name).
+pub fn finish(args: Vec<String>, operands: bool) -> Vec<String> {
+    or_exit(leftover(args, operands))
+}
+
+fn value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let prefix = format!("{flag}=");
+    let Some(i) = args
+        .iter()
+        .position(|a| a == flag || a.starts_with(&prefix))
+    else {
+        return Ok(None);
+    };
+    let arg = args.remove(i);
+    match arg.strip_prefix(&prefix) {
+        Some(v) => Ok(Some(v.to_string())),
+        None if i < args.len() => Ok(Some(args.remove(i))),
+        None => Err(format!("{flag} needs a value")),
+    }
+}
+
+fn parsed<T>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    value(args, flag)?
+        .map(|v| {
+            v.parse()
+                .map_err(|e| format!("{flag}: invalid value {v:?} ({e})"))
+        })
+        .transpose()
+}
+
+fn leftover(args: Vec<String>, operands: bool) -> Result<Vec<String>, String> {
+    let mut args = args.into_iter();
+    let program = args.next().unwrap_or_default();
+    let rest: Vec<String> = args.collect();
+    match rest.iter().find(|a| !operands || a.starts_with("--")) {
+        Some(arg) => Err(format!(
+            "{}: unexpected argument `{arg}`",
+            program.rsplit('/').next().unwrap_or_default()
+        )),
+        None => Ok(rest),
+    }
+}
+
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
     })
 }
@@ -174,24 +183,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Resolves the worker-thread count from `--threads N` / `--threads=N`,
-/// then `STASH_THREADS`, then the host's available parallelism.
-///
-/// Malformed values exit with usage (status 2), like the binaries' other
-/// argument errors.
-pub fn thread_count(args: &[String]) -> usize {
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        return parse_threads(args.get(i + 1).map(String::as_str).unwrap_or(""));
-    }
-    if let Some(eq) = args.iter().find_map(|a| a.strip_prefix("--threads=")) {
-        return parse_threads(eq);
-    }
-    if let Ok(env) = std::env::var("STASH_THREADS") {
-        return parse_threads(&env);
-    }
-    default_threads()
-}
-
 /// The host's available parallelism (1 if unknown).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -199,67 +190,18 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-fn parse_threads(s: &str) -> usize {
-    match s.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads/STASH_THREADS must be a positive integer, got {s:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn explicit_flag_wins() {
-        assert_eq!(thread_count(&args(&["fig5", "--threads", "3"])), 3);
-        assert_eq!(thread_count(&args(&["fig5", "--threads=7"])), 7);
-    }
-
-    #[test]
     fn default_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn verify_flag_only_set_when_asked() {
-        assert!(verify_flag(&args(&["fig5", "--verify"])));
-        assert!(!verify_flag(&args(&["fig5", "--threads", "3"])));
-    }
-
-    #[test]
-    fn json_flag_only_set_when_asked() {
-        assert!(json_flag(&args(&["advise", "--json"])));
-        assert!(!json_flag(&args(&["advise", "a.trace"])));
-    }
-
-    #[test]
-    fn strip_common_flags_leaves_positionals() {
-        let mut a = args(&[
-            "run-trace",
-            "--threads",
-            "3",
-            "x.trace",
-            "--verify",
-            "Stash",
-        ]);
-        strip_common_flags(&mut a);
-        assert_eq!(a, args(&["run-trace", "x.trace", "Stash"]));
-
-        let mut b = args(&["advise", "--threads=2", "--json", "y.trace"]);
-        strip_common_flags(&mut b);
-        assert_eq!(b, args(&["advise", "y.trace"]));
-
-        let mut c = args(&["chaos", "--fault-seed", "9", "--fault-seed=11", "z.trace"]);
-        strip_common_flags(&mut c);
-        assert_eq!(c, args(&["chaos", "z.trace"]));
     }
 
     #[test]
@@ -284,10 +226,39 @@ mod tests {
     }
 
     #[test]
-    fn fault_seed_parses_both_spellings() {
-        assert_eq!(fault_seed(&args(&["fig5", "--fault-seed", "42"])), Some(42));
-        assert_eq!(fault_seed(&args(&["fig5", "--fault-seed=7"])), Some(7));
-        assert_eq!(fault_seed(&args(&["fig5"])), None);
+    fn parsed_values_name_the_flag_when_bad_or_missing() {
+        let mut a = args(&[
+            "chaos",
+            "--threads",
+            "3",
+            "--fault-seed=42",
+            "--seeds=x",
+            "--until",
+        ]);
+        assert_eq!(parsed::<usize>(&mut a, "--threads"), Ok(Some(3)));
+        assert_eq!(parsed::<u64>(&mut a, "--fault-seed"), Ok(Some(42)));
+        assert_eq!(parsed::<u64>(&mut a, "--cache-max"), Ok(None));
+        let err = parsed::<u64>(&mut a, "--seeds").unwrap_err();
+        assert!(err.starts_with("--seeds: invalid value \"x\""), "{err}");
+        let err = parsed::<usize>(&mut a, "--until").unwrap_err();
+        assert_eq!(err, "--until needs a value");
+        assert_eq!(a, args(&["chaos"]));
+        let mut b = args(&["sweep", "--threads=0"]);
+        let err = parsed::<NonZeroUsize>(&mut b, "--threads").unwrap_err();
+        assert!(err.starts_with("--threads: invalid value \"0\""), "{err}");
+    }
+
+    #[test]
+    fn leftover_arguments_are_refused() {
+        // Without operands, anything left over is refused, first one named.
+        let err = leftover(args(&["/bin/fig5", "extra", "--debug"]), false).unwrap_err();
+        assert_eq!(err, "fig5: unexpected argument `extra`");
+        assert_eq!(leftover(args(&["fig5"]), false), Ok(Vec::new()));
+        // With operands, only `--` arguments are refused.
+        let ok = leftover(args(&["run-trace", "x.trace", "Stash"]), true);
+        assert_eq!(ok, Ok(args(&["x.trace", "Stash"])));
+        let err = leftover(args(&["run-trace", "x.trace", "--json"]), true).unwrap_err();
+        assert_eq!(err, "run-trace: unexpected argument `--json`");
     }
 
     #[test]

@@ -28,9 +28,8 @@
 use crate::chaos::{Detector, Outcome, Target};
 use crate::pool::JobPool;
 use gpu::config::MemConfigKind;
-use gpu::machine::{Machine, ParallelConfig, RunCursor};
+use gpu::machine::{Machine, RunCursor};
 use gpu::program::Program;
-use gpu::report::RunReport;
 use sim::rng::SplitMix64;
 use sim::snapshot::CheckpointStore;
 use sim::SimError;
@@ -391,54 +390,9 @@ pub fn run_crash_campaign(
     Ok(CrashCampaign { cells })
 }
 
-/// Runs `program` with watchdog-backed auto-checkpointing: a snapshot at
-/// every phase barrier into `store`, so a run the no-progress watchdog
-/// kills still leaves a resumable trail. On [`SimError::Deadlock`] the
-/// diagnostic dump (which carries the ring-buffered trace tail and the
-/// fault-injector seed) is written to `deadlock-dump.txt` beside the
-/// snapshots before the error propagates.
-///
-/// # Errors
-///
-/// Propagates simulation errors and failed checkpoint writes.
-pub fn run_with_auto_checkpoint(
-    machine: &mut Machine,
-    program: &Program,
-    par: Option<&ParallelConfig>,
-    store: &CheckpointStore,
-) -> Result<RunReport, SimError> {
-    let mut cursor = RunCursor::default();
-    let result = machine.run_from(program, par, &mut cursor, |m, c| {
-        let snap = m.checkpoint(program, *c);
-        store
-            .save(&snap)
-            .map(|_| ())
-            .map_err(|e| SimError::Config(format!("auto-checkpoint write failed: {e}")))
-    });
-    if let Err(SimError::Deadlock {
-        site,
-        attempts,
-        dump,
-    }) = &result
-    {
-        let resumable = store.list().last().map_or_else(
-            || "none — the watchdog tripped before the first barrier".to_string(),
-            |s| store.path_for(*s).display().to_string(),
-        );
-        let text = format!(
-            "no-progress watchdog tripped at {site} after {attempts} attempts\n\
-             resumable from: {resumable}\n\
-             --- diagnostic dump ---\n{dump}\n"
-        );
-        let _ = std::fs::write(store.dir().join("deadlock-dump.txt"), text);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::fault::FaultConfig;
     use workloads::suite;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
@@ -495,40 +449,5 @@ mod tests {
                 assert_eq!(c.outcome, Outcome::Recovered, "seed {}", c.seed);
             }
         }
-    }
-
-    #[test]
-    fn deadlocked_run_leaves_a_resumable_snapshot_and_dump() {
-        let w = suite::micros()[3];
-        let program = (w.build)(MemConfigKind::Stash);
-        let dir = scratch("watchdog");
-        // Resilience off makes the first dropped message trip the
-        // watchdog; scan seeds until one faults mid-program.
-        let mut tripped = false;
-        for seed in 1..=32 {
-            let store = CheckpointStore::open(&dir).unwrap();
-            let mut machine = Machine::new(w.set.system_config(), MemConfigKind::Stash);
-            machine
-                .memory_mut()
-                .set_fault_injector(FaultConfig::chaos(seed).without_resilience());
-            let result = run_with_auto_checkpoint(&mut machine, &program, None, &store);
-            if let Err(SimError::Deadlock { .. }) = result {
-                let dump = std::fs::read_to_string(store.dir().join("deadlock-dump.txt"))
-                    .expect("deadlock dump written");
-                assert!(dump.contains("no-progress watchdog tripped"));
-                assert!(dump.contains("resumable from:"));
-                // Whatever snapshots exist must be resumable.
-                if let Some((_, snap, _)) = store.latest_valid() {
-                    let (m, cursor) = Machine::resume(&snap, &program).expect("snapshot resumes");
-                    assert!(cursor.next_phase <= program.phases.len());
-                    drop(m);
-                }
-                tripped = true;
-                break;
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(tripped, "no seed in 1..=32 tripped the watchdog");
     }
 }

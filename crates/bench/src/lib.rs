@@ -1,8 +1,9 @@
 //! Experiment harness: runs the configuration matrix and formats every
 //! table and figure of the paper.
 //!
-//! The figure binaries (`fig5`, `fig6`) build on [`run_matrix_checked`]
-//! / [`FigurePanel`]: fan the `(workload × configuration)` cells out
+//! The figure binaries (`fig5`, `fig6`) are one call each to
+//! [`figure_main`], which builds on [`run_matrix_checked`] /
+//! [`FigurePanel`]: fan the `(workload × configuration)` cells out
 //! across a [`pool::JobPool`], normalize to the Scratch baseline (exactly
 //! as the paper's figures do), and print the rows; `sweep`, `ablation`,
 //! `run-trace`, `advise` and `dse` submit their cells to a `JobPool`
@@ -22,6 +23,7 @@ pub mod profile;
 pub mod server;
 pub mod timing;
 
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use gpu::config::MemConfigKind;
@@ -30,7 +32,7 @@ use gpu::report::RunReport;
 use noc::MsgClass;
 use pool::JobPool;
 use sim::SimError;
-use workloads::suite::Workload;
+use workloads::suite::{self, Workload, WorkloadSet};
 
 /// One workload's reports across configurations.
 #[derive(Debug)]
@@ -234,18 +236,22 @@ pub enum FigurePanel {
     Traffic,
 }
 
-impl FigurePanel {
-    /// Parses a `--panel` argument.
-    pub fn parse(s: &str) -> Option<FigurePanel> {
+/// Parses a `--panel` argument.
+impl std::str::FromStr for FigurePanel {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "time" => Some(FigurePanel::Time),
-            "energy" => Some(FigurePanel::Energy),
-            "instructions" => Some(FigurePanel::Instructions),
-            "traffic" => Some(FigurePanel::Traffic),
-            _ => None,
+            "time" => Ok(FigurePanel::Time),
+            "energy" => Ok(FigurePanel::Energy),
+            "instructions" => Ok(FigurePanel::Instructions),
+            "traffic" => Ok(FigurePanel::Traffic),
+            _ => Err("use time|energy|instructions|traffic"),
         }
     }
+}
 
+impl FigurePanel {
     /// All panels of Figure 5.
     pub const FIG5: [FigurePanel; 4] = [
         FigurePanel::Time,
@@ -390,6 +396,86 @@ pub fn average_reduction(
     total / rows.len() as i64
 }
 
+/// What one of the paper's figure binaries (`fig5`, `fig6`) shows.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The binary's name, for error messages.
+    pub bin: &'static str,
+    /// The workloads, their machine and the compared configurations.
+    pub set: WorkloadSet,
+    /// The first line of the report.
+    pub title: &'static str,
+    /// The panels printed when `--panel` is absent.
+    pub panels: &'static [FigurePanel],
+    /// The heading of the headline comparisons.
+    pub headline: &'static str,
+    /// The configuration whose reductions the headline reports ...
+    pub subject: MemConfigKind,
+    /// ... against each of these.
+    pub versus: &'static [MemConfigKind],
+    /// The paper's headline numbers, printed beside the measured ones.
+    pub paper: &'static str,
+}
+
+/// The main of a figure binary. It takes `--threads N`, `--verify`,
+/// `--panel P` and `--csv PATH` and refuses any other argument, runs the
+/// `(workload × configuration)` matrix, and prints the panels and the
+/// headline reductions. A failed cell exits through
+/// [`cli::sim_failure_status`].
+pub fn figure_main(fig: &Figure) {
+    let mut args: Vec<String> = std::env::args().collect();
+    let threads = cli::take_parsed(&mut args, "--threads")
+        .map_or_else(cli::default_threads, NonZeroUsize::get);
+    let verify = cli::take_flag(&mut args, "--verify");
+    let panel: Option<FigurePanel> = cli::take_parsed(&mut args, "--panel");
+    let csv = cli::take_value(&mut args, "--csv");
+    cli::finish(args, false);
+
+    let workloads: Vec<Workload> = suite::all()
+        .into_iter()
+        .filter(|w| w.set == fig.set)
+        .collect();
+    let kinds = fig.set.figure_kinds();
+    println!("{}", fig.title);
+    if verify {
+        println!("(runtime invariant oracle on — checking after every transition)");
+    }
+    let (rows, stats) =
+        run_matrix_checked(&workloads, kinds, threads, verify).unwrap_or_else(|e| {
+            let context = format!("{}: {} on {}", fig.bin, e.workload, e.kind.name());
+            std::process::exit(cli::sim_failure_status(&context, &e.error));
+        });
+    println!("{}", stats.summary());
+    if let Some(path) = csv {
+        if let Err(e) = write_csv(std::path::Path::new(&path), &rows, kinds) {
+            eprintln!("{}: cannot write {path}: {e}", fig.bin);
+            std::process::exit(1);
+        }
+        println!("wrote {path}");
+    }
+    let panels = match &panel {
+        Some(p) => std::slice::from_ref(p),
+        None => fig.panels,
+    };
+    for &panel in panels {
+        print_panel(panel, &rows, kinds);
+    }
+
+    println!("\n=== {} ===", fig.headline);
+    for (panel, label) in [
+        (FigurePanel::Time, "cycles"),
+        (FigurePanel::Energy, "energy"),
+    ] {
+        let mut line = format!("{label:<7}");
+        for (i, &versus) in fig.versus.iter().enumerate() {
+            let reduction = average_reduction(&rows, panel, fig.subject, versus);
+            let gap = if i == 0 { " " } else { "  " };
+            line.push_str(&format!("{gap}vs {} {reduction:>3}%", versus.name()));
+        }
+        println!("{line}   (paper: {})", fig.paper);
+    }
+}
+
 /// Writes one figure's full panel set as CSV (one row per
 /// workload×configuration, all four quantities normalized to Scratch plus
 /// the raw values) — for downstream plotting.
@@ -483,9 +569,9 @@ mod tests {
             ("instructions", FigurePanel::Instructions),
             ("traffic", FigurePanel::Traffic),
         ] {
-            assert_eq!(FigurePanel::parse(s), Some(p));
+            assert_eq!(s.parse(), Ok(p));
         }
-        assert_eq!(FigurePanel::parse("cycles"), None);
+        assert!("cycles".parse::<FigurePanel>().is_err());
     }
 
     #[test]

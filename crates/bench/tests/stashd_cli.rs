@@ -105,14 +105,21 @@ fn deeply_nested_line_is_an_error_and_serving_continues() {
 }
 
 #[test]
-fn flag_without_a_value_names_the_flag_and_exits_2() {
-    let out = Command::new(env!("CARGO_BIN_EXE_stashd"))
-        .arg("--cache-dir")
-        .stdin(Stdio::null())
-        .output()
-        .expect("stashd runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--cache-dir needs a value"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no hello before the flags parse");
+fn oversized_inline_trace_is_an_error_and_serving_continues() {
+    // A 2^40-element task would lower to terabytes; `parse_trace` caps
+    // what a trace may lower to, so the daemon answers instead of
+    // aborting on the allocation.
+    let hostile = r#"{"id":7,"cmd":"run-trace","configs":["Stash"],"trace":"array a elems=1099511627776\nkernel\nblock\ntask a 0 1099511627776 r global\n"}"#;
+    let input = format!("{hostile}\n{TRACE_REQUEST}\n{{\"cmd\":\"shutdown\"}}\n");
+    let (code, events) = stashd(&["--threads", "2", "--no-cache"], &input);
+    assert_eq!(code, Some(0), "shutdown exits 0: {events:?}");
+    let error = answer(&events, "error", 7);
+    assert!(
+        error
+            .get_str("error")
+            .is_some_and(|e| e.contains("line 4") && e.contains("more than")),
+        "{error:?}"
+    );
+    let result = answer(&events, "result", 1);
+    assert!(!result.get_str("payload").expect("payload").is_empty());
 }

@@ -119,10 +119,50 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     h.finish()
 }
 
-/// Checkpoint section tag: machine progress metadata.
+/// Checkpoint section tag: machine progress metadata ([`CheckpointMeta`]).
 pub const SECTION_META: u32 = u32::from_le_bytes(*b"META");
 /// Checkpoint section tag: the serialized memory system.
 pub const SECTION_MSYS: u32 = u32::from_le_bytes(*b"MSYS");
+
+/// The META section of a [`Machine::checkpoint`] snapshot: everything a
+/// resumed machine needs besides its memory system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointMeta {
+    /// [`program_fingerprint`] of the checkpointed program.
+    pub fingerprint: u64,
+    /// Where the run stands.
+    pub cursor: RunCursor,
+    /// The next thread-block id to assign.
+    pub next_tb_id: usize,
+    /// Kernel merges that ran the certified fast path so far.
+    pub certified_kernels: u64,
+}
+
+impl CheckpointMeta {
+    /// Decodes a META section's payload as [`Machine::checkpoint`] writes
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::CheckpointCorrupt`] if the payload is short or
+    /// has trailing bytes.
+    pub fn decode(payload: &[u8]) -> Result<Self, SimError> {
+        let mut r = sim::snapshot::Reader::new(payload, "checkpoint META section");
+        let meta = Self {
+            fingerprint: r.take_u64()?,
+            cursor: RunCursor {
+                next_phase: r.take_usize()?,
+                ordinal: r.take_u64()?,
+                gpu_cycles: r.take_u64()?,
+                cpu_cycles: r.take_u64()?,
+            },
+            next_tb_id: r.take_usize()?,
+            certified_kernels: r.take_u64()?,
+        };
+        r.finish()?;
+        Ok(meta)
+    }
+}
 
 /// A simulated machine: one [`SystemConfig`] + one [`MemConfigKind`].
 ///
@@ -170,11 +210,6 @@ impl Machine {
     /// certificate can never change results — only merge work.
     pub fn set_certificate(&mut self, cert: ConflictCertificate) {
         self.certificate = Some(cert);
-    }
-
-    /// Removes any installed certificate (full reconciliation resumes).
-    pub fn clear_certificate(&mut self) {
-        self.certificate = None;
     }
 
     /// How many kernel merges ran the certified fast path so far.
@@ -334,32 +369,22 @@ impl Machine {
             what: "machine checkpoint",
             detail,
         };
-        let meta = snap.section(SECTION_META, "checkpoint META section")?;
-        let mut r = sim::snapshot::Reader::new(meta, "checkpoint META section");
-        let fingerprint = r.take_u64()?;
+        let meta = CheckpointMeta::decode(snap.section(SECTION_META, "checkpoint META section")?)?;
         let expected = program_fingerprint(program);
-        if fingerprint != expected {
+        if meta.fingerprint != expected {
             return Err(corrupt(format!(
-                "snapshot fingerprint {fingerprint:#018x} does not match \
-                 the program's {expected:#018x}"
+                "snapshot fingerprint {:#018x} does not match \
+                 the program's {expected:#018x}",
+                meta.fingerprint
             )));
         }
-        let cursor = RunCursor {
-            next_phase: r.take_usize()?,
-            ordinal: r.take_u64()?,
-            gpu_cycles: r.take_u64()?,
-            cpu_cycles: r.take_u64()?,
-        };
-        if cursor.next_phase > program.phases.len() {
+        if meta.cursor.next_phase > program.phases.len() {
             return Err(corrupt(format!(
                 "cursor phase {} beyond the program's {} phases",
-                cursor.next_phase,
+                meta.cursor.next_phase,
                 program.phases.len()
             )));
         }
-        let next_tb_id = r.take_usize()?;
-        let certified_kernels = r.take_u64()?;
-        r.finish()?;
         let msys = snap.section(SECTION_MSYS, "checkpoint MSYS section")?;
         let mut r = sim::snapshot::Reader::new(msys, "checkpoint MSYS section");
         let mem = MemorySystem::restore(&mut r)?;
@@ -367,11 +392,11 @@ impl Machine {
         Ok((
             Self {
                 mem,
-                next_tb_id,
+                next_tb_id: meta.next_tb_id,
                 certificate: None,
-                certified_kernels,
+                certified_kernels: meta.certified_kernels,
             },
-            cursor,
+            meta.cursor,
         ))
     }
 
@@ -833,6 +858,18 @@ mod tests {
         let (m2, rc) = Machine::resume(&reread, &program).unwrap();
         assert_eq!(rc.next_phase, 1);
         assert!(m2.memory().state_digest() != 0);
+    }
+
+    #[test]
+    fn meta_decoder_refuses_trailing_bytes() {
+        let program = contended_program();
+        let machine = Machine::new(SystemConfig::for_applications(), MemConfigKind::Stash);
+        let snap = machine.checkpoint(&program, RunCursor::default());
+        let mut meta = snap.section(SECTION_META, "META").unwrap().to_vec();
+        let decoded = CheckpointMeta::decode(&meta).unwrap();
+        assert_eq!(decoded.fingerprint, program_fingerprint(&program));
+        meta.push(0);
+        assert!(CheckpointMeta::decode(&meta).is_err());
     }
 
     #[test]

@@ -816,11 +816,6 @@ impl MemorySystem {
         self.kind
     }
 
-    /// Replaces the energy model (ablations).
-    pub fn set_energy_model(&mut self, model: EnergyModel) {
-        self.model = model;
-    }
-
     /// Disables the §4.5 replication optimization on every stash
     /// (ablation). Must be called before any accesses.
     pub fn disable_stash_replication(&mut self) {

@@ -162,16 +162,6 @@ impl TileMap {
         self.global_base.add(row_base + obj + byte_in_field)
     }
 
-    /// Local byte offset of a flattened element index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elem` is outside the tile.
-    pub fn local_offset_of_element(&self, elem: u64) -> u64 {
-        assert!(elem < self.total_elements(), "element {elem} outside tile");
-        elem * self.field_bytes
-    }
-
     /// Reverse translation: the local byte offset holding global virtual
     /// address `va`, or `None` if `va` is not part of the mapped field
     /// bytes (it may be an unmapped field of the same object, or outside

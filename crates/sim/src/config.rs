@@ -140,11 +140,6 @@ impl SystemConfig {
         self.line_bytes / 4
     }
 
-    /// Number of warps in one thread block.
-    pub fn warps_per_block(&self) -> usize {
-        self.threads_per_block / self.warp_size
-    }
-
     /// Validates internal consistency of the configuration.
     ///
     /// # Errors

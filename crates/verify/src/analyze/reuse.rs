@@ -1,19 +1,12 @@
-//! Word-granular reuse analysis: LRU stack distances and reuse scopes.
+//! Word-granular reuse analysis: reuse scopes.
 //!
-//! Two views of the same access stream feed the analyzer:
-//!
-//! * [`reuse_distances`] — the classic LRU *stack distance* of every
-//!   access (the number of distinct other addresses touched since the
-//!   previous access to the same address). For a fully-associative LRU
-//!   cache of capacity `C`, an access hits iff its stack distance is
-//!   `< C`, which is what the capacity-thrash predictor uses.
-//! * [`classify_events`] — each repeated access classified by *scope*:
-//!   within one task (thread block / CPU core), across tasks of one
-//!   phase, or across phase boundaries. Cross-phase reuse is the
-//!   paper's motivating case for the stash: registered words survive a
-//!   kernel's end-of-kernel self-invalidation, so cross-kernel reuse
-//!   hits in the stash but misses in a cache or is re-copied by a
-//!   scratchpad (§3, "reuse").
+//! [`classify_events`] classifies each repeated access by *scope*:
+//! within one task (thread block / CPU core), across tasks of one
+//! phase, or across phase boundaries. Cross-phase reuse is the paper's
+//! motivating case for the stash: registered words survive a kernel's
+//! end-of-kernel self-invalidation, so cross-kernel reuse hits in the
+//! stash but misses in a cache or is re-copied by a scratchpad (§3,
+//! "reuse").
 
 use gpu::program::{CpuOp, Phase, Program, WarpOp};
 use mem::addr::WORD_BYTES;
@@ -63,66 +56,6 @@ impl ReuseSummary {
     pub fn reuses(&self) -> u64 {
         self.intra_task + self.cross_task + self.cross_phase
     }
-}
-
-/// Fenwick tree over access positions; `tree[i]` marks positions that
-/// are the *most recent* occurrence of their address so far.
-struct Fenwick {
-    tree: Vec<i64>,
-}
-
-impl Fenwick {
-    fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    fn add(&mut self, mut i: usize, delta: i64) {
-        i += 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of marks at positions `0..=i`.
-    fn prefix(&self, mut i: usize) -> i64 {
-        i += 1;
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-}
-
-/// LRU stack distance of every access in `stream`.
-///
-/// `None` marks a cold (first) access; `Some(d)` means `d` distinct
-/// other addresses were touched since the previous access to this one.
-/// Runs in `O(n log n)` via a Fenwick tree over last-occurrence marks.
-#[must_use]
-pub fn reuse_distances(stream: &[u64]) -> Vec<Option<u64>> {
-    let mut out = Vec::with_capacity(stream.len());
-    let mut fen = Fenwick::new(stream.len());
-    let mut last: HashMap<u64, usize> = HashMap::new();
-    for (i, &addr) in stream.iter().enumerate() {
-        match last.get(&addr) {
-            Some(&p) => {
-                // Marked positions in (p, i) are exactly the distinct
-                // other addresses accessed since position p.
-                let between = fen.prefix(i.saturating_sub(1)) - fen.prefix(p);
-                out.push(Some(u64::try_from(between).unwrap_or(0)));
-                fen.add(p, -1);
-            }
-            None => out.push(None),
-        }
-        fen.add(i, 1);
-        last.insert(addr, i);
-    }
-    out
 }
 
 /// Classifies every repeated access in `events` by reuse scope.
@@ -294,67 +227,6 @@ fn push_tile_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::rng::SplitMix64;
-
-    /// O(n²) reference: scan back for the previous occurrence, count
-    /// distinct addresses in between.
-    fn naive_reuse_distances(stream: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(stream.len());
-        for (i, &addr) in stream.iter().enumerate() {
-            let prev = (0..i).rev().find(|&j| stream[j] == addr);
-            out.push(prev.map(|p| {
-                let mut distinct: Vec<u64> = stream[p + 1..i].to_vec();
-                distinct.sort_unstable();
-                distinct.dedup();
-                distinct.retain(|&a| a != addr);
-                distinct.len() as u64
-            }));
-        }
-        out
-    }
-
-    #[test]
-    fn known_stack_distances() {
-        // a b c a  → a's reuse sees {b, c} = distance 2.
-        assert_eq!(
-            reuse_distances(&[1, 2, 3, 1]),
-            vec![None, None, None, Some(2)]
-        );
-        // Immediate repetition has distance 0.
-        assert_eq!(reuse_distances(&[7, 7, 7]), vec![None, Some(0), Some(0)]);
-        assert_eq!(reuse_distances(&[]), Vec::<Option<u64>>::new());
-    }
-
-    #[test]
-    fn repeats_between_reuses_count_once() {
-        // a b b b a: only one distinct address between the two a's.
-        assert_eq!(
-            reuse_distances(&[1, 2, 2, 2, 1]),
-            vec![None, None, Some(0), Some(0), Some(1)]
-        );
-    }
-
-    #[test]
-    fn random_streams_match_naive_reference() {
-        let mut rng = SplitMix64::new(0x5EED_CAFE);
-        for round in 0..64 {
-            let len = (rng.next_u64() % 200) as usize;
-            let space = 1 + rng.next_u64() % 32;
-            let stream: Vec<u64> = (0..len).map(|_| rng.next_u64() % space).collect();
-            assert_eq!(
-                reuse_distances(&stream),
-                naive_reuse_distances(&stream),
-                "round {round}: stream {stream:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn long_random_stream_matches_naive_reference() {
-        let mut rng = SplitMix64::new(42);
-        let stream: Vec<u64> = (0..2000).map(|_| rng.next_u64() % 97).collect();
-        assert_eq!(reuse_distances(&stream), naive_reuse_distances(&stream));
-    }
 
     #[test]
     fn classification_by_scope() {
@@ -378,18 +250,5 @@ mod tests {
         assert_eq!(s.cross_task, 1);
         assert_eq!(s.cross_phase, 1);
         assert_eq!(s.reuses(), 3);
-    }
-
-    #[test]
-    fn stack_distance_predicts_lru_hits() {
-        // Sanity-check the contract the thrash predictor relies on: with
-        // capacity 2, the stream a b a c a b hits exactly where the
-        // stack distance is < 2.
-        let stream = [1u64, 2, 1, 3, 1, 2];
-        let hits: Vec<bool> = reuse_distances(&stream)
-            .iter()
-            .map(|d| d.is_some_and(|d| d < 2))
-            .collect();
-        assert_eq!(hits, vec![false, false, true, false, true, false]);
     }
 }

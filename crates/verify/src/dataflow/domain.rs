@@ -2,7 +2,7 @@
 //! span sets, and the taint lattice.
 //!
 //! Everything is word-granular (global word number = byte address /
-//! [`WORD_BYTES`]). The central object is the [`AffineSpan`]
+//! [`WORD_BYTES`](mem::addr::WORD_BYTES)). The central object is the [`AffineSpan`]
 //! `{base + k·stride + u | k < count, u < width}` — exactly the shape a
 //! stash-map `AddMap` descriptor denotes (a strided row of mapped
 //! fields), and the shape thread/block-indexed lane patterns lower to.
@@ -18,7 +18,6 @@
 //! to overlap"; use [`AffineSpan::common_words`] for an overlap
 //! *witness*.
 
-use mem::addr::WORD_BYTES;
 use std::collections::BTreeSet;
 
 /// Spans at most this many words are enumerated exactly when the
@@ -400,12 +399,6 @@ impl AffineSet {
         }
         Some(self.spans.iter().flat_map(AffineSpan::words).collect())
     }
-}
-
-/// Word number of a byte address.
-#[must_use]
-pub fn word_of_byte(addr: u64) -> u64 {
-    addr / WORD_BYTES
 }
 
 fn gcd(a: u64, b: u64) -> u64 {

@@ -19,7 +19,25 @@
 //! A `task` is one [`TileTask`]: this block reads/writes `count` elements
 //! of `<array>` starting at `<start>` (2-D if `rows`/`stride` given),
 //! staged per the placement. Arrays are laid out at non-overlapping
-//! virtual bases automatically.
+//! virtual bases automatically. `object` defaults to 4 bytes, `field` to
+//! 4 bytes, and a `cpu_sweep`'s `cores` to the machine's CPU core count
+//! (15 on `micro`, 1 on `apps`).
+//!
+//! # Validation
+//!
+//! A trace is untrusted input, so [`parse_trace`] checks everything
+//! lowering relies on and names the offending line, and
+//! [`TraceWorkload::build`] cannot fail:
+//!
+//! * every size and address is computed without overflow: an array's
+//!   footprint, its base placement and the end of its last field, and a
+//!   task's element range;
+//! * an array's field and each task's tile obey the [`TileMap::new`]
+//!   geometry rules: nonzero, word-multiple sizes, a field no larger
+//!   than its object, a word-aligned base, and rows that do not overlap;
+//! * each task lies inside its array;
+//! * an explicit `cores=` lies in `1..=` the machine's CPU core count;
+//! * the whole trace lowers to at most [`MAX_TRACE_WORDS`] words.
 //!
 //! # Example
 //!
@@ -71,9 +89,17 @@ use crate::builder::{
 use crate::suite::WorkloadSet;
 use gpu::config::MemConfigKind;
 use gpu::program::{Phase, Program};
-use mem::addr::VAddr;
+use mem::addr::{VAddr, WORD_BYTES};
+use mem::tile::TileMap;
 use sim::error::SimError;
 use std::collections::HashMap;
+
+/// The most words a trace may lower to, summed over every `task`
+/// (`count × rows` elements of `field / 4` words each, once per pass and
+/// at least once) and every `cpu_sweep` (its array's fields): 85× the
+/// largest trace the repository benchmark generates (49,152 words). At
+/// the cap, `run-trace --threads 1` peaks at a few hundred MB.
+pub const MAX_TRACE_WORDS: u64 = 1 << 22;
 
 /// A parsed trace: a configuration-independent workload description.
 #[derive(Debug, Clone)]
@@ -85,26 +111,13 @@ pub struct TraceWorkload {
 
 #[derive(Debug, Clone)]
 enum TracePhase {
-    Kernel(Vec<Vec<TraceTask>>),
+    Kernel(Vec<Vec<TileTask>>),
     CpuSweep {
-        array: String,
-        cores: usize,
+        array: AosArray,
+        /// `None`: every CPU core of the machine.
+        cores: Option<usize>,
         write: bool,
     },
-}
-
-#[derive(Debug, Clone)]
-struct TraceTask {
-    array: String,
-    start: u64,
-    count: u64,
-    reads: bool,
-    writes: bool,
-    placement: Placement,
-    passes: u32,
-    compute: u32,
-    share: Option<u32>,
-    rows: Option<(u64, u64)>, // (rows, stride_elems)
 }
 
 impl TraceWorkload {
@@ -126,81 +139,37 @@ impl TraceWorkload {
         out
     }
 
-    /// Lowers the trace for one memory configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a task exceeds its array's bounds; [`Self::try_build`]
-    /// reports the same condition as an error instead.
+    /// Lowers the trace for one memory configuration. [`parse_trace`]
+    /// has validated every task and sweep, so lowering cannot fail.
     pub fn build(&self, kind: MemConfigKind) -> Program {
-        self.try_build(kind)
-            .unwrap_or_else(|e| panic!("trace not buildable: {e}"))
-    }
-
-    /// Lowers the trace for one memory configuration, reporting tasks
-    /// that exceed their array's bounds as errors.
-    ///
-    /// The parser validates names and syntax; element-range geometry can
-    /// only be checked here, against the declared array sizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] naming the array and the offending
-    /// element range.
-    pub fn try_build(&self, kind: MemConfigKind) -> Result<Program, SimError> {
         let builder = WorkloadBuilder::new(kind);
-        let mut phases = Vec::with_capacity(self.phases.len());
-        for phase in &self.phases {
-            match phase {
+        let phases = self
+            .phases
+            .iter()
+            .map(|phase| match phase {
                 TracePhase::Kernel(blocks) => {
-                    let lowered: Vec<Vec<TileTask>> = blocks
-                        .iter()
-                        .map(|tasks| {
-                            tasks
-                                .iter()
-                                .map(|t| self.lower(t))
-                                .collect::<Result<_, _>>()
-                        })
-                        .collect::<Result<_, _>>()?;
-                    phases.push(Phase::Gpu(kernel_from_blocks(&builder, lowered)));
+                    Phase::Gpu(kernel_from_blocks(&builder, blocks.clone()))
                 }
                 TracePhase::CpuSweep {
                     array,
                     cores,
                     write,
                 } => {
-                    let a = self.arrays.get(array).expect("validated by parser");
-                    phases.push(Phase::Cpu(cpu_sweep(a, *cores, *write)));
+                    let cores = cores.unwrap_or(self.set.system_config().cpu_cores);
+                    Phase::Cpu(cpu_sweep(array, cores, *write))
                 }
-            }
-        }
-        Ok(Program { phases })
+            })
+            .collect();
+        Program { phases }
     }
 
-    fn lower(&self, t: &TraceTask) -> Result<TileTask, SimError> {
-        let a = self.arrays.get(&t.array).expect("validated by parser");
-        let last = match t.rows {
-            Some((rows, stride)) => t.start + (rows.max(1) - 1) * stride + t.count,
-            None => t.start + t.count,
-        };
-        if last > a.elems {
-            return Err(SimError::Config(format!(
-                "task on array `{}` reaches element {last} but the array has {} elements",
-                t.array, a.elems
-            )));
-        }
-        let tile = match t.rows {
-            Some((rows, stride)) => a.tile_2d(t.start, t.count, rows, stride),
-            None => a.tile(t.start, t.count),
-        };
-        Ok(TileTask {
-            reads: t.reads,
-            writes: t.writes,
-            passes: t.passes,
-            compute_per_iter: t.compute,
-            share: t.share,
-            ..TileTask::dense(tile, t.placement, t.compute)
-        })
+    /// [`Self::build`] for callers that handle a `Result`.
+    ///
+    /// # Errors
+    ///
+    /// None: [`parse_trace`] rejects every trace that would not lower.
+    pub fn try_build(&self, kind: MemConfigKind) -> Result<Program, SimError> {
+        Ok(self.build(kind))
     }
 }
 
@@ -218,13 +187,60 @@ fn parse_num(s: &str, what: &str, line_no: usize) -> Result<u64, String> {
     parsed.map_err(|_| format!("line {line_no}: invalid {what} `{s}`"))
 }
 
-/// Parses the trace format.
+fn parse_u32(s: &str, what: &str, line_no: usize) -> Result<u32, String> {
+    u32::try_from(parse_num(s, what, line_no)?)
+        .map_err(|_| format!("line {line_no}: {what} `{s}` does not fit in 32 bits"))
+}
+
+/// Validates one `task` against its array and builds its tile: the range
+/// must lie inside the array and the geometry must pass
+/// [`TileMap::new`], with every size and address computed without
+/// overflow.
+fn task_tile(
+    a: &AosArray,
+    start: u64,
+    count: u64,
+    rows: Option<(u64, u64)>,
+) -> Result<TileMap, String> {
+    let (n_rows, stride) = rows.unwrap_or((1, 0));
+    let end = n_rows
+        .saturating_sub(1)
+        .checked_mul(stride)
+        .and_then(|span| span.checked_add(start))
+        .and_then(|span| span.checked_add(count));
+    if end.is_none_or(|end| end > a.elems) {
+        let end = end.map_or_else(|| ">= 2^64".to_string(), |end| end.to_string());
+        let elems = a.elems;
+        return Err(format!(
+            "task reaches element {end} but the array has {elems} elements"
+        ));
+    }
+    // Inside the array, every address is below the end of its last
+    // field, which `parse_trace` has checked is addressable.
+    let base = a.base.add(start * a.object_bytes + a.field_offset);
+    let stride_bytes = stride
+        .checked_mul(a.object_bytes)
+        .ok_or_else(|| format!("task stride {stride} overflows"))?;
+    TileMap::new(
+        base,
+        a.field_bytes,
+        a.object_bytes,
+        count,
+        stride_bytes,
+        n_rows,
+    )
+}
+
+/// Parses the trace format and validates the whole workload, so that
+/// [`TraceWorkload::build`] cannot fail.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Config`] with a message naming the offending line
 /// for syntax errors, unknown directives or arrays, tasks outside any
-/// `kernel`/`block`, or invalid geometry.
+/// `kernel`/`block`, invalid geometry, tasks outside their array, a
+/// `cpu_sweep` core count outside the machine, or a trace that lowers to
+/// more than [`MAX_TRACE_WORDS`] words.
 pub fn parse_trace(text: &str) -> Result<TraceWorkload, SimError> {
     parse_trace_impl(text).map_err(SimError::Config)
 }
@@ -234,6 +250,9 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
     let mut arrays: HashMap<String, AosArray> = HashMap::new();
     let mut next_base: u64 = 0x1000_0000;
     let mut phases: Vec<TracePhase> = Vec::new();
+    // Explicit `cpu_sweep` core counts, checked once `machine` is known.
+    let mut sweep_cores: Vec<(usize, u64)> = Vec::new();
+    let mut words: u64 = 0;
 
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -244,6 +263,15 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
         let mut tokens = line.split_whitespace();
         let directive = tokens.next().expect("nonempty line");
         let rest: Vec<&str> = tokens.collect();
+        let mut add_words = |n: Option<u64>| match n.and_then(|n| words.checked_add(n)) {
+            Some(total) if total <= MAX_TRACE_WORDS => {
+                words = total;
+                Ok(())
+            }
+            _ => Err(format!(
+                "line {line_no}: the trace lowers to more than {MAX_TRACE_WORDS} words"
+            )),
+        };
         match directive {
             "machine" => {
                 set = match rest.first().copied() {
@@ -289,8 +317,24 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
                     field_offset: field_off,
                     field_bytes: field,
                 };
-                // Arrays are placed on disjoint 256 MB-aligned regions.
-                next_base += a.footprint_bytes().next_multiple_of(0x1000_0000);
+                // Arrays are placed on disjoint 256 MB-aligned regions; the
+                // last field's end must be addressable too.
+                let footprint = elems.checked_mul(object);
+                let end = footprint
+                    .and_then(|bytes| bytes.checked_add(field_off))
+                    .and_then(|bytes| next_base.checked_add(bytes));
+                let region = footprint
+                    .and_then(|bytes| bytes.checked_next_multiple_of(0x1000_0000))
+                    .and_then(|bytes| next_base.checked_add(bytes));
+                let (Some(_), Some(region_end)) = (end, region) else {
+                    return Err(format!(
+                        "line {line_no}: array `{name}` does not fit the address space"
+                    ));
+                };
+                // One element's field must be a valid tile.
+                TileMap::new(VAddr(next_base + field_off), field, object, 1, 0, 1)
+                    .map_err(|e| format!("line {line_no}: array `{name}`: {e}"))?;
+                next_base = region_end;
                 if arrays.insert(name.clone(), a).is_some() {
                     return Err(format!("line {line_no}: array `{name}` redeclared"));
                 }
@@ -306,9 +350,9 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
                         "line {line_no}: task <array> <start> <count> <r|w|rw> <local|global|temp> [opts]"
                     ));
                 };
-                if !arrays.contains_key(*array) {
+                let Some(a) = arrays.get(*array) else {
                     return Err(format!("line {line_no}: unknown array `{array}`"));
-                }
+                };
                 let (reads, writes) = match *mode {
                     "r" => (true, false),
                     "w" => (false, true),
@@ -329,43 +373,44 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
                         ))
                     }
                 };
-                let mut task = TraceTask {
-                    array: array.to_string(),
-                    start: parse_num(start, "start", line_no)?,
-                    count: parse_num(count, "count", line_no)?,
-                    reads,
-                    writes,
-                    placement,
-                    passes: 1,
-                    compute: 2,
-                    share: None,
-                    rows: None,
-                };
+                let start = parse_num(start, "start", line_no)?;
+                let count = parse_num(count, "count", line_no)?;
+                let (mut passes, mut compute, mut share) = (1u32, 2u32, None);
                 let mut rows = None;
                 let mut stride = None;
                 for tok in opts {
                     let (k, v) = parse_kv(tok).ok_or_else(|| {
                         format!("line {line_no}: expected key=value, got `{tok}`")
                     })?;
-                    let v = parse_num(v, k, line_no)?;
                     match k {
-                        "passes" => task.passes = v as u32,
-                        "compute" => task.compute = v as u32,
-                        "share" => task.share = Some(v as u32),
-                        "rows" => rows = Some(v),
-                        "stride" => stride = Some(v),
+                        "passes" => passes = parse_u32(v, k, line_no)?,
+                        "compute" => compute = parse_u32(v, k, line_no)?,
+                        "share" => share = Some(parse_u32(v, k, line_no)?),
+                        "rows" => rows = Some(parse_num(v, k, line_no)?),
+                        "stride" => stride = Some(parse_num(v, k, line_no)?),
                         other => return Err(format!("line {line_no}: unknown task key `{other}`")),
                     }
                 }
-                match (rows, stride) {
-                    (Some(r), Some(s)) => task.rows = Some((r, s)),
-                    (None, None) => {}
+                let rows = match (rows, stride) {
+                    (Some(r), Some(s)) => Some((r, s)),
+                    (None, None) => None,
                     _ => {
                         return Err(format!(
                             "line {line_no}: rows= and stride= must be given together"
                         ))
                     }
-                }
+                };
+                let tile = task_tile(a, start, count, rows)
+                    .map_err(|e| format!("line {line_no}: array `{array}`: {e}"))?;
+                add_words(tile.local_words().checked_mul(u64::from(passes.max(1))))?;
+                let task = TileTask {
+                    reads,
+                    writes,
+                    passes,
+                    compute_per_iter: compute,
+                    share,
+                    ..TileTask::dense(tile, placement, compute)
+                };
                 match phases.last_mut() {
                     Some(TracePhase::Kernel(blocks)) if !blocks.is_empty() => {
                         blocks.last_mut().expect("nonempty").push(task);
@@ -374,32 +419,46 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
                 }
             }
             "cpu_sweep" => {
-                let array = rest
+                let name = rest
                     .first()
-                    .ok_or_else(|| format!("line {line_no}: cpu_sweep needs an array"))?
-                    .to_string();
-                if !arrays.contains_key(&array) {
-                    return Err(format!("line {line_no}: unknown array `{array}`"));
-                }
-                let mut cores = 15usize;
+                    .ok_or_else(|| format!("line {line_no}: cpu_sweep needs an array"))?;
+                let Some(&array) = arrays.get(*name) else {
+                    return Err(format!("line {line_no}: unknown array `{name}`"));
+                };
+                let mut cores = None;
                 let mut write = false;
                 for tok in &rest[1..] {
                     if *tok == "write" {
                         write = true;
                     } else if let Some(("cores", v)) = parse_kv(tok) {
-                        cores = parse_num(v, "cores", line_no)? as usize;
+                        cores = Some(parse_num(v, "cores", line_no)?);
                     } else {
                         return Err(format!("line {line_no}: unknown cpu_sweep option `{tok}`"));
                     }
                 }
+                add_words(array.elems.checked_mul(array.field_bytes / WORD_BYTES))?;
+                sweep_cores.extend(cores.map(|n| (line_no, n)));
                 phases.push(TracePhase::CpuSweep {
                     array,
-                    cores,
+                    cores: cores.map(|n| usize::try_from(n).unwrap_or(usize::MAX)),
                     write,
                 });
             }
             other => return Err(format!("line {line_no}: unknown directive `{other}`")),
         }
+    }
+
+    // `cores` defaults to the machine's CPU core count (see `build`); an
+    // explicit count must lie in `1..=` that count.
+    let machine_cores = set.system_config().cpu_cores;
+    if let Some((line_no, n)) = sweep_cores
+        .into_iter()
+        .find(|&(_, n)| !(1..=machine_cores as u64).contains(&n))
+    {
+        return Err(format!(
+            "line {line_no}: cpu_sweep cores={n} outside 1..={machine_cores}, \
+             the machine's CPU cores"
+        ));
     }
     Ok(TraceWorkload {
         set,
@@ -452,120 +511,89 @@ mod tests {
     }
 
     #[test]
-    fn two_d_tasks_need_both_rows_and_stride() {
-        let t = "array m elems=4096 object=4\nkernel\nblock\ntask m 0 16 r local rows=16 stride=64";
-        assert!(parse_trace(t).is_ok());
-        let t = "array m elems=4096 object=4\nkernel\nblock\ntask m 0 16 r local rows=16";
-        assert!(parse_trace(t).unwrap_err().to_string().contains("together"));
-    }
+    fn invalid_traces_are_rejected_at_their_line() {
+        // (trace, line that must be named, part of the reason); every
+        // rejection is a `SimError::Config`.
+        let cases = [
+            ("bogus", 1, "unknown directive"),
+            ("machine neither", 1, "machine must be micro|apps"),
+            ("array a", 1, "array needs elems"),
+            ("array a elems=nope", 1, "invalid elems"),
+            ("array a elems=16 size=4", 1, "unknown array key"),
+            ("array a elems=16\narray a elems=16", 2, "redeclared"),
+            ("block", 1, "outside a kernel"),
+            ("task x 0 8 rw local", 1, "unknown array"),
+            ("array a elems=16\nkernel\ntask a 0 8 rw local", 3, "outside a block"),
+            ("array a elems=16\nkernel\nblock\ntask b 0 8 rw local", 4, "unknown array"),
+            ("array a elems=16\nkernel\nblock\ntask a 0 8", 4, "task <array>"),
+            ("array a elems=16\nkernel\nblock\ntask a 0 8 x local", 4, "mode must be r|w|rw"),
+            ("array a elems=16\nkernel\nblock\ntask a 0 8 rw stack", 4, "placement must be local|global|temp"),
+            ("array a elems=16\nkernel\nblock\ntask a 0 8 rw local passes", 4, "key=value"),
+            ("array a elems=16\nkernel\nblock\ntask a 0 8 rw local warp=3", 4, "unknown task key"),
+            ("array m elems=4096\nkernel\nblock\ntask m 0 16 r local rows=16", 4, "together"),
+            ("cpu_sweep", 1, "needs an array"),
+            ("array a elems=16\ncpu_sweep b", 2, "unknown array"),
+            ("array a elems=16\ncpu_sweep a sideways", 2, "unknown cpu_sweep option"),
+            ("array a elems=64\nkernel\nblock\ntask a 0 128 r global", 4, "element 128"),
+            ("array a elems=16\nkernel\nblock\ntask a 8 16 rw local", 4, "element 24 but the array has 16 elements"),
+            // 2-D: the last row's end is what matters.
+            ("array m elems=256\nkernel\nblock\ntask m 0 16 r local rows=16 stride=17", 4, "element 271"),
+            ("array m elems=64\nkernel\nblock\ntask m 0 1 r local rows=4294967297 stride=4294967296", 4, "element >= 2^64"),
+            ("array a elems=64\ncpu_sweep a cores=0", 2, "outside 1..=15"),
+            ("array a elems=64\ncpu_sweep a cores=100", 2, "outside 1..=15"),
+            ("array a elems=64\ncpu_sweep a cores=4000000000", 2, "outside 1..=15"),
+            ("array a elems=64\ncpu_sweep a cores=2\nmachine apps", 2, "outside 1..=1"),
+            ("array a elems=64 object=0", 1, "nonzero"),
+            ("array a elems=64 field=0", 1, "nonzero"),
+            ("array a elems=64 object=6", 1, "word multiples"),
+            ("array a elems=64 object=4 field=8", 1, "larger than object"),
+            ("array a elems=64 field_off=2 object=8", 1, "word aligned"),
+            ("array a elems=64\nkernel\nblock\ntask a 0 0 r global", 4, "nonzero"),
+            ("array a elems=64\nkernel\nblock\ntask a 0 4 r global rows=0 stride=0", 4, "nonzero"),
+            ("array a elems=64\nkernel\nblock\ntask a 0 8 r global rows=2 stride=4", 4, "overlap"),
+            ("array a elems=1099511627776\nkernel\nblock\ntask a 0 1099511627776 r global", 4, "more than 4194304 words"),
+            ("array a elems=4096\nkernel\nblock\ntask a 0 4096 rw local passes=1000000", 4, "more than 4194304 words"),
+            ("array a elems=4096\nkernel\nblock\ntask a 0 4096 rw local passes=4294967296", 4, "32 bits"),
+            ("array a elems=4194305\ncpu_sweep a", 2, "more than 4194304 words"),
+            ("array a elems=4611686018427387904 object=8", 1, "address space"),
+        ];
+        for (text, line, needle) in cases {
+            let err = match parse_trace(text) {
+                Err(SimError::Config(e)) => e,
+                other => panic!("{text:?} was not rejected: {other:?}"),
+            };
+            assert!(err.starts_with(&format!("line {line}:")), "{text:?}: {err}");
+            assert!(err.contains(needle), "{text:?}: {err}");
+        }
 
-    #[test]
-    fn errors_name_the_line() {
-        let err = parse_trace("array a elems=16\nkernel\ntask a 0 8 rw local")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("line 3"), "{err}");
-        assert!(err.contains("outside a block"), "{err}");
-
-        let err = parse_trace("task x 0 8 rw local").unwrap_err().to_string();
-        assert!(err.contains("line 1"), "{err}");
-
-        let err = parse_trace("array a elems=16\nkernel\nblock\ntask b 0 8 rw local")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown array"), "{err}");
-
-        let err = parse_trace("bogus").unwrap_err().to_string();
-        assert!(err.contains("unknown directive"), "{err}");
-    }
-
-    #[test]
-    fn parse_errors_are_config_errors() {
-        // All parse failures surface as SimError::Config, so callers can
-        // match on the variant.
-        for bad in [
-            "bogus",
-            "machine neither",
-            "array a",
-            "array a elems=16\narray a elems=16",
-            "array a elems=nope",
-            "task a 0 8 rw local",
+        // At the boundaries, traces parse and lower for every configuration.
+        for text in [
+            "array a elems=16\nkernel\nblock\ntask a 8 8 rw local",
+            "array m elems=4096\nkernel\nblock\ntask m 0 16 r local rows=16 stride=64",
+            "array a elems=64\ncpu_sweep a cores=15",
         ] {
-            match parse_trace(bad) {
-                Err(SimError::Config(_)) => {}
-                other => panic!("expected Config error for `{bad}`, got {other:?}"),
+            let tw = parse_trace(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            for kind in MemConfigKind::ALL {
+                assert!(tw.try_build(kind).is_ok(), "{text:?} on {kind}");
             }
         }
-    }
-
-    #[test]
-    fn malformed_directives_are_rejected() {
-        // Missing task fields.
-        let err = parse_trace("array a elems=16\nkernel\nblock\ntask a 0 8")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("task <array>"), "{err}");
-        // Non-key=value option.
-        let err = parse_trace("array a elems=16\nkernel\nblock\ntask a 0 8 rw local passes")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("key=value"), "{err}");
-        // Unknown option key.
-        let err = parse_trace("array a elems=16\nkernel\nblock\ntask a 0 8 rw local warp=3")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown task key"), "{err}");
-        // Unknown array key.
-        let err = parse_trace("array a elems=16 size=4")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown array key"), "{err}");
-        // block with no kernel, cpu_sweep details.
-        let err = parse_trace("block").unwrap_err().to_string();
-        assert!(err.contains("outside a kernel"), "{err}");
-        let err = parse_trace("cpu_sweep").unwrap_err().to_string();
-        assert!(err.contains("needs an array"), "{err}");
-        let err = parse_trace("array a elems=16\ncpu_sweep b")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown array"), "{err}");
-        let err = parse_trace("array a elems=16\ncpu_sweep a sideways")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown cpu_sweep option"), "{err}");
-    }
-
-    #[test]
-    fn bad_mode_and_placement_are_rejected() {
-        let err = parse_trace("array a elems=16\nkernel\nblock\ntask a 0 8 x local")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("mode must be r|w|rw"), "{err}");
-        let err = parse_trace("array a elems=16\nkernel\nblock\ntask a 0 8 rw stack")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("placement must be local|global|temp"), "{err}");
-    }
-
-    #[test]
-    fn try_build_rejects_out_of_bounds_tasks() {
-        let tw = parse_trace("array a elems=16\nkernel\nblock\ntask a 8 16 rw local").unwrap();
-        let err = tw.try_build(MemConfigKind::Stash).unwrap_err().to_string();
-        assert!(err.contains("element 24"), "{err}");
-        assert!(err.contains("16 elements"), "{err}");
-
-        // 2-D: the last row's end is what matters.
-        let tw = parse_trace(
-            "array m elems=256 object=4\nkernel\nblock\ntask m 0 16 r local rows=16 stride=17",
-        )
-        .unwrap();
-        assert!(tw.try_build(MemConfigKind::Stash).is_err());
-
-        // In-bounds traces build for every configuration.
-        let tw = parse_trace("array a elems=16\nkernel\nblock\ntask a 8 8 rw local").unwrap();
-        for kind in MemConfigKind::ALL {
-            assert!(tw.try_build(kind).is_ok(), "{kind}");
+        for at_cap in [
+            "array a elems=4194304\ncpu_sweep a",
+            "array a elems=4096\nkernel\nblock\ntask a 0 4096 r global passes=1024",
+        ] {
+            assert!(parse_trace(at_cap).is_ok(), "{at_cap:?}");
         }
+        // A sweep without `cores=` uses every CPU core of its machine,
+        // which is one on `apps`.
+        let tw = parse_trace("machine apps\narray a elems=64\ncpu_sweep a").unwrap();
+        let program = tw.build(MemConfigKind::Stash);
+        let Phase::Cpu(sweep) = &program.phases[0] else {
+            panic!("a CPU phase");
+        };
+        assert_eq!(sweep.per_core.len(), 1);
+        Machine::new(tw.set().system_config(), MemConfigKind::Stash)
+            .run(&program)
+            .unwrap();
     }
 
     #[test]
