@@ -1,27 +1,35 @@
-//! Chaos harness: fuzz deterministic fault schedules across the Figure 5
-//! matrix (or trace files) and enforce the no-silent-corruption contract.
+//! Chaos campaign: attack every run of the Figure 5 matrix (or trace
+//! files) and enforce the no-silent-corruption and crash-consistency
+//! contracts.
 //!
 //! ```text
 //! cargo run --release -p bench --bin chaos -- --seeds 64
 //! cargo run --release -p bench --bin chaos -- examples/histogram.trace --seeds 8
 //! cargo run --release -p bench --bin chaos -- --seeds 16 --no-resilience
+//! cargo run --release -p bench --bin chaos -- --crash --seeds 4
 //! ```
 //!
-//! Every `(workload, configuration, seed)` run is classified against a
-//! fault-free golden replay as **recovered** (bit-identical architectural
-//! state), **detected** (watchdog / oracle / parity flag), or a **silent
-//! escape**. Escapes are contract violations: the binary prints them and
-//! exits 1. `--no-resilience` / `--no-parity` disable the machinery to
-//! demonstrate the escape classes it closes; pair them with
+//! Every `(workload, configuration, seed)` run is attacked — by injected
+//! faults, or with `--crash` by a seeded kill and recovery from the
+//! newest valid checkpoint — and classified against a fault-free golden
+//! replay as **recovered** (bit-identical architectural state),
+//! **detected** (watchdog / oracle / parity / rejected snapshot), or a
+//! **silent escape**. Both attacks print through the same table, JSON
+//! and gate: escapes are contract violations, printed on stderr with
+//! exit 1. `--no-resilience` / `--no-parity` disable the fault machinery
+//! to demonstrate the escape classes it closes; pair them with
 //! `--expect-escapes`, which inverts the gate (exit 0 iff at least one
 //! escape occurred), so demonstration runs can assert the machinery is
 //! load-bearing instead of reporting failure.
 
 use std::num::NonZeroUsize;
+use std::path::PathBuf;
 
-use bench::chaos::{run_campaign, CampaignConfig, CellRun, Outcome, Target};
+use bench::chaos::{
+    run_campaign, Attack, Campaign, CampaignConfig, Detail, Outcome, SeedRangeError, Seeds, Tally,
+    Target, MAX_SEEDS,
+};
 use bench::cli;
-use bench::crash::{run_crash_campaign, CrashCampaignConfig, CrashRun};
 use gpu::config::MemConfigKind;
 use workloads::suite;
 
@@ -29,8 +37,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: chaos [trace files...] [--seeds N] [--no-resilience] [--no-parity]\n             \
          [--expect-escapes] [--crash [--crash-dir DIR]] [flags]\n\
-         --seeds N     fault seeds per matrix cell (default 16; seeds are S..S+N\n              \
-         with S from --fault-seed, default 1)\n\
+         --seeds N     seeds per matrix cell, 1..={MAX_SEEDS} (default 16; seeds are\n              \
+         S..S+N-1 with S from --fault-seed, default 1)\n\
          --no-resilience  disable retry/timeout/fallback machinery (demonstrates escapes)\n\
          --no-parity   disable the parity/ECC detection model (demonstrates escapes)\n\
          --expect-escapes  invert the gate: exit 0 iff escapes occurred (for\n              \
@@ -40,7 +48,8 @@ fn usage() -> ! {
          tearing the snapshot mid-write), restores from the newest valid\n              \
          checkpoint, and classifies against the golden digest\n\
          --crash-dir DIR  scratch directory for the crash campaign's checkpoint\n              \
-         stores (default: a per-process directory under the system tmpdir)\n\
+         stores (default: a per-process directory under the system tmpdir);\n              \
+         the campaign removes what it creates there\n\
          {}\n{}\n{}\n{}",
         cli::FAULT_SEED_USAGE,
         cli::THREADS_USAGE,
@@ -50,166 +59,81 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn print_json(cells: &[CellRun], escapes: usize) {
+fn print_json(campaign: &Campaign) {
     println!("{{");
     println!("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let detail = match &c.outcome {
+    for (i, c) in campaign.cells.iter().enumerate() {
+        let comma = if i + 1 < campaign.cells.len() {
+            ","
+        } else {
+            ""
+        };
+        let verdict = match &c.outcome {
             Outcome::Detected(d) => format!(", \"detector\": \"{}\"", d.label()),
-            Outcome::SilentEscape(why) => {
-                format!(", \"leak\": \"{}\"", cli::json_escape(why))
-            }
+            Outcome::SilentEscape(why) => format!(", \"leak\": \"{}\"", cli::json_escape(why)),
             Outcome::Recovered => String::new(),
+        };
+        let detail = match &c.detail {
+            Detail::Faults {
+                injected, retries, ..
+            } => format!("\"injected\": {injected}, \"retries\": {retries}"),
+            Detail::Crash {
+                plan,
+                checkpoints,
+                resumed_from,
+                rejected,
+            } => format!(
+                "\"barrier\": {}, \"mode\": \"{:?}\", \"checkpoints\": {checkpoints}, \
+                 \"resumed_from\": {}, \"rejected\": {rejected}",
+                plan.barrier,
+                plan.mode,
+                resumed_from.map_or("null".to_string(), |s| s.to_string()),
+            ),
         };
         println!(
             "    {{\"workload\": \"{}\", \"config\": \"{}\", \"seed\": {}, \
-             \"outcome\": \"{}\"{detail}, \"injected\": {}, \"retries\": {}}}{comma}",
+             \"outcome\": \"{}\"{verdict}, {detail}}}{comma}",
             cli::json_escape(&c.workload),
             c.kind.name(),
             c.seed,
             c.outcome.label(),
-            c.injected,
-            c.retries,
         );
     }
     println!("  ],");
-    println!("  \"escapes\": {escapes}");
+    println!("  \"escapes\": {}", campaign.escapes().len());
     println!("}}");
 }
 
-fn print_crash_json(cells: &[CrashRun], escapes: usize) {
-    println!("{{");
-    println!("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let detail = match &c.outcome {
-            Outcome::Detected(d) => format!(", \"detector\": \"{}\"", d.label()),
-            Outcome::SilentEscape(why) => {
-                format!(", \"leak\": \"{}\"", cli::json_escape(why))
-            }
-            Outcome::Recovered => String::new(),
-        };
-        let resumed = c.resumed_from.map_or("null".to_string(), |s| s.to_string());
+/// One row per cell, then the campaign's totals.
+fn print_table(campaign: &Campaign, cfg: &CampaignConfig) {
+    let [a, b] = cfg.attack.counter_names();
+    let w = campaign
+        .cells
+        .iter()
+        .map(|c| c.workload.len())
+        .max()
+        .unwrap_or(0)
+        .max("workload".len())
+        + 2;
+    let row = |name: &str, config: &str, t: &Tally| {
         println!(
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"seed\": {}, \
-             \"barrier\": {}, \"mode\": \"{:?}\", \"outcome\": \"{}\"{detail}, \
-             \"checkpoints\": {}, \"resumed_from\": {resumed}, \"rejected\": {}}}{comma}",
-            cli::json_escape(&c.workload),
-            c.kind.name(),
-            c.seed,
-            c.barrier,
-            c.mode,
-            c.outcome.label(),
-            c.checkpoints,
-            c.rejected,
+            "{name:<w$}{config:<10}{:>10}{:>11}{:>10}{:>10}{:>10}",
+            t.recovered, t.detected, t.escapes, t.counters[0], t.counters[1]
         );
+    };
+    println!(
+        "{:<w$}{:<10}{:>10}{:>11}{:>10}{a:>10}{b:>10}",
+        "workload", "config", "recovered", "detected", "escapes"
+    );
+    let per_cell = usize::try_from(cfg.seeds.count()).expect("seed counts fit in usize");
+    for runs in campaign.cells.chunks(per_cell) {
+        row(&runs[0].workload, runs[0].kind.name(), &Tally::of(runs));
     }
-    println!("  ],");
-    println!("  \"escapes\": {escapes}");
-    println!("}}");
-}
-
-fn run_crash_mode(
-    targets: &[Target<'_>],
-    kinds: &[MemConfigKind],
-    cfg: &CrashCampaignConfig,
-    scratch: &std::path::Path,
-    json: bool,
-) -> ! {
-    if !json {
-        println!(
-            "chaos --crash — {} workload(s) × {} config(s) × {} seed(s), scratch {}",
-            targets.len(),
-            kinds.len(),
-            cfg.seeds.len(),
-            scratch.display(),
-        );
-    }
-    let campaign = run_crash_campaign(targets, kinds, cfg, scratch).unwrap_or_else(|e| {
-        eprintln!("chaos --crash: {e}");
-        std::process::exit(2);
-    });
-    let _ = std::fs::remove_dir_all(scratch);
-    let escapes = campaign.escapes();
-    if json {
-        print_crash_json(&campaign.cells, escapes.len());
-    } else {
-        let name_width = targets
-            .iter()
-            .map(|t| t.name.len())
-            .max()
-            .unwrap_or(0)
-            .max("workload".len())
-            + 2;
-        println!(
-            "{:<name_width$}{:<10}{:>10}{:>11}{:>10}{:>8}{:>10}",
-            "workload", "config", "recovered", "detected", "escapes", "ckpts", "rejected"
-        );
-        for t in targets {
-            for &kind in kinds {
-                let runs: Vec<&CrashRun> = campaign
-                    .cells
-                    .iter()
-                    .filter(|c| c.workload == t.name && c.kind == kind)
-                    .collect();
-                let recovered = runs
-                    .iter()
-                    .filter(|c| c.outcome == Outcome::Recovered)
-                    .count();
-                let detected = runs
-                    .iter()
-                    .filter(|c| matches!(c.outcome, Outcome::Detected(_)))
-                    .count();
-                let ckpts: u64 = runs.iter().map(|c| c.checkpoints).sum();
-                let rejected: u64 = runs.iter().map(|c| c.rejected).sum();
-                println!(
-                    "{:<name_width$}{:<10}{:>10}{:>11}{:>10}{:>8}{:>10}",
-                    t.name,
-                    kind.name(),
-                    recovered,
-                    detected,
-                    runs.len() - recovered - detected,
-                    ckpts,
-                    rejected
-                );
-            }
-        }
-        println!(
-            "\ntotal: {} kill-and-recover runs — {} recovered, {} torn-snapshot detections, \
-             {} escape(s); {} torn/corrupt file(s) rejected",
-            campaign.cells.len(),
-            campaign.recovered(),
-            campaign.detected(),
-            escapes.len(),
-            campaign.total_rejected(),
-        );
-    }
-    for c in &escapes {
-        let why = match &c.outcome {
-            Outcome::SilentEscape(why) => why.as_str(),
-            _ => unreachable!("escapes() only returns silent escapes"),
-        };
-        eprintln!(
-            "ESCAPE: {} on {} seed {} (barrier {}, {:?}): {why}",
-            c.workload,
-            c.kind.name(),
-            c.seed,
-            c.barrier,
-            c.mode,
-        );
-    }
-    if !escapes.is_empty() {
-        eprintln!(
-            "\n{} crash-recovery escape(s) — the crash-consistency contract is violated",
-            escapes.len()
-        );
-        std::process::exit(1);
-    }
-    if !json {
-        println!("no crash-recovery escapes — contract holds");
-    }
-    std::process::exit(0);
+    let t = campaign.tally();
+    println!(
+        "\ntotal: {} runs — {} recovered, {} detected, {} escape(s); {} {a}, {} {b}",
+        t.runs, t.recovered, t.detected, t.escapes, t.counters[0], t.counters[1]
+    );
 }
 
 fn main() {
@@ -229,10 +153,18 @@ fn main() {
     let crash = cli::take_flag(&mut args, "--crash");
     let crash_dir = cli::take_value(&mut args, "--crash-dir");
     let paths = cli::finish(args, true);
-    if crash && (!resilience || !parity || expect_escapes) {
-        eprintln!("--crash is incompatible with --no-resilience/--no-parity/--expect-escapes");
+    if crash && (!resilience || !parity) {
+        eprintln!("--crash is incompatible with --no-resilience/--no-parity");
         std::process::exit(2);
     }
+    let seeds = Seeds::new(seed_base, seed_count).unwrap_or_else(|e| {
+        let flag = match e {
+            SeedRangeError::Count(_) => "--seeds",
+            SeedRangeError::Overflow { .. } => "--fault-seed",
+        };
+        eprintln!("{flag}: {e}");
+        std::process::exit(2);
+    });
 
     // Targets: the trace files given, or the Figure 5 microbenchmarks.
     let traces: Vec<(String, workloads::trace::TraceWorkload)> = paths
@@ -265,105 +197,60 @@ fn main() {
         }
     }
 
-    if crash {
-        let mut cfg =
-            CrashCampaignConfig::new((seed_base..seed_base + seed_count).collect(), threads);
-        cfg.verify = verify;
+    let attack = if crash {
         let scratch = crash_dir.map_or_else(
             || std::env::temp_dir().join(format!("stash-chaos-crash-{}", std::process::id())),
-            std::path::PathBuf::from,
+            PathBuf::from,
         );
-        run_crash_mode(&targets, &kinds, &cfg, &scratch, json);
-    }
-
-    let mut cfg = CampaignConfig::new((seed_base..seed_base + seed_count).collect(), threads);
-    cfg.verify = verify;
-    cfg.resilience = resilience;
-    cfg.parity = parity;
-
+        Attack::Crash { scratch }
+    } else {
+        Attack::Faults { resilience, parity }
+    };
+    let cfg = CampaignConfig {
+        seeds,
+        threads,
+        verify,
+        attack,
+    };
     if !json {
         println!(
-            "chaos — {} workload(s) × {} config(s) × {} seed(s), resilience {}, parity {}",
+            "chaos — {} workload(s) × {} config(s) × {} seed(s), {}",
             targets.len(),
             kinds.len(),
-            seed_count,
-            if resilience { "on" } else { "OFF" },
-            if parity { "on" } else { "OFF" },
+            seeds.count(),
+            cfg.attack,
         );
     }
-
     let campaign = run_campaign(&targets, &kinds, &cfg).unwrap_or_else(|e| {
         eprintln!("chaos: {e}");
         std::process::exit(2);
     });
-
-    let escapes = campaign.escapes();
     if json {
-        print_json(&campaign.cells, escapes.len());
+        print_json(&campaign);
     } else {
-        let name_width = targets
-            .iter()
-            .map(|t| t.name.len())
-            .max()
-            .unwrap_or(0)
-            .max("workload".len())
-            + 2;
-        println!(
-            "{:<name_width$}{:<10}{:>10}{:>11}{:>10}{:>8}",
-            "workload", "config", "recovered", "detected", "escapes", "faults"
-        );
-        for t in &targets {
-            for &kind in &kinds {
-                let cell_of = |c: &&CellRun| c.workload == t.name && c.kind == kind;
-                let runs: Vec<&CellRun> = campaign.cells.iter().filter(|c| cell_of(c)).collect();
-                let recovered = runs
-                    .iter()
-                    .filter(|c| c.outcome == Outcome::Recovered)
-                    .count();
-                let detected = runs
-                    .iter()
-                    .filter(|c| matches!(c.outcome, Outcome::Detected(_)))
-                    .count();
-                let escaped = runs.len() - recovered - detected;
-                let injected: u64 = runs.iter().map(|c| c.injected).sum();
-                println!(
-                    "{:<name_width$}{:<10}{:>10}{:>11}{:>10}{:>8}",
-                    t.name,
-                    kind.name(),
-                    recovered,
-                    detected,
-                    escaped,
-                    injected
-                );
-            }
-        }
-        println!(
-            "\ntotal: {} runs — {} recovered, {} detected, {} escape(s); \
-             {} fault(s) injected, {} retry(ies)",
-            campaign.cells.len(),
-            campaign.recovered(),
-            campaign.detected(),
-            escapes.len(),
-            campaign.total_injected(),
-            campaign.total_retries(),
-        );
+        print_table(&campaign, &cfg);
     }
 
+    let escapes = campaign.escapes();
     for c in &escapes {
-        let why = match &c.outcome {
-            Outcome::SilentEscape(why) => why.as_str(),
-            _ => unreachable!("escapes() only returns silent escapes"),
+        let Outcome::SilentEscape(why) = &c.outcome else {
+            unreachable!("escapes() only returns silent escapes")
+        };
+        let kill = match &c.detail {
+            Detail::Crash { plan, .. } => format!(" (barrier {}, {:?})", plan.barrier, plan.mode),
+            Detail::Faults { .. } => String::new(),
         };
         eprintln!(
-            "ESCAPE: {} on {} seed {}: {why}",
+            "ESCAPE: {} on {} seed {}{kill}: {why}",
             c.workload,
             c.kind.name(),
             c.seed
         );
     }
+    let contract = cfg.attack.contract();
     if expect_escapes {
         // Demonstration mode: the run is supposed to show that disabling
-        // the machinery leaks corruption, so escapes are the pass state.
+        // the machinery leaks, so escapes are the pass state.
         if escapes.is_empty() {
             eprintln!("--expect-escapes: no escapes occurred — nothing was demonstrated");
             std::process::exit(1);
@@ -376,11 +263,11 @@ fn main() {
         }
     } else if !escapes.is_empty() {
         eprintln!(
-            "\n{} silent-corruption escape(s) — the no-silent-corruption contract is violated",
+            "\n{} escape(s) — the {contract} contract is violated",
             escapes.len()
         );
         std::process::exit(1);
     } else if !json {
-        println!("no silent-corruption escapes — contract holds");
+        println!("no escapes — the {contract} contract holds");
     }
 }

@@ -13,8 +13,11 @@
 //! the newest valid snapshot (reporting any torn files it skipped) and
 //! finishes the run — the report and state digest are bit-identical to
 //! an uninterrupted run. `inspect` decodes what a checkpoint directory
-//! holds without running anything.
+//! holds without running anything. `save` and `resume` are the two steps
+//! of the `chaos --crash` campaign, `bench::chaos::checkpoint_every_barrier`
+//! and `bench::chaos::resume_newest`.
 
+use bench::chaos::{checkpoint_every_barrier, resume_newest, Checkpointed};
 use bench::cli;
 use gpu::config::MemConfigKind;
 use gpu::machine::{CheckpointMeta, Machine, RunCursor, SECTION_META, SECTION_MSYS};
@@ -22,7 +25,6 @@ use gpu::program::Program;
 use gpu::report::RunReport;
 use sim::config::SystemConfig;
 use sim::snapshot::{read_snapshot, CheckpointStore};
-use sim::SimError;
 use workloads::suite;
 
 fn usage() -> ! {
@@ -74,42 +76,36 @@ fn print_report(label: &str, report: &RunReport, digest: u64) {
     );
 }
 
-fn cmd_save(spec: &str, kind: MemConfigKind, dir: &str, until: Option<usize>, verify: bool) -> i32 {
-    const STOP: &str = "checkpoint save --until stop";
-    let (sys, program) = resolve(spec, kind);
-    let store = CheckpointStore::open(std::path::Path::new(dir)).unwrap_or_else(|e| {
+fn open_store(dir: &str) -> CheckpointStore {
+    CheckpointStore::open(std::path::Path::new(dir)).unwrap_or_else(|e| {
         eprintln!("cannot open checkpoint directory {dir}: {e}");
         std::process::exit(2);
-    });
+    })
+}
+
+fn cmd_save(spec: &str, kind: MemConfigKind, dir: &str, until: Option<usize>, verify: bool) -> i32 {
+    let (sys, program) = resolve(spec, kind);
+    let store = open_store(dir);
+    let phases = program.phases.len();
     let mut machine = Machine::new(sys, kind);
     machine.memory_mut().set_verify(verify);
-    let mut cursor = RunCursor::default();
-    let result = machine.run_from(&program, None, &mut cursor, |m, c| {
-        let snap = m.checkpoint(&program, *c);
-        let seq = store
-            .save(&snap)
-            .map_err(|e| SimError::Config(format!("checkpoint write failed: {e}")))?;
+    let saved = |c: &RunCursor, seq| {
+        let path = store.path_for(seq);
         println!(
-            "barrier after phase {}/{}: wrote {}",
+            "barrier after phase {}/{phases}: wrote {}",
             c.next_phase,
-            program.phases.len(),
-            store.path_for(seq).display()
+            path.display()
         );
-        if until.is_some_and(|k| c.next_phase >= k) {
-            return Err(SimError::Config(STOP.to_string()));
-        }
-        Ok(())
-    });
-    match result {
-        Ok(report) => {
+    };
+    match checkpoint_every_barrier(&mut machine, &program, &store, until, saved) {
+        Ok(Checkpointed::Completed(report)) => {
             print_report("completed", &report, machine.memory().state_digest());
             0
         }
-        Err(SimError::Config(msg)) if msg == STOP => {
+        Ok(Checkpointed::Stopped(cursor)) => {
             println!(
-                "stopped after phase {}/{} — resume with: checkpoint resume {spec} {} --dir {dir}",
+                "stopped after phase {}/{phases} — resume with: checkpoint resume {spec} {} --dir {dir}",
                 cursor.next_phase,
-                program.phases.len(),
                 kind.name(),
             );
             0
@@ -122,39 +118,39 @@ fn cmd_save(spec: &str, kind: MemConfigKind, dir: &str, until: Option<usize>, ve
 
 fn cmd_resume(spec: &str, kind: MemConfigKind, dir: &str, verify: bool) -> i32 {
     let (_, program) = resolve(spec, kind);
-    let store = CheckpointStore::open(std::path::Path::new(dir)).unwrap_or_else(|e| {
-        eprintln!("cannot open checkpoint directory {dir}: {e}");
-        std::process::exit(2);
-    });
-    let Some((seq, snap, rejected)) = store.latest_valid() else {
-        eprintln!("no valid snapshot in {dir}");
-        return 1;
+    let store = open_store(dir);
+    let mut r = match resume_newest(&store, &program) {
+        Ok(Some(r)) => r,
+        Ok(None) => {
+            eprintln!("no valid snapshot in {dir}");
+            return 1;
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            return 1;
+        }
     };
-    for (bad, err) in &rejected {
+    for (bad, err) in &r.rejected {
         eprintln!(
             "skipped torn/corrupt {}: {err}",
             store.path_for(*bad).display()
         );
     }
-    let (mut machine, mut cursor) = match Machine::resume(&snap, &program) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot resume from {}: {e}", store.path_for(seq).display());
-            return 1;
-        }
-    };
-    machine.memory_mut().set_verify(verify);
+    r.machine.memory_mut().set_verify(verify);
     println!(
         "resuming {} on {} from {} at phase {}/{}",
         spec,
         kind.name(),
-        store.path_for(seq).display(),
-        cursor.next_phase,
+        store.path_for(r.seq).display(),
+        r.cursor.next_phase,
         program.phases.len(),
     );
-    match machine.run_from(&program, None, &mut cursor, |_, _| Ok(())) {
+    match r
+        .machine
+        .run_from(&program, None, &mut r.cursor, |_, _| Ok(()))
+    {
         Ok(report) => {
-            print_report("completed", &report, machine.memory().state_digest());
+            print_report("completed", &report, r.machine.memory().state_digest());
             0
         }
         Err(e) => {
@@ -164,10 +160,7 @@ fn cmd_resume(spec: &str, kind: MemConfigKind, dir: &str, verify: bool) -> i32 {
 }
 
 fn cmd_inspect(dir: &str) -> i32 {
-    let store = CheckpointStore::open(std::path::Path::new(dir)).unwrap_or_else(|e| {
-        eprintln!("cannot open checkpoint directory {dir}: {e}");
-        std::process::exit(2);
-    });
+    let store = open_store(dir);
     let seqs = store.list();
     if seqs.is_empty() {
         println!("{dir}: no snapshots");

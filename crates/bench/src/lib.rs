@@ -15,8 +15,6 @@
 
 pub mod chaos;
 pub mod cli;
-pub mod crash;
-pub mod golden;
 pub mod json;
 pub mod pool;
 pub mod profile;

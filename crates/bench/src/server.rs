@@ -38,7 +38,7 @@ use gpu::report::RunReport;
 use sim::snapshot::{fnv1a, write_atomic, Snapshot, Writer};
 use workloads::suite::{self, Workload};
 
-use crate::chaos;
+use crate::chaos::{self, Seeds};
 use crate::cli::json_escape;
 use crate::json::Value;
 use crate::pool::JobPool;
@@ -76,14 +76,13 @@ pub enum Request {
         /// Registry name of the workload.
         workload: String,
     },
-    /// A chaos campaign over one suite workload's figure matrix.
+    /// A fault-injection chaos campaign over one suite workload's
+    /// figure matrix.
     Chaos {
         /// Registry name of the workload.
         workload: String,
-        /// First fault seed.
-        seed: u64,
-        /// Number of consecutive seeds to run.
-        seeds: u64,
+        /// The fault seeds to run.
+        seeds: Seeds,
     },
     /// An inline trace run across a configuration list.
     RunTrace {
@@ -137,13 +136,10 @@ pub fn parse_request(v: &Value) -> Result<Request, String> {
         }
         "chaos" => {
             let workload = named_workload(v)?;
-            let seed = v.get_u64("seed").unwrap_or(1);
-            let seeds = v.get_u64("seeds").unwrap_or(2).clamp(1, 64);
-            Ok(Request::Chaos {
-                workload,
-                seed,
-                seeds,
-            })
+            let seed = optional_u64(v, "seed", 1)?;
+            let count = optional_u64(v, "seeds", 2)?.clamp(1, 64);
+            let seeds = Seeds::new(seed, count).map_err(|e| format!("chaos: {e}"))?;
+            Ok(Request::Chaos { workload, seeds })
         }
         "run-trace" => {
             let trace = v
@@ -178,6 +174,15 @@ pub fn parse_request(v: &Value) -> Result<Request, String> {
              stats, or shutdown)"
         )),
     }
+}
+
+/// An optional integer member: `default` when absent, an error when
+/// present but not an integer a JSON number holds exactly.
+fn optional_u64(v: &Value, key: &str, default: u64) -> Result<u64, String> {
+    v.get(key).map_or(Ok(default), |n| {
+        n.as_u64()
+            .ok_or_else(|| format!("\"{key}\" must be an integer in 0..=2^53"))
+    })
 }
 
 fn named_workload(v: &Value) -> Result<String, String> {
@@ -473,15 +478,11 @@ impl Server {
                 let wl = lookup_workload(workload)?;
                 self.key_matrix(&mut w, &[wl], wl.set.figure_kinds());
             }
-            Request::Chaos {
-                workload,
-                seed,
-                seeds,
-            } => {
+            Request::Chaos { workload, seeds } => {
                 let wl = lookup_workload(workload)?;
                 self.key_matrix(&mut w, &[wl], wl.set.figure_kinds());
-                w.put_u64(*seed);
-                w.put_u64(*seeds);
+                w.put_u64(seeds.first());
+                w.put_u64(seeds.count());
             }
             Request::RunTrace { trace, kinds } => {
                 let tw = workloads::trace::parse_trace(trace)
@@ -517,13 +518,9 @@ impl Server {
                 let wl = lookup_workload(workload)?;
                 Ok(self.plan_advise(wl))
             }
-            Request::Chaos {
-                workload,
-                seed,
-                seeds,
-            } => {
+            Request::Chaos { workload, seeds } => {
                 let wl = lookup_workload(workload)?;
-                Ok(plan_chaos(wl, *seed, *seeds))
+                Ok(plan_chaos(wl, *seeds))
             }
             Request::RunTrace { trace, kinds } => plan_trace(trace, kinds),
         }
@@ -775,19 +772,26 @@ fn lookup_workload(name: &str) -> Result<Workload, String> {
 /// Chaos runs as one unit job: `run_campaign` already fans golden and
 /// injected runs out internally, but inside a daemon batch it runs
 /// serially within its slot so it composes with the shared pool.
-fn plan_chaos(wl: Workload, seed: u64, seeds: u64) -> Plan {
+fn plan_chaos(wl: Workload, seeds: Seeds) -> Plan {
     let kinds = wl.set.figure_kinds();
     let build = wl.build;
     let sys = wl.set.system_config();
     let name = wl.name.to_string();
-    let seed_list: Vec<u64> = (0..seeds).map(|i| seed.wrapping_add(i)).collect();
     let job: Job = Box::new(move || {
         let target = chaos::Target {
             name,
             sys,
             build: &build,
         };
-        let cfg = chaos::CampaignConfig::new(seed_list, 1);
+        let cfg = chaos::CampaignConfig {
+            seeds,
+            threads: 1,
+            verify: false,
+            attack: chaos::Attack::Faults {
+                resilience: true,
+                parity: true,
+            },
+        };
         let campaign = chaos::run_campaign(&[target], kinds, &cfg)?;
         Ok(Unit::Text(render_campaign(&campaign)))
     });
@@ -857,16 +861,16 @@ fn render_advise(name: &str, notes: &[verify::Note], measured: &[(MemConfigKind,
 
 fn render_campaign(campaign: &chaos::Campaign) -> String {
     use std::fmt::Write as _;
+    let t = campaign.tally();
     let mut out = format!(
         "cells {} recovered {} detected {} escapes {} injected {} retries {}\n",
-        campaign.cells.len(),
-        campaign.recovered(),
-        campaign.detected(),
-        campaign.escapes().len(),
-        campaign.total_injected(),
-        campaign.total_retries(),
+        t.runs, t.recovered, t.detected, t.escapes, t.counters[0], t.counters[1],
     );
     for c in &campaign.cells {
+        let fingerprint = match &c.detail {
+            chaos::Detail::Faults { fingerprint, .. } => fingerprint.as_str(),
+            chaos::Detail::Crash { .. } => "",
+        };
         writeln!(
             out,
             "cell {} {} seed {} {} fp {}",
@@ -874,7 +878,7 @@ fn render_campaign(campaign: &chaos::Campaign) -> String {
             c.kind.name(),
             c.seed,
             c.outcome.label(),
-            fnv1a(c.fingerprint.as_bytes()),
+            fnv1a(fingerprint.as_bytes()),
         )
         .expect("writing to String cannot fail");
     }
@@ -978,14 +982,43 @@ mod tests {
     #[test]
     fn chaos_seed_components_change_the_key() {
         let mut server = Server::new(1, ResultCache::disabled());
-        let req = |seed, seeds| Request::Chaos {
+        let req = |seed, count| Request::Chaos {
             workload: "implicit".to_string(),
-            seed,
-            seeds,
+            seeds: Seeds::new(seed, count).unwrap(),
         };
         let a = server.request_key(&req(1, 2)).unwrap();
         assert_ne!(a, server.request_key(&req(2, 2)).unwrap());
         assert_ne!(a, server.request_key(&req(1, 3)).unwrap());
+    }
+
+    #[test]
+    fn chaos_seeds_are_clamped_or_refused_never_wrapped() {
+        let seeds = |line: &str| match parse_request(&json::parse(line).unwrap()) {
+            Ok(Request::Chaos { seeds, .. }) => Ok((seeds.first(), seeds.count())),
+            Ok(other) => panic!("{other:?}"),
+            Err(e) => Err(e),
+        };
+        let chaos = |fields: &str| format!(r#"{{"cmd":"chaos","workload":"implicit"{fields}}}"#);
+        assert_eq!(seeds(&chaos("")), Ok((1, 2)));
+        assert_eq!(seeds(&chaos(r#","seeds":0"#)), Ok((1, 1)));
+        assert_eq!(seeds(&chaos(r#","seeds":1000"#)), Ok((1, 64)));
+        let top = 1u64 << 53;
+        let last = chaos(&format!(r#","seed":{top},"seeds":64"#));
+        assert_eq!(seeds(&last), Ok((top, 64)));
+        for bad in [
+            r#","seed":18446744073709551615"#,
+            r#","seed":-1"#,
+            r#","seed":"1""#,
+            r#","seeds":1.5"#,
+        ] {
+            let err = seeds(&chaos(bad)).unwrap_err();
+            assert!(
+                err.contains("must be an integer in 0..=2^53"),
+                "{bad}: {err}"
+            );
+        }
+        // A range past u64::MAX cannot even be built for the daemon.
+        assert!(Seeds::new(u64::MAX, 2).is_err());
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Property tests for the chaos harness (DESIGN.md §9).
+//! Property tests for the chaos campaign (DESIGN.md §9, §15).
 //!
-//! * Determinism: the same fault seeds and switches produce bit-identical
-//!   outcomes, counters, and retry traces at any `--threads` setting.
+//! * Determinism: the same seeds and attack produce bit-identical
+//!   outcomes, counters, and retry traces (or kill plans and recovery
+//!   points) at any `--threads` setting.
 //! * Contract: with resilience and parity on, no run silently escapes.
 //! * Escape classes: with resilience off, the campaign flags (or
 //!   exposes) at least one run — the machinery is load-bearing.
 //! * Zero-rate injection: a quiescent injector is observationally
 //!   identical to running with no injector at all.
 
-use bench::chaos::{run_campaign, Campaign, CampaignConfig, Outcome, Target};
+use bench::chaos::{run_campaign, Attack, Campaign, CampaignConfig, Outcome, Seeds, Target};
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
 use sim::fault::FaultConfig;
@@ -16,8 +17,8 @@ use workloads::suite;
 
 const KINDS: [MemConfigKind; 2] = [MemConfigKind::Cache, MemConfigKind::Stash];
 
-/// Runs a two-workload campaign over [`KINDS`] with the given switches.
-fn campaign(seeds: &[u64], threads: usize, resilience: bool, parity: bool) -> Campaign {
+/// Runs a two-workload campaign over [`KINDS`] with seeds `1..=seeds`.
+fn campaign(seeds: u64, threads: usize, attack: Attack) -> Campaign {
     let micros = suite::micros();
     let picked = [micros[0], micros[2]];
     let targets: Vec<Target<'_>> = picked
@@ -28,16 +29,21 @@ fn campaign(seeds: &[u64], threads: usize, resilience: bool, parity: bool) -> Ca
             build: &w.build,
         })
         .collect();
-    let mut cfg = CampaignConfig::new(seeds.to_vec(), threads);
-    cfg.resilience = resilience;
-    cfg.parity = parity;
+    let cfg = CampaignConfig {
+        seeds: Seeds::new(1, seeds).unwrap(),
+        threads,
+        verify: false,
+        attack,
+    };
     run_campaign(&targets, &KINDS, &cfg).expect("golden runs clean")
 }
 
-#[test]
-fn identical_seeds_are_bit_identical_across_thread_counts() {
-    let serial = campaign(&[1, 2, 3], 1, true, true);
-    let threaded = campaign(&[1, 2, 3], 4, true, true);
+fn faults(resilience: bool, parity: bool) -> Attack {
+    Attack::Faults { resilience, parity }
+}
+
+/// Every field of every run agrees between two campaigns.
+fn assert_same_runs(serial: &Campaign, threaded: &Campaign) {
     assert_eq!(serial.cells.len(), threaded.cells.len());
     for (a, b) in serial.cells.iter().zip(&threaded.cells) {
         assert_eq!(
@@ -53,31 +59,51 @@ fn identical_seeds_are_bit_identical_across_thread_counts() {
             a.seed
         );
         assert_eq!(
-            a.fingerprint,
-            b.fingerprint,
-            "{} on {} seed {}: digest/counters/trace depend on thread count",
+            a.detail,
+            b.detail,
+            "{} on {} seed {}: digest/counters/trace or kill/recovery depend on thread count",
             a.workload,
             a.kind.name(),
             a.seed
         );
-        assert_eq!((a.injected, a.retries), (b.injected, b.retries));
     }
 }
 
 #[test]
+fn identical_seeds_are_bit_identical_across_thread_counts() {
+    assert_same_runs(
+        &campaign(3, 1, faults(true, true)),
+        &campaign(3, 4, faults(true, true)),
+    );
+}
+
+#[test]
+fn crash_campaigns_are_identical_across_thread_counts() {
+    let scratch = |threads: usize| Attack::Crash {
+        scratch: std::env::temp_dir().join(format!(
+            "chaos-determinism-crash-{threads}-{}",
+            std::process::id()
+        )),
+    };
+    let serial = campaign(3, 1, scratch(1));
+    assert!(serial.escapes().is_empty(), "{:?}", serial.escapes());
+    assert_same_runs(&serial, &campaign(3, 4, scratch(4)));
+}
+
+#[test]
 fn resilient_campaign_never_escapes() {
-    let c = campaign(&[1, 2, 3, 4], 4, true, true);
+    let c = campaign(4, 4, faults(true, true));
     let escapes = c.escapes();
     assert!(
         escapes.is_empty(),
         "silent escapes with full resilience: {escapes:?}"
     );
-    assert!(c.total_injected() > 0, "chaos rates injected nothing");
+    assert!(c.tally().counters[0] > 0, "chaos rates injected nothing");
 }
 
 #[test]
 fn disabling_resilience_surfaces_non_recovered_runs() {
-    let c = campaign(&[1, 2, 3, 4], 4, false, true);
+    let c = campaign(4, 4, faults(false, true));
     let non_recovered = c
         .cells
         .iter()

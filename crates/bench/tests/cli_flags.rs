@@ -101,6 +101,29 @@ fn every_binary_refuses_what_it_does_not_take() {
     refuses(profile, &["--workload"], "--workload needs a value");
     row("sweep --threads 0", "--threads: invalid value \"0\"");
 
+    // One seed-range rule for every chaos campaign, checked before any
+    // run: 1..=1024 seeds, and the last one inside a u64.
+    for (line, expected) in [
+        ("chaos --seeds 0", "--seeds: 0 seeds is outside 1..=1024"),
+        (
+            "chaos --seeds 1025",
+            "--seeds: 1025 seeds is outside 1..=1024",
+        ),
+        (
+            "chaos --seeds 1000000000000",
+            "--seeds: 1000000000000 seeds",
+        ),
+        (
+            "chaos --fault-seed 18446744073709551615 --seeds 2",
+            "--fault-seed: 2 seeds from 18446744073709551615 run past",
+        ),
+        ("chaos --crash --seeds 0", "--seeds:"),
+        ("chaos --crash --no-resilience", "incompatible"),
+        ("chaos --crash --no-parity", "incompatible"),
+    ] {
+        row(line, expected);
+    }
+
     // Flags other binaries take, which these never acted on.
     for line in [
         "advise --fault-seed 1",

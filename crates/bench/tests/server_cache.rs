@@ -12,6 +12,7 @@
 //! * a bad request inside a batch yields an `error` event and leaves
 //!   the rest of the batch answered.
 
+use bench::chaos::Seeds;
 use bench::json;
 use bench::server::{key_hex, parse_request, Request, ResultCache, Server};
 use gpu::config::MemConfigKind;
@@ -116,10 +117,9 @@ fn every_key_component_changes_the_address() {
         })
         .unwrap();
     assert_ne!(advise_a, advise_b);
-    let chaos = |seed, seeds| Request::Chaos {
+    let chaos = |seed, count| Request::Chaos {
         workload: "implicit".to_string(),
-        seed,
-        seeds,
+        seeds: Seeds::new(seed, count).unwrap(),
     };
     let chaos_a = server.request_key(&chaos(1, 2)).unwrap();
     assert_ne!(chaos_a, server.request_key(&chaos(9, 2)).unwrap());

@@ -37,6 +37,7 @@
 //!   than its object, a word-aligned base, and rows that do not overlap;
 //! * each task lies inside its array;
 //! * an explicit `cores=` lies in `1..=` the machine's CPU core count;
+//! * a task's `compute=` plus its per-access index cost fits in 32 bits;
 //! * the whole trace lowers to at most [`MAX_TRACE_WORDS`] words.
 //!
 //! # Example
@@ -85,6 +86,7 @@
 
 use crate::builder::{
     cpu_sweep, kernel_from_blocks, AosArray, Placement, TileTask, WorkloadBuilder,
+    GLOBAL_INDEX_COST, LOCAL_INDEX_COST,
 };
 use crate::suite::WorkloadSet;
 use gpu::config::MemConfigKind;
@@ -384,7 +386,19 @@ fn parse_trace_impl(text: &str) -> Result<TraceWorkload, String> {
                     })?;
                     match k {
                         "passes" => passes = parse_u32(v, k, line_no)?,
-                        "compute" => compute = parse_u32(v, k, line_no)?,
+                        "compute" => {
+                            compute = parse_u32(v, k, line_no)?;
+                            // Lowering adds the index cost to each pass's compute.
+                            if compute
+                                .checked_add(GLOBAL_INDEX_COST.max(LOCAL_INDEX_COST))
+                                .is_none()
+                            {
+                                return Err(format!(
+                                    "line {line_no}: compute `{v}` leaves no room for the \
+                                     per-access index cost"
+                                ));
+                            }
+                        }
                         "share" => share = Some(parse_u32(v, k, line_no)?),
                         "rows" => rows = Some(parse_num(v, k, line_no)?),
                         "stride" => stride = Some(parse_num(v, k, line_no)?),
@@ -556,6 +570,8 @@ mod tests {
             ("array a elems=4096\nkernel\nblock\ntask a 0 4096 rw local passes=4294967296", 4, "32 bits"),
             ("array a elems=4194305\ncpu_sweep a", 2, "more than 4194304 words"),
             ("array a elems=4611686018427387904 object=8", 1, "address space"),
+            ("array a elems=64\nkernel\nblock\ntask a 0 32 r global compute=4294967295", 4, "compute `4294967295` leaves no room"),
+            ("array a elems=64\nkernel\nblock\ntask a 0 32 r local compute=4294967294", 4, "per-access index cost"),
         ];
         for (text, line, needle) in cases {
             let err = match parse_trace(text) {
@@ -571,6 +587,7 @@ mod tests {
             "array a elems=16\nkernel\nblock\ntask a 8 8 rw local",
             "array m elems=4096\nkernel\nblock\ntask m 0 16 r local rows=16 stride=64",
             "array a elems=64\ncpu_sweep a cores=15",
+            "array a elems=64\nkernel\nblock\ntask a 0 32 r global compute=4294967293",
         ] {
             let tw = parse_trace(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
             for kind in MemConfigKind::ALL {
