@@ -21,16 +21,11 @@
 //!    (`verify::measured_best`; on an exact tie, the first in figure
 //!    order).
 //!
-//! The `verify::dataflow` bounds pass also runs over every analyzed
-//! program: **proven out-of-bounds** accesses fail the run (exit 1)
-//! like any other validation error, while *data-dependent* bounds
-//! (neither provable nor refutable) are reported but exit 0 — unless
-//! `--deny-unknown` makes them fatal too.
-//!
-//! Exits 1 on an exact-counter mismatch, a failed simulation or a proven
-//! out-of-bounds access, so the binary is its own CI gate. `--verify`
-//! additionally turns on the runtime protocol oracle during the
-//! simulation runs.
+//! Exits 1 on an exact-counter mismatch or a failed simulation, so the
+//! binary is its own CI gate. `--verify` additionally turns on the
+//! runtime protocol oracle during the simulation runs. Proven
+//! out-of-bounds accesses are the `lint` binary's to report: it runs the
+//! `verify::dataflow` bounds pass over every configuration.
 
 use std::num::NonZeroUsize;
 
@@ -40,10 +35,7 @@ use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
 use gpu::program::Program;
 use gpu::report::RunReport;
-use verify::dataflow::{check_bounds, BoundsSummary};
-use verify::{
-    analyze_workload, check_counts, measured_best, symbols_for_trace, Diagnostic, Note, Symbols,
-};
+use verify::{analyze_workload, check_counts, measured_best, symbols_for_trace, Note, Symbols};
 use workloads::suite::{self, WorkloadSet};
 
 /// One matrix cell: the simulator's runtime and any check failures.
@@ -61,14 +53,11 @@ struct Outcome {
     cells: Vec<Cell>,
     /// The measured-best configuration; `None` if a cell failed.
     recommended: Option<MemConfigKind>,
-    bounds: BoundsSummary,
-    bounds_diags: Vec<Diagnostic>,
 }
 
 impl Outcome {
     fn failures(&self) -> usize {
-        let cell_errors: usize = self.cells.iter().map(|c| c.errors.len()).sum();
-        cell_errors + self.bounds.proven_oob
+        self.cells.iter().map(|c| c.errors.len()).sum()
     }
 }
 
@@ -92,22 +81,6 @@ fn advise_one(
     let sys = set.system_config();
     let kinds = set.figure_kinds();
     let analysis = analyze_workload(build, &sys, kinds, symbols);
-
-    // Three-valued bounds verdicts across the figure's configurations
-    // (diagnostics dedup: the same source line repeats per kind).
-    let mut bounds = BoundsSummary::default();
-    let mut bounds_diags: Vec<Diagnostic> = Vec::new();
-    for &kind in kinds {
-        let (diags, summary) = check_bounds(&build(kind), symbols);
-        bounds.proven_safe += summary.proven_safe;
-        bounds.proven_oob += summary.proven_oob;
-        bounds.unknown += summary.unknown;
-        for d in diags {
-            if !bounds_diags.contains(&d) {
-                bounds_diags.push(d);
-            }
-        }
-    }
 
     let jobs: Vec<_> = kinds
         .iter()
@@ -162,8 +135,6 @@ fn advise_one(
         notes: analysis.notes,
         cells,
         recommended,
-        bounds,
-        bounds_diags,
     }
 }
 
@@ -176,13 +147,6 @@ fn print_text(o: &Outcome) {
     );
     for n in &o.notes {
         println!("  {} {}: {n}", n.rule.code(), n.severity().name());
-    }
-    println!(
-        "  bounds: {} proven safe, {} proven OOB, {} data-dependent",
-        o.bounds.proven_safe, o.bounds.proven_oob, o.bounds.unknown
-    );
-    for d in &o.bounds_diags {
-        println!("    {} {}: {d}", d.rule.code(), d.severity().name());
     }
     println!("  {:<10}{:>16}  validation", "config", "measured (ps)");
     for c in &o.cells {
@@ -244,10 +208,6 @@ fn print_json(outcomes: &[Outcome], failures: usize) {
             );
         }
         println!("      ],");
-        println!(
-            "      \"bounds\": {{\"proven_safe\": {}, \"proven_oob\": {}, \"unknown\": {}}},",
-            o.bounds.proven_safe, o.bounds.proven_oob, o.bounds.unknown
-        );
         let recommended = o
             .recommended
             .map_or_else(|| "null".to_string(), |k| format!("\"{}\"", k.name()));
@@ -266,7 +226,6 @@ fn main() {
         .map_or_else(cli::default_threads, NonZeroUsize::get);
     let verify = cli::take_flag(&mut args, "--verify");
     let json = cli::take_flag(&mut args, "--json");
-    let deny_unknown = cli::take_flag(&mut args, "--deny-unknown");
     let traces = cli::finish(args, true);
 
     let pool = JobPool::new(threads);
@@ -310,11 +269,6 @@ fn main() {
             "\n{failures} cross-validation failure{} — advise FAILED",
             if failures == 1 { "" } else { "s" }
         );
-        std::process::exit(1);
-    }
-    let unknown: usize = outcomes.iter().map(|o| o.bounds.unknown).sum();
-    if deny_unknown && unknown > 0 {
-        eprintln!("\n{unknown} data-dependent bounds check(s) — advise FAILED (--deny-unknown)");
         std::process::exit(1);
     }
 }

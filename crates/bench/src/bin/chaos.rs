@@ -47,7 +47,7 @@ fn usage() -> ! {
          each seed kills the run at a seeded barrier (a third of them\n              \
          tearing the snapshot mid-write), restores from the newest valid\n              \
          checkpoint, and classifies against the golden digest\n\
-         --crash-dir DIR  scratch directory for the crash campaign's checkpoint\n              \
+         --crash-dir DIR  with --crash only: scratch directory for the campaign's checkpoint\n              \
          stores (default: a per-process directory under the system tmpdir);\n              \
          the campaign removes what it creates there\n\
          {}\n{}\n{}\n{}",
@@ -155,6 +155,10 @@ fn main() {
     let paths = cli::finish(args, true);
     if crash && (!resilience || !parity) {
         eprintln!("--crash is incompatible with --no-resilience/--no-parity");
+        std::process::exit(2);
+    }
+    if crash_dir.is_some() && !crash {
+        eprintln!("--crash-dir is the --crash campaign's scratch directory; pass --crash too");
         std::process::exit(2);
     }
     let seeds = Seeds::new(seed_base, seed_count).unwrap_or_else(|e| {

@@ -12,7 +12,9 @@
 //! daemon keeps lowered program IRs resident and memoizes results in a
 //! content-addressed cache, so repeated requests are answered without
 //! re-simulating. Requests queued while a batch runs are picked up
-//! together and share the simulation job pool.
+//! together and share the simulation job pool; every line is answered
+//! in input order, so a `stats` line or a refused line waits for the
+//! results of the requests before it.
 //!
 //! A malformed or failing request produces an `error` event; the
 //! process only exits on `shutdown` or end-of-input.
@@ -34,7 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use bench::cli;
 use bench::json;
-use bench::server::{parse_request, Request, ResultCache, Server, CODE_VERSION};
+use bench::server::{error_event, parse_request, Request, ResultCache, Server, CODE_VERSION};
 
 fn hello_line() -> String {
     format!(
@@ -48,27 +50,43 @@ enum Parsed {
     Compute(u64, Request),
     Stats,
     Shutdown,
-    Bad(u64, String),
+    /// A refused line, answered by this `error` event.
+    Bad(String),
 }
 
 fn parse_line(line: &str) -> Parsed {
     let v = match json::parse(line) {
         Ok(v) => v,
-        Err(e) => return Parsed::Bad(0, format!("request is not valid JSON: {e}")),
+        Err(e) => {
+            let message = format!("request is not valid JSON: {e}");
+            return Parsed::Bad(error_event(0, "?", &message));
+        }
     };
     let id = v.get_u64("id").unwrap_or(0);
     match v.get_str("cmd") {
         Some("stats") => Parsed::Stats,
         Some("shutdown") => Parsed::Shutdown,
-        _ => match parse_request(&v) {
+        cmd => match parse_request(&v) {
             Ok(req) => Parsed::Compute(id, req),
-            Err(e) => Parsed::Bad(id, e),
+            Err(e) => Parsed::Bad(error_event(id, cmd.unwrap_or("?"), &e)),
         },
     }
 }
 
-/// Serves one connection's line stream until EOF or `shutdown`.
-/// Returns true when a `shutdown` command was seen.
+/// Runs the requests collected so far as one pooled batch, so that an
+/// event for a later line never overtakes their results.
+fn run_batch(server: &Mutex<Server>, batch: &mut Vec<(u64, Request)>, emit: &mut dyn FnMut(&str)) {
+    if !batch.is_empty() {
+        server
+            .lock()
+            .expect("server lock")
+            .handle_batch(batch, emit);
+        batch.clear();
+    }
+}
+
+/// Serves one connection's line stream until EOF or `shutdown`, answering
+/// in input order. Returns true when a `shutdown` command was seen.
 fn serve_lines(
     server: &Mutex<Server>,
     lines: &mpsc::Receiver<String>,
@@ -80,7 +98,7 @@ fn serve_lines(
     };
     loop {
         // Block on the first request, then drain whatever queued up
-        // behind it: the whole group becomes one pooled batch.
+        // behind it: consecutive requests become one pooled batch.
         let Ok(first) = lines.recv() else {
             return false;
         };
@@ -93,34 +111,24 @@ fn serve_lines(
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_line(line) {
+            let parsed = parse_line(line);
+            if !matches!(parsed, Parsed::Compute(..)) {
+                run_batch(server, &mut batch, &mut emit);
+            }
+            match parsed {
                 Parsed::Compute(id, req) => batch.push((id, req)),
                 Parsed::Stats => {
                     let line = server.lock().expect("server lock").stats_event();
                     emit(&line);
                 }
                 Parsed::Shutdown => {
-                    if !batch.is_empty() {
-                        server
-                            .lock()
-                            .expect("server lock")
-                            .handle_batch(&batch, &mut emit);
-                    }
                     emit("{\"event\":\"bye\"}");
                     return true;
                 }
-                Parsed::Bad(id, e) => emit(&format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"cmd\":\"?\",\"error\":\"{}\"}}",
-                    cli::json_escape(&e),
-                )),
+                Parsed::Bad(event) => emit(&event),
             }
         }
-        if !batch.is_empty() {
-            server
-                .lock()
-                .expect("server lock")
-                .handle_batch(&batch, &mut emit);
-        }
+        run_batch(server, &mut batch, &mut emit);
     }
 }
 

@@ -894,9 +894,12 @@ fn result_event(id: u64, cmd: &str, cached: bool, key: &[u8], payload: &str) -> 
     )
 }
 
-fn error_event(id: u64, cmd: &str, message: &str) -> String {
+/// The `error` event answering request `id`; `cmd` is the request's
+/// command name, or `"?"` when the line named none.
+pub fn error_event(id: u64, cmd: &str, message: &str) -> String {
     format!(
-        "{{\"event\":\"error\",\"id\":{id},\"cmd\":\"{cmd}\",\"error\":\"{}\"}}",
+        "{{\"event\":\"error\",\"id\":{id},\"cmd\":\"{}\",\"error\":\"{}\"}}",
+        json_escape(cmd),
         json_escape(message),
     )
 }

@@ -2,13 +2,13 @@
 //!
 //! For every Figure 5/6 matrix cell, checkpointing at each phase barrier
 //! and restoring from a mid-program snapshot yields byte-identical
-//! reports, counters, stall breakdowns (inside the counters), and state
-//! digests versus an uninterrupted run — on the sequential seed path and
-//! on the parallel path across thread counts {1, 8}. Alongside it: the
-//! store-level recovery contract (truncated and corrupt snapshots are
-//! rejected with the right error, old format versions are a version
-//! mismatch rather than damage, and `latest_valid` falls back to the
-//! newest good file).
+//! reports (counters included) and state digests versus an uninterrupted
+//! run — on the sequential seed path and on the parallel path across
+//! thread counts {1, 8}. Alongside it: the store-level recovery contract
+//! (truncated and corrupt snapshots are rejected with the right error,
+//! old format versions are a version mismatch rather than damage, and
+//! `latest_valid` falls back to the newest good file), and crafted
+//! snapshots that must come back as typed errors, never as an abort.
 
 use bench::pool::JobPool;
 use gpu::config::MemConfigKind;
@@ -207,9 +207,11 @@ fn truncated_and_corrupt_snapshots_are_rejected_with_fallback() {
 fn future_format_version_is_a_version_mismatch_not_corruption() {
     let (snap, _, _) = real_snapshot();
     let bytes = snap.to_bytes();
-    // A newer format, and version 1: the format whose META fingerprint
-    // hashed the program's debug text. An old file is not damage.
-    for version in [sim::snapshot::FORMAT_VERSION + 1, 1] {
+    // A newer format; version 2, whose memory-system section repeated
+    // the geometry in every structure; and version 1, whose META
+    // fingerprint hashed the program's debug text. An old file is not
+    // damage.
+    for version in [sim::snapshot::FORMAT_VERSION + 1, 2, 1] {
         let mut patched = bytes.clone();
         // Version lives at offset 8 (after the 8-byte magic), LE u32.
         patched[8..12].copy_from_slice(&version.to_le_bytes());
@@ -223,11 +225,12 @@ fn future_format_version_is_a_version_mismatch_not_corruption() {
     }
 }
 
-/// A section decoder under test, its result reduced to ok-or-error.
-type Load = fn(&mut Reader<'_>) -> Result<(), SimError>;
+/// A crafted section payload restored into a structure built from the
+/// paper's configuration, its result reduced to ok-or-error.
+type Restore = fn(&mut Reader<'_>) -> Result<(), SimError>;
 
 /// A section payload of little-endian `u64` fields, as `Writer` lays
-/// out counts and geometry.
+/// out counts.
 fn fields(values: &[u64]) -> Vec<u8> {
     let mut w = Writer::new();
     for &v in values {
@@ -237,10 +240,11 @@ fn fields(values: &[u64]) -> Vec<u8> {
 }
 
 /// Restore functions must not trust a declared count: a few bytes that
-/// claim 2^40 entries (or geometry whose product overflows) must come
-/// back as a typed error or a small `Ok`, never a multi-terabyte
-/// reservation that aborts the process. The CRC cannot stop this —
-/// whoever writes a snapshot file can also write a valid CRC.
+/// claim 2^40 entries must come back as a typed error or a small `Ok`,
+/// never a multi-terabyte reservation that aborts the process. The CRC
+/// cannot stop this — whoever writes a snapshot file can also write a
+/// valid CRC. Each payload goes to a structure built with the paper's
+/// geometry, the way `MemorySystem::restore` builds them.
 #[test]
 fn crafted_section_counts_never_drive_unbounded_allocation() {
     let huge = 1u64 << 40;
@@ -258,52 +262,146 @@ fn crafted_section_counts_never_drive_unbounded_allocation() {
     let mut stash_tables = w.into_bytes();
     stash_tables.truncate(stash_tables.len() - 16);
     stash_tables.extend_from_slice(&fields(&[huge]));
-    let cases: Vec<(&'static str, Load, Vec<u8>)> = vec![
+    let cases: Vec<(&'static str, Restore, Vec<u8>)> = vec![
         (
             "vp map",
-            |r| stash::vpmap::VpMap::load(r).map(drop),
+            |r| stash::vpmap::VpMap::new(64, 4096).restore(r),
             fields(&[huge, 4096, huge]),
         ),
         (
             "map index table",
-            |r| stash::index_table::MapIndexTable::load(r).map(drop),
+            |r| stash::index_table::MapIndexTable::new(4).restore(r),
             fields(&[1 << 44, 0]),
         ),
         (
             "stash storage",
-            |r| stash::storage::StashStorage::load(r).map(drop),
+            |r| stash::storage::StashStorage::new(16 * 1024, 64).restore(r),
             fields(&[1, huge]),
         ),
         (
             "denovo l1",
-            |r| mem::cache::DenovoCache::load(r).map(drop),
+            |r| mem::cache::DenovoCache::new(32 * 1024, 8, 64).restore(r),
             fields(&[1 << 20, 1 << 20, 64, huge]),
         ),
         (
             "denovo l1 overflow",
-            |r| mem::cache::DenovoCache::load(r).map(drop),
+            |r| mem::cache::DenovoCache::new(32 * 1024, 8, 64).restore(r),
             fields(&[1 << 32, 1 << 32, 64, 0]),
         ),
         (
             "network",
-            |r| noc::network::Network::load(r).map(drop),
+            |r| noc::Network::new(noc::Mesh::new(4), 5).restore(r),
             network(1 << 20, huge),
         ),
         (
             "stash tables",
-            |r| stash::Stash::restore(r).map(drop),
+            |r| stash::Stash::new(stash::StashConfig::default()).restore(r),
             stash_tables,
         ),
         (
             "network overflow",
-            |r| noc::network::Network::load(r).map(drop),
+            |r| noc::Network::new(noc::Mesh::new(4), 5).restore(r),
             network((1 << 32) + 1, (1 << 32) + 1),
         ),
+        (
+            "llc slots",
+            |r| mem::llc::Llc::new(16, 64).restore(r, 16, 1, 64),
+            fields(&[huge, huge]),
+        ),
+        (
+            "llc word tags",
+            |r| mem::llc::Llc::new(16, 64).restore(r, 16, 1, 64),
+            fields(&[0, huge]),
+        ),
     ];
-    for (what, load, bytes) in cases {
-        match load(&mut Reader::new(&bytes, what)) {
+    for (what, restore, bytes) in cases {
+        match restore(&mut Reader::new(&bytes, what)) {
             Ok(()) | Err(SimError::CheckpointCorrupt { .. }) => {}
             Err(other) => panic!("{what}: expected CheckpointCorrupt, got {other:?}"),
         }
+    }
+}
+
+/// The configuration is the only source of sizes, so a CRC-valid
+/// snapshot whose configuration claims 2^40 CPU cores must fail
+/// validation before anything is built from it. The bytes after the
+/// configuration are what a reader that trusted counts took for a 4x4
+/// network, an empty LLC and 2^40 + 1 L1s, a reservation of 88 TiB.
+#[test]
+fn a_configuration_claiming_2_40_cores_is_corrupt_not_an_abort() {
+    let (snap, program, sys) = real_snapshot();
+    let mut w = Writer::new();
+    sim::config::SystemConfig {
+        cpu_cores: 1 << 40,
+        ..sys
+    }
+    .save(&mut w);
+    w.put_u8(MemConfigKind::Stash.code());
+    let network = [[4, 5, 5].as_slice(), &[0; 9], &[16], &[0; 16]].concat();
+    let llc = [16, 64, 1, 0, 0, 0, 0, 0];
+    for v in [network.as_slice(), &llc, &[(1 << 40) + 1]].concat() {
+        w.put_u64(v);
+    }
+    let mut crafted = Snapshot::new();
+    let meta = snap.section(gpu::machine::SECTION_META, "META").unwrap();
+    crafted.push_section(gpu::machine::SECTION_META, meta.to_vec());
+    crafted.push_section(gpu::machine::SECTION_MSYS, w.into_bytes());
+    let reread = Snapshot::from_bytes(&crafted.to_bytes()).expect("CRC-valid");
+    match Machine::resume(&reread, &program) {
+        Err(SimError::CheckpointCorrupt { .. }) => {}
+        Err(other) => panic!("expected CheckpointCorrupt, got {other:?}"),
+        Ok(_) => panic!("a 2^40-core configuration resumed"),
+    }
+}
+
+/// A CRC-valid snapshot whose LLC registry names an owner the machine
+/// lacks must not resume: the first forward or invalidation would index
+/// that owner's L1 or stash out of bounds. The snapshot is a real one
+/// with one registration re-pointed at core 1000.
+#[test]
+fn a_registration_naming_a_missing_core_is_corrupt_not_a_panic() {
+    let (snap, program, sys) = real_snapshot();
+    let msys = snap.section(gpu::machine::SECTION_MSYS, "MSYS").unwrap();
+    let cores = sys.gpu_cus + sys.cpu_cores;
+    // Walk the payload with the restore entry points up to and through
+    // the LLC, so the splice needs no knowledge of their byte layout.
+    let mut r = Reader::new(msys, "MSYS");
+    let cfg = sim::config::SystemConfig::load(&mut r).unwrap();
+    let kind = MemConfigKind::from_code(r.take_u8().unwrap()).unwrap();
+    assert_eq!(kind, MemConfigKind::Stash);
+    for _ in 0..4 {
+        r.take_bool().unwrap();
+    }
+    r.take_usize().unwrap();
+    let cpu_stashes = r.take_bool().unwrap();
+    let stashes = if cpu_stashes { cores } else { cfg.gpu_cus };
+    noc::Network::new(noc::Mesh::new(cfg.mesh_side), cfg.hop_round_trip_cycles)
+        .restore(&mut r)
+        .unwrap();
+    let llc_start = msys.len() - r.remaining();
+    let mut llc =
+        mem::llc::Llc::with_interleave(cfg.l2_banks, cfg.line_bytes, cfg.l2_interleave_lines);
+    llc.restore(&mut r, cores, stashes, cfg.stash_map_entries)
+        .unwrap();
+    let llc_end = msys.len() - r.remaining();
+
+    let (line, word, _) = llc.registered_words()[0];
+    llc.register_word(
+        line,
+        word,
+        mem::llc::Registration::Cache(mem::llc::CoreId(1000)),
+    );
+    let mut w = Writer::new();
+    llc.save(&mut w);
+    let payload = [&msys[..llc_start], &w.into_bytes(), &msys[llc_end..]].concat();
+    let mut crafted = Snapshot::new();
+    let meta = snap.section(gpu::machine::SECTION_META, "META").unwrap();
+    crafted.push_section(gpu::machine::SECTION_META, meta.to_vec());
+    crafted.push_section(gpu::machine::SECTION_MSYS, payload);
+    let reread = Snapshot::from_bytes(&crafted.to_bytes()).expect("CRC-valid");
+    match Machine::resume(&reread, &program) {
+        Err(SimError::CheckpointCorrupt { .. }) => {}
+        Err(other) => panic!("expected CheckpointCorrupt, got {other:?}"),
+        Ok(_) => panic!("a registration to core 1000 resumed"),
     }
 }

@@ -120,6 +120,7 @@ fn every_binary_refuses_what_it_does_not_take() {
         ("chaos --crash --seeds 0", "--seeds:"),
         ("chaos --crash --no-resilience", "incompatible"),
         ("chaos --crash --no-parity", "incompatible"),
+        ("chaos --crash-dir scratch", "--crash-dir"),
     ] {
         row(line, expected);
     }
@@ -127,6 +128,7 @@ fn every_binary_refuses_what_it_does_not_take() {
     // Flags other binaries take, which these never acted on.
     for line in [
         "advise --fault-seed 1",
+        "advise --deny-unknown",
         "checkpoint --threads 2",
         "checkpoint --fault-seed 1",
         "checkpoint --json",

@@ -123,3 +123,42 @@ fn oversized_inline_trace_is_an_error_and_serving_continues() {
     let result = answer(&events, "result", 1);
     assert!(!result.get_str("payload").expect("payload").is_empty());
 }
+
+#[test]
+fn every_line_is_answered_in_input_order() {
+    // A refused line and a `stats` line behind two valid requests wait
+    // for those requests' results, and the refusal names the command it
+    // read.
+    let chaos = |id: u64, seed: &str| {
+        format!(r#"{{"id":{id},"cmd":"chaos","workload":"implicit","seed":{seed},"seeds":1}}"#)
+    };
+    let input = [
+        chaos(1, "1"),
+        chaos(2, "2"),
+        chaos(3, "18446744073709551615"),
+        r#"{"cmd":"stats"}"#.to_string(),
+        r#"{"cmd":"shutdown"}"#.to_string(),
+    ]
+    .join("\n")
+        + "\n";
+    let (code, events) = stashd(&["--threads", "2", "--no-cache"], &input);
+    assert_eq!(code, Some(0), "shutdown exits 0: {events:?}");
+    let order: Vec<(&str, Option<u64>)> = events
+        .iter()
+        .map(|v| (v.get_str("event").unwrap_or(""), v.get_u64("id")))
+        .filter(|&(event, _)| event != "progress")
+        .collect();
+    assert_eq!(
+        order,
+        [
+            ("hello", None),
+            ("result", Some(1)),
+            ("result", Some(2)),
+            ("error", Some(3)),
+            ("stats", None),
+            ("bye", None),
+        ],
+        "{events:?}"
+    );
+    assert_eq!(answer(&events, "error", 3).get_str("cmd"), Some("chaos"));
+}

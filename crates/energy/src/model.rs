@@ -85,36 +85,6 @@ impl EnergyModel {
         }
     }
 
-    /// Serializes all ten per-event constants in declaration order.
-    pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_u64(self.scratchpad_access);
-        w.put_u64(self.stash_hit);
-        w.put_u64(self.stash_miss);
-        w.put_u64(self.l1_hit);
-        w.put_u64(self.l1_miss);
-        w.put_u64(self.tlb_access);
-        w.put_u64(self.l2_access);
-        w.put_u64(self.noc_flit_hop);
-        w.put_u64(self.core_instruction);
-        w.put_u64(self.map_translation);
-    }
-
-    /// Restores a model written by [`EnergyModel::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, sim::SimError> {
-        Ok(Self {
-            scratchpad_access: r.take_u64()?,
-            stash_hit: r.take_u64()?,
-            stash_miss: r.take_u64()?,
-            l1_hit: r.take_u64()?,
-            l1_miss: r.take_u64()?,
-            tlb_access: r.take_u64()?,
-            l2_access: r.take_u64()?,
-            noc_flit_hop: r.take_u64()?,
-            core_instruction: r.take_u64()?,
-            map_translation: r.take_u64()?,
-        })
-    }
-
     /// The paper's Table 3 rows: `(unit, hit_energy, miss_energy)`,
     /// in femtojoules, `None` where the unit cannot miss.
     pub fn table3_rows(&self) -> Vec<(&'static str, Energy, Option<Energy>)> {

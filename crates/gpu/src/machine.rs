@@ -324,7 +324,8 @@ impl Machine {
 
     /// Captures a crash-consistent snapshot of the machine at a phase
     /// barrier: the program fingerprint, the run cursor, thread-block and
-    /// certificate progress, and the complete memory hierarchy.
+    /// certificate progress, and the memory hierarchy as
+    /// [`MemorySystem::save`] writes it.
     ///
     /// # Panics
     ///
@@ -352,9 +353,13 @@ impl Machine {
     /// verifying the snapshot belongs to `program`. Returns the machine
     /// and the cursor to hand back to [`Machine::run_from`].
     ///
-    /// An installed [`ConflictCertificate`] is *not* part of a snapshot
-    /// (certificates never change results, only merge work) — re-install
-    /// one after resuming if the fast path is wanted.
+    /// A snapshot holds the machine and its state, not what observes or
+    /// merely speeds up a run, since none of it changes results. The
+    /// resumed machine has no [`ConflictCertificate`], no trace sink
+    /// (so no stall attribution), an empty fault-event log and the
+    /// runtime oracle off. A caller that wants any of them re-arms it
+    /// after resuming: [`Machine::set_certificate`],
+    /// [`MemorySystem::enable_trace`], [`MemorySystem::set_verify`].
     ///
     /// # Errors
     ///
@@ -786,14 +791,31 @@ mod tests {
         // A checkpoint taken mid-program carries latent injected
         // corruption and the injector's RNG position; the resumed run's
         // end-of-run parity scrub must land exactly where the
-        // straight-through run's does.
-        use sim::fault::FaultConfig;
+        // straight-through run's does. The trace sink, the oracle and the
+        // fault-event log only observe a run, so they stay out of the
+        // snapshot: the resumed machine has none of them, and the
+        // straight-through fault log is the checkpointed run's log up to
+        // the barrier followed by the resumed injector's log.
+        use sim::fault::{FaultConfig, FaultEvent};
         let program = contended_program();
+        let observed = |fault: &FaultConfig| {
+            let mut m = Machine::new(SystemConfig::for_applications(), MemConfigKind::Stash);
+            m.memory_mut().enable_trace(1 << 12);
+            m.memory_mut().set_verify(true);
+            m.memory_mut().set_fault_injector(fault.clone());
+            m
+        };
+        let log = |m: &Machine| -> Vec<FaultEvent> {
+            m.memory()
+                .fault_injector()
+                .expect("injector")
+                .trace()
+                .to_vec()
+        };
         let mut exercised = false;
         for seed in 1..=32u64 {
             let fault = FaultConfig::chaos(seed);
-            let mut golden = Machine::new(SystemConfig::for_applications(), MemConfigKind::Stash);
-            golden.memory_mut().set_fault_injector(fault.clone());
+            let mut golden = observed(&fault);
             let Ok(golden_report) = golden.run(&program) else {
                 continue; // watchdog trip: fine, but not this test's target
             };
@@ -803,19 +825,22 @@ mod tests {
             if injected == 0 {
                 continue;
             }
-            let mut first = Machine::new(SystemConfig::for_applications(), MemConfigKind::Stash);
-            first.memory_mut().set_fault_injector(fault);
+            let mut first = observed(&fault);
             let mut cursor = RunCursor::default();
-            let mut snap = None;
+            let mut checkpointed = None;
             first
                 .run_from(&program, None, &mut cursor, |m, c| {
-                    if snap.is_none() {
-                        snap = Some(m.checkpoint(&program, *c));
+                    if checkpointed.is_none() {
+                        checkpointed = Some((m.checkpoint(&program, *c), log(m)));
                     }
                     Ok(())
                 })
                 .unwrap();
-            let (mut resumed, mut rc) = Machine::resume(&snap.unwrap(), &program).unwrap();
+            let (snap, prefix) = checkpointed.expect("a first barrier");
+            let (mut resumed, mut rc) = Machine::resume(&snap, &program).unwrap();
+            assert!(!resumed.memory().trace_enabled(), "seed {seed}");
+            assert!(!resumed.memory().verify_enabled(), "seed {seed}");
+            assert!(log(&resumed).is_empty(), "seed {seed}");
             let resumed_report = resumed
                 .run_from(&program, None, &mut rc, |_, _| Ok(()))
                 .unwrap();
@@ -830,12 +855,21 @@ mod tests {
                 golden.memory().remaining_corruption(),
                 "seed {seed}"
             );
-            exercised = true;
-            break;
+            let suffix = log(&resumed);
+            assert_eq!(
+                [prefix.as_slice(), &suffix].concat(),
+                log(&golden),
+                "seed {seed}"
+            );
+            if !prefix.is_empty() && !suffix.is_empty() {
+                exercised = true;
+                break;
+            }
         }
         assert!(
             exercised,
-            "no seed in 1..=32 completed with injected faults"
+            "no seed in 1..=32 completed with injected faults logged on both \
+             sides of the barrier"
         );
     }
 

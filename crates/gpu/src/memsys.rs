@@ -462,9 +462,16 @@ impl MemorySystem {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Serializes the complete hierarchy: configuration, network, LLC,
-    /// L1s, local memories, page table, energy model and account,
-    /// counters, ablation flags, fault injector, and trace sink. Only
+    /// Serializes the machine once and then its state. The machine is
+    /// the [`SystemConfig`], the configuration kind and the memory
+    /// system's own switches (eager writebacks, line-grain registration,
+    /// stash replication, prefetch and fetch width, CPU stashes); the
+    /// state is what changes as it runs: network and LLC accounting, the
+    /// LLC registry, every L1, scratchpad and stash, the page table, the
+    /// energy account, the counters, and the fault injector's schedule
+    /// position. No structure repeats a size the configuration holds, and
+    /// what is only observed — the trace sink, its stall attribution, the
+    /// fault-event log and the oracle switch — is not saved. Only
     /// meaningful at a phase barrier, where no request is in flight and
     /// the latency-and-accounting model holds no transient state.
     ///
@@ -479,28 +486,28 @@ impl MemorySystem {
         );
         self.cfg.save(w);
         w.put_u8(self.kind.code());
+        let stash = self.stashes.first().map(Stash::config);
+        w.put_bool(self.eager_stash_writebacks);
+        w.put_bool(self.line_grain_registration);
+        w.put_bool(stash.is_none_or(|c| c.replication_enabled));
+        w.put_bool(self.stash_prefetch_enabled());
+        w.put_usize(stash.map_or(1, |c| c.fetch_words));
+        w.put_bool(self.cpu_stashes_enabled());
         self.net.save(w);
         self.llc.save(w);
-        w.put_usize(self.l1s.len());
         for l1 in &self.l1s {
             l1.save(w);
         }
-        w.put_usize(self.scratchpads.len());
         for sp in &self.scratchpads {
             sp.save(w);
         }
-        w.put_usize(self.stashes.len());
         for s in &self.stashes {
             s.save(w);
         }
         self.pt.save(w);
-        self.model.save(w);
         self.energy.save(w);
         self.counters.save(w);
         w.put_u64(self.gpu_instructions);
-        w.put_bool(self.eager_stash_writebacks);
-        w.put_bool(self.line_grain_registration);
-        w.put_bool(self.verify);
         match &self.fault {
             None => w.put_u8(0),
             Some(f) => {
@@ -508,128 +515,73 @@ impl MemorySystem {
                 f.save(w);
             }
         }
-        match &self.trace {
-            None => w.put_u8(0),
-            Some(t) => {
-                w.put_u8(1);
-                t.save(w);
-            }
-        }
         w.put_u64(self.now);
     }
 
-    /// Restores a hierarchy written by [`MemorySystem::save`], validating
-    /// that component geometry is mutually consistent with the restored
-    /// configuration.
+    /// Restores a hierarchy written by [`MemorySystem::save`]: builds the
+    /// machine with [`MemorySystem::new`] from the saved configuration
+    /// and kind, applies the saved switches, then reads the state into
+    /// it. The restored system has no trace sink, no fault-event log and
+    /// the oracle off; a caller that wants them installs them again.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CheckpointCorrupt`] on any inconsistency.
+    /// Returns [`SimError::CheckpointCorrupt`] if the configuration fails
+    /// [`SystemConfig::validate`], a switch does not fit the machine, a
+    /// structure's state is malformed or does not fit its geometry, or
+    /// the LLC registry names an owner the machine lacks.
     pub fn restore(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
-        let corrupt = |detail: String| SimError::CheckpointCorrupt {
-            what: "memory system",
-            detail,
-        };
         let cfg = SystemConfig::load(r)?;
         let kind = MemConfigKind::from_code(r.take_u8()?)?;
-        let net = Network::load(r)?;
-        if net.mesh().side() != cfg.mesh_side {
-            return Err(corrupt(format!(
-                "mesh side {} does not match configured {}",
-                net.mesh().side(),
-                cfg.mesh_side
-            )));
+        let mut m = MemorySystem::new(cfg, kind);
+        m.eager_stash_writebacks = r.take_bool()?;
+        m.line_grain_registration = r.take_bool()?;
+        let replication = r.take_bool()?;
+        let prefetch = r.take_bool()?;
+        let fetch_words = r.take_usize()?;
+        let cpu_stashes = r.take_bool()?;
+        if cpu_stashes && m.stashes.is_empty() {
+            return Err(SimError::CheckpointCorrupt {
+                what: "memory system",
+                detail: format!("CPU stashes on a {kind} machine without CU stashes"),
+            });
         }
-        let llc = Llc::load(r)?;
-        if llc.banks() != cfg.l2_banks {
-            return Err(corrupt(format!(
-                "{} LLC banks for configured {}",
-                llc.banks(),
-                cfg.l2_banks
-            )));
+        m.rebuild_stashes(|c| {
+            c.replication_enabled = replication;
+            c.prefetch = prefetch;
+            c.fetch_words = fetch_words.max(1);
+        });
+        if cpu_stashes {
+            m.enable_cpu_stashes();
         }
-        let cores = cfg.gpu_cus + cfg.cpu_cores;
-        let n_l1 = r.take_usize()?;
-        if n_l1 != cores {
-            return Err(corrupt(format!("{n_l1} L1s for {cores} cores")));
+        m.net.restore(r)?;
+        m.llc
+            .restore(r, m.l1s.len(), m.stashes.len(), m.cfg.stash_map_entries)?;
+        for l1 in &mut m.l1s {
+            l1.restore(r)?;
         }
-        let mut l1s = Vec::with_capacity(n_l1);
-        for _ in 0..n_l1 {
-            l1s.push(DenovoCache::load(r)?);
+        for sp in &mut m.scratchpads {
+            sp.restore(r)?;
         }
-        let n_sp = r.take_usize()?;
-        let expected_sp = if kind.uses_scratchpad() {
-            cfg.gpu_cus
-        } else {
-            0
-        };
-        if n_sp != expected_sp {
-            return Err(corrupt(format!(
-                "{n_sp} scratchpads for a {kind} configuration with {} CUs",
-                cfg.gpu_cus
-            )));
+        for s in &mut m.stashes {
+            s.restore(r)?;
         }
-        let mut scratchpads = Vec::with_capacity(n_sp);
-        for _ in 0..n_sp {
-            scratchpads.push(Scratchpad::load(r)?);
-        }
-        let n_stash = r.take_usize()?;
-        let stash_ok = if kind.uses_stash() {
-            // CPU stashes (§8 extension) extend the vector to all cores.
-            n_stash == cfg.gpu_cus || n_stash == cores
-        } else {
-            n_stash == 0
-        };
-        if !stash_ok {
-            return Err(corrupt(format!(
-                "{n_stash} stashes for a {kind} configuration with {} CUs",
-                cfg.gpu_cus
-            )));
-        }
-        let mut stashes = Vec::with_capacity(n_stash);
-        for _ in 0..n_stash {
-            stashes.push(Stash::restore(r)?);
-        }
-        let pt = PageTable::load(r)?;
-        let model = EnergyModel::load(r)?;
-        let energy = EnergyAccount::load(r)?;
-        let counters = Counters::load(r)?;
-        let gpu_instructions = r.take_u64()?;
-        let eager_stash_writebacks = r.take_bool()?;
-        let line_grain_registration = r.take_bool()?;
-        let verify = r.take_bool()?;
-        let fault = match r.take_u8()? {
+        m.pt.restore(r)?;
+        m.energy = EnergyAccount::load(r)?;
+        m.counters = Counters::load(r)?;
+        m.gpu_instructions = r.take_u64()?;
+        m.fault = match r.take_u8()? {
             0 => None,
             1 => Some(FaultInjector::load(r)?),
-            v => return Err(corrupt(format!("unknown fault-injector code {v}"))),
+            v => {
+                return Err(SimError::CheckpointCorrupt {
+                    what: "memory system",
+                    detail: format!("unknown fault-injector code {v}"),
+                })
+            }
         };
-        let trace = match r.take_u8()? {
-            0 => None,
-            1 => Some(Box::new(TraceSink::load(r)?)),
-            v => return Err(corrupt(format!("unknown trace-sink code {v}"))),
-        };
-        let now = r.take_u64()?;
-        Ok(Self {
-            cfg,
-            kind,
-            net,
-            llc,
-            l1s,
-            scratchpads,
-            stashes,
-            pt,
-            model,
-            energy,
-            counters,
-            gpu_instructions,
-            eager_stash_writebacks,
-            line_grain_registration,
-            verify,
-            fault,
-            trace,
-            now,
-            stage: None,
-        })
+        m.now = r.take_u64()?;
+        Ok(m)
     }
 
     /// A human-readable dump of in-flight protocol state for the
@@ -937,22 +889,22 @@ impl MemorySystem {
     }
 
     /// Sends one request message under the installed fault schedule;
-    /// returns `(send_latency, extra_wait)` — the network latency of the
-    /// delivering attempt plus any injected delay / timeout / backoff
-    /// cycles on top of it. Without an injector this is exactly
-    /// [`Self::send`] with zero extra — the fast path the zero-overhead
-    /// guarantee rests on.
+    /// returns the network latency of the delivering attempt. Without an
+    /// injector this is exactly [`Self::send`] — the fast path the
+    /// zero-overhead guarantee rests on.
     ///
     /// With an injector, the message gets a per-machine sequence number
     /// and may be delayed, duplicated (double-charged traffic; the
     /// receiver's sequence check suppresses the copy when resilience is
     /// on — the synchronous model applies state transitions exactly once
-    /// either way), or dropped. A drop times out and retries with bounded
-    /// exponential backoff until delivered or the retry budget runs out;
-    /// with resilience off the first drop trips the watchdog immediately.
+    /// either way), or dropped. A drop is counted as a
+    /// `resilience.timeout` event and retried after a bounded exponential
+    /// backoff, the only wait a retry charges, until delivered or the
+    /// retry budget runs out; with resilience off the first drop trips
+    /// the watchdog immediately.
     ///
     /// **Schedule invariance:** every fault-handling wait — injected
-    /// delay, timeout, backoff — is *accounting only* (counters, energy,
+    /// delay and retry backoff — is *accounting only* (counters, energy,
     /// traffic); the returned latency is always the fault-free send
     /// latency. The warp scheduler orders waves by completion time, so a
     /// latency perturbation would change the interleaving and hence the
@@ -2080,7 +2032,7 @@ impl MemorySystem {
     /// Under a fault schedule the engine may deliver only a prefix of the
     /// transfer. With resilience on, the engine's length check NACKs the
     /// short transfer and the lost tail is re-sent — every word still
-    /// lands, at a timeout + backoff + resend cost. With resilience off
+    /// lands, at a NACK + backoff + resend cost. With resilience off
     /// the tail words silently never move: the truncation escape class.
     ///
     /// # Errors

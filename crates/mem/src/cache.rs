@@ -284,13 +284,10 @@ impl DenovoCache {
         self.lines.iter().flatten().count()
     }
 
-    /// Serializes geometry, tag slots with LRU stamps, the word-state
-    /// arena, and the LRU tick.
+    /// Serializes the tag slots with their LRU stamps, the word-state
+    /// arena and the LRU tick. The geometry is configuration, fixed when
+    /// the cache is built, so it is not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.sets);
-        w.put_usize(self.ways);
-        w.put_u64(self.line_bytes);
-        w.put_usize(self.lines.len());
         for entry in &self.lines {
             match entry {
                 None => w.put_u8(0),
@@ -307,56 +304,29 @@ impl DenovoCache {
         w.put_u64(self.tick);
     }
 
-    /// Restores a cache written by [`DenovoCache::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, sim::SimError> {
-        let corrupt = |detail: String| sim::SimError::CheckpointCorrupt {
-            what: "denovo l1",
-            detail,
-        };
-        let sets = r.take_usize()?;
-        let ways = r.take_usize()?;
-        let line_bytes = r.take_u64()?;
-        if sets == 0 || ways == 0 || line_bytes == 0 || line_bytes % WORD_BYTES != 0 {
-            return Err(corrupt(format!(
-                "invalid geometry: sets {sets}, ways {ways}, line {line_bytes}"
-            )));
-        }
-        let total_lines = r.take_usize()?;
-        if sets.checked_mul(ways) != Some(total_lines) {
-            return Err(corrupt(format!(
-                "{total_lines} tag slots for {sets} sets x {ways} ways"
-            )));
-        }
-        let words_per_line = (line_bytes / WORD_BYTES) as usize;
-        let total_words = total_lines
-            .checked_mul(words_per_line)
-            .ok_or_else(|| corrupt(format!("{total_lines} lines x {words_per_line} words")))?;
-        // Every tag slot and word reads at least one byte: a declared
-        // count can never reserve more than the payload could fill.
-        let mut lines = Vec::with_capacity(total_lines.min(r.remaining()));
-        for _ in 0..total_lines {
-            lines.push(match r.take_u8()? {
+    /// Reads state written by [`DenovoCache::save`] into this cache,
+    /// built with the saved cache's geometry.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), sim::SimError> {
+        for slot in &mut self.lines {
+            *slot = match r.take_u8()? {
                 0 => None,
                 1 => Some(LineEntry {
                     line: LineAddr(r.take_u64()?),
                     last_use: r.take_u64()?,
                 }),
-                v => return Err(corrupt(format!("unknown tag slot code {v}"))),
-            });
+                v => {
+                    return Err(sim::SimError::CheckpointCorrupt {
+                        what: "denovo l1",
+                        detail: format!("unknown tag slot code {v}"),
+                    })
+                }
+            };
         }
-        let mut words = Vec::with_capacity(total_words.min(r.remaining()));
-        for _ in 0..total_words {
-            words.push(word_state_from_code(r.take_u8()?)?);
+        for state in &mut self.words {
+            *state = word_state_from_code(r.take_u8()?)?;
         }
-        Ok(Self {
-            sets,
-            ways,
-            line_bytes,
-            words_per_line,
-            lines,
-            words,
-            tick: r.take_u64()?,
-        })
+        self.tick = r.take_u64()?;
+        Ok(())
     }
 }
 
@@ -389,7 +359,8 @@ mod tests {
         c.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "denovo l1");
-        let restored = DenovoCache::load(&mut r).unwrap();
+        let mut restored = small();
+        restored.restore(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.sets(), c.sets());
         assert_eq!(restored.resident_lines(), c.resident_lines());
@@ -403,16 +374,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_load_rejects_slot_count_mismatch() {
-        let c = small();
+    fn cache_restore_rejects_an_unknown_tag_code() {
         let mut w = sim::snapshot::Writer::new();
-        c.save(&mut w);
+        small().save(&mut w);
         let mut bytes = w.into_bytes();
-        // Patch the serialized slot count (4th field, offset 8+8+8 = 24).
-        bytes[24] = bytes[24].wrapping_add(1);
+        // The first tag slot's code byte: 0 (empty) or 1 (resident).
+        bytes[0] = 2;
         let mut r = sim::snapshot::Reader::new(&bytes, "denovo l1");
         assert!(matches!(
-            DenovoCache::load(&mut r),
+            small().restore(&mut r),
             Err(sim::SimError::CheckpointCorrupt { .. })
         ));
     }

@@ -204,11 +204,6 @@ impl Llc {
         ((line.0 / self.line_bytes / self.interleave_lines) % self.banks as u64) as usize
     }
 
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks
-    }
-
     /// Total DRAM line fetches so far.
     pub fn dram_line_fetches(&self) -> u64 {
         self.dram_line_fetches
@@ -502,8 +497,10 @@ impl Llc {
         n
     }
 
-    /// Serializes the full LLC: geometry, slot table, word-tag arena,
-    /// residency/fetch accounting, and the corrupt-word set.
+    /// Serializes the slot table, the word-tag arena, the residency and
+    /// fetch accounting, and the corrupt-word set. The bank count, line
+    /// size and interleave are configuration, fixed when the LLC is
+    /// built, so they are not saved.
     ///
     /// # Panics
     ///
@@ -515,9 +512,6 @@ impl Llc {
             self.overlay.is_none(),
             "LLC snapshot requires the quiescent master, not a forked shard"
         );
-        w.put_usize(self.banks);
-        w.put_u64(self.line_bytes);
-        w.put_u64(self.interleave_lines);
         w.put_usize(self.tables.slots.len());
         for &slot in &self.tables.slots {
             w.put_u32(slot);
@@ -546,23 +540,32 @@ impl Llc {
         }
     }
 
-    /// Restores an LLC written by [`Llc::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, sim::SimError> {
+    /// Reads state written by [`Llc::save`] into this LLC, built with the
+    /// saved LLC's geometry. Every registration must name an owner the
+    /// machine has: the L1 of one of `cores` cores, or the stash of one
+    /// of the first `stashes` cores through a map index below
+    /// `map_entries`.
+    ///
+    /// # Errors
+    ///
+    /// [`sim::SimError::CheckpointCorrupt`] if the state is malformed or
+    /// a registration names an owner outside those bounds.
+    pub fn restore(
+        &mut self,
+        r: &mut sim::snapshot::Reader<'_>,
+        cores: usize,
+        stashes: usize,
+        map_entries: usize,
+    ) -> Result<(), sim::SimError> {
         let corrupt_err = |detail: String| sim::SimError::CheckpointCorrupt {
             what: "llc",
             detail,
         };
-        let banks = r.take_usize()?;
-        let line_bytes = r.take_u64()?;
-        let interleave_lines = r.take_u64()?;
-        if banks == 0 || line_bytes == 0 || line_bytes % WORD_BYTES != 0 || interleave_lines == 0 {
-            return Err(corrupt_err(format!(
-                "invalid geometry: banks {banks}, line {line_bytes}, interleave {interleave_lines}"
-            )));
-        }
-        let words_per_line = (line_bytes / WORD_BYTES) as usize;
+        let words_per_line = self.words_per_line;
+        // A slot reads four bytes and a word tag at least one: neither
+        // reservation can exceed what the rest of the payload could fill.
         let n_slots = r.take_usize()?;
-        let mut slots = Vec::with_capacity(n_slots.min(1 << 24));
+        let mut slots = Vec::with_capacity(n_slots.min(r.remaining() / 4));
         for _ in 0..n_slots {
             slots.push(r.take_u32()?);
         }
@@ -573,17 +576,33 @@ impl Llc {
             )));
         }
         let arena_slots = n_words / words_per_line;
-        let mut words = Vec::with_capacity(n_words.min(1 << 26));
+        let mut words = Vec::with_capacity(n_words.min(r.remaining()));
         for _ in 0..n_words {
-            words.push(match r.take_u8()? {
-                0 => WordTag::Valid,
-                1 => WordTag::Registered(Registration::Cache(CoreId(r.take_usize()?))),
-                2 => WordTag::Registered(Registration::Stash {
+            let reg = match r.take_u8()? {
+                0 => {
+                    words.push(WordTag::Valid);
+                    continue;
+                }
+                1 => Registration::Cache(CoreId(r.take_usize()?)),
+                2 => Registration::Stash {
                     core: CoreId(r.take_usize()?),
                     map_index: r.take_u8()?,
-                }),
+                },
                 v => return Err(corrupt_err(format!("unknown word tag code {v}"))),
-            });
+            };
+            let owned = match reg {
+                Registration::Cache(core) => core.0 < cores,
+                Registration::Stash { core, map_index } => {
+                    core.0 < stashes && usize::from(map_index) < map_entries
+                }
+            };
+            if !owned {
+                return Err(corrupt_err(format!(
+                    "{reg:?} names an owner outside {cores} cores, \
+                     {stashes} stashes of {map_entries} map entries"
+                )));
+            }
+            words.push(WordTag::Registered(reg));
         }
         for (idx, &slot) in slots.iter().enumerate() {
             if slot != EMPTY && slot as usize >= arena_slots {
@@ -592,10 +611,9 @@ impl Llc {
                 )));
             }
         }
-        let resident = r.take_usize()?;
-        let dram_line_fetches = r.take_u64()?;
+        self.resident = r.take_usize()?;
+        self.dram_line_fetches = r.take_u64()?;
         let n_corrupt = r.take_usize()?;
-        let mut corrupt = BTreeSet::new();
         for _ in 0..n_corrupt {
             let line = LineAddr(r.take_u64()?);
             let word = r.take_usize()?;
@@ -604,19 +622,10 @@ impl Llc {
                     "corrupt-set word index {word} exceeds words per line"
                 )));
             }
-            corrupt.insert((line, word));
+            self.corrupt.insert((line, word));
         }
-        Ok(Self {
-            banks,
-            line_bytes,
-            words_per_line,
-            interleave_lines,
-            tables: Arc::new(Tables { slots, words }),
-            overlay: None,
-            resident,
-            dram_line_fetches,
-            corrupt,
-        })
+        self.tables = Arc::new(Tables { slots, words });
+        Ok(())
     }
 }
 
@@ -876,29 +885,40 @@ mod tests {
         l.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "llc");
-        let back = Llc::load(&mut r).unwrap();
+        let mut back = Llc::with_interleave(8, 64, 2);
+        back.restore(&mut r, 4, 4, 3).unwrap();
         r.finish().unwrap();
         assert_eq!(back.registered_words(), l.registered_words());
         assert_eq!(back.resident_line_addrs(), l.resident_line_addrs());
         assert_eq!(back.dram_line_fetches(), l.dram_line_fetches());
         assert_eq!(back.corrupt_word_count(), l.corrupt_word_count());
-        assert_eq!(back.banks(), l.banks());
-        assert_eq!(back.bank_of(LineAddr(0x200)), l.bank_of(LineAddr(0x200)));
+        // The same registry on a machine that lacks one of its owners:
+        // core 1's L1, core 3's stash, or stash-map entry 2.
+        for (cores, stashes, map_entries) in [(1, 4, 3), (4, 3, 3), (4, 4, 2)] {
+            let mut r = sim::snapshot::Reader::new(&bytes, "llc");
+            assert!(
+                matches!(
+                    Llc::with_interleave(8, 64, 2).restore(&mut r, cores, stashes, map_entries),
+                    Err(sim::SimError::CheckpointCorrupt { .. })
+                ),
+                "{cores} cores, {stashes} stashes, {map_entries} map entries"
+            );
+        }
     }
 
     #[test]
-    fn llc_load_rejects_dangling_slot() {
+    fn llc_restore_rejects_dangling_slot() {
         let mut l = Llc::new(4, 64);
         l.load_word(LineAddr(0x0), 0);
         let mut w = sim::snapshot::Writer::new();
         l.save(&mut w);
         let mut bytes = w.into_bytes();
-        // The single slot entry sits right after banks/line/interleave and
-        // the slot count: patch it to point past the one-slot arena.
-        let off = 8 * 4;
+        // The single slot entry sits right after the slot count: patch it
+        // to point past the one-slot arena.
+        let off = 8;
         bytes[off..off + 4].copy_from_slice(&7u32.to_le_bytes());
         let mut r = sim::snapshot::Reader::new(&bytes, "llc");
-        assert!(Llc::load(&mut r).is_err());
+        assert!(Llc::new(4, 64).restore(&mut r, 1, 0, 0).is_err());
     }
 
     #[test]

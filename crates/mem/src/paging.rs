@@ -74,11 +74,6 @@ impl PageTable {
         }
     }
 
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
-    }
-
     #[inline]
     fn lookup(&self, page: u64) -> Option<u64> {
         if page < DIRECT_PAGES {
@@ -135,9 +130,10 @@ impl PageTable {
     }
 
     /// Serializes the table sparsely: only mapped `(page, frame)` pairs
-    /// (direct window and spill alike), plus the allocation cursor.
+    /// (direct window and spill alike), plus the allocation cursor. The
+    /// page size is configuration, fixed when the table is built, so it
+    /// is not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_u64(self.page_bytes);
         w.put_u64(self.next_frame);
         let direct = self
             .frames
@@ -155,18 +151,11 @@ impl PageTable {
         }
     }
 
-    /// Restores a page table written by [`PageTable::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, sim::SimError> {
-        let page_bytes = r.take_u64()?;
-        if !page_bytes.is_power_of_two() {
-            return Err(sim::SimError::CheckpointCorrupt {
-                what: "page table",
-                detail: format!("page size {page_bytes} is not a power of two"),
-            });
-        }
+    /// Reads mappings written by [`PageTable::save`] into this table,
+    /// which must be empty and built with the saved table's page size.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), sim::SimError> {
         let next_frame = r.take_u64()?;
         let n = r.take_usize()?;
-        let mut pt = Self::new(page_bytes);
         for _ in 0..n {
             let page = r.take_u64()?;
             let frame = r.take_u64()?;
@@ -176,10 +165,10 @@ impl PageTable {
                     detail: format!("page {page:#x} maps to the unmapped sentinel"),
                 });
             }
-            pt.insert(page, frame);
+            self.insert(page, frame);
         }
-        pt.next_frame = next_frame;
-        Ok(pt)
+        self.next_frame = next_frame;
+        Ok(())
     }
 }
 
@@ -319,10 +308,10 @@ mod tests {
         pt.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "page table");
-        let mut restored = PageTable::load(&mut r).unwrap();
+        let mut restored = PageTable::new(4096);
+        restored.restore(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.mapped_pages(), pt.mapped_pages());
-        assert_eq!(restored.page_bytes(), pt.page_bytes());
         for p in 0..100u64 {
             let va = VAddr(p * 4096 * 7);
             assert_eq!(restored.try_translate(va), pt.try_translate(va));
@@ -338,9 +327,8 @@ mod tests {
     }
 
     #[test]
-    fn page_table_load_rejects_sentinel_frame() {
+    fn page_table_restore_rejects_sentinel_frame() {
         let mut w = sim::snapshot::Writer::new();
-        w.put_u64(4096);
         w.put_u64(16);
         w.put_usize(1);
         w.put_u64(3);
@@ -348,7 +336,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "page table");
         assert!(matches!(
-            PageTable::load(&mut r),
+            PageTable::new(4096).restore(&mut r),
             Err(sim::SimError::CheckpointCorrupt { .. })
         ));
     }

@@ -35,40 +35,19 @@ impl Scratchpad {
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero; [`Self::try_new`] reports the
-    /// same condition as an error instead.
+    /// Panics if either parameter is zero.
     pub fn new(capacity_bytes: usize, banks: usize) -> Self {
-        Self::try_new(capacity_bytes, banks).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a scratchpad of `capacity_bytes` with `banks` banks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] if either parameter is zero.
-    pub fn try_new(capacity_bytes: usize, banks: usize) -> Result<Self, SimError> {
-        if capacity_bytes == 0 || banks == 0 {
-            return Err(SimError::Config(format!(
-                "scratchpad needs nonzero capacity and banks \
-                 (got {capacity_bytes} B, {banks} banks)"
-            )));
-        }
-        Ok(Self {
+        assert!(
+            capacity_bytes > 0 && banks > 0,
+            "scratchpad needs nonzero capacity and banks \
+             (got {capacity_bytes} B, {banks} banks)"
+        );
+        Self {
             capacity_bytes,
             banks,
             allocated_bytes: 0,
             accesses: 0,
-        })
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Bank count.
-    pub fn banks(&self) -> usize {
-        self.banks
+        }
     }
 
     /// Bytes currently allocated.
@@ -140,34 +119,34 @@ impl Scratchpad {
         per_bank.into_iter().max().unwrap_or(0).max(1)
     }
 
-    /// Serializes geometry, the allocation watermark, and the access tally.
+    /// Serializes the allocation watermark and the access tally. The
+    /// capacity and bank count are configuration, fixed when the
+    /// scratchpad is built, so they are not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.capacity_bytes);
-        w.put_usize(self.banks);
         w.put_usize(self.allocated_bytes);
         w.put_u64(self.accesses);
     }
 
-    /// Restores a scratchpad written by [`Scratchpad::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
-        let capacity_bytes = r.take_usize()?;
-        let banks = r.take_usize()?;
+    /// Reads state written by [`Scratchpad::save`] into this scratchpad.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CheckpointCorrupt`] if the saved watermark exceeds this
+    /// scratchpad's capacity.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), SimError> {
         let allocated_bytes = r.take_usize()?;
-        let accesses = r.take_u64()?;
-        let mut sp =
-            Self::try_new(capacity_bytes, banks).map_err(|e| SimError::CheckpointCorrupt {
-                what: "scratchpad",
-                detail: e.to_string(),
-            })?;
-        if allocated_bytes > capacity_bytes {
+        if allocated_bytes > self.capacity_bytes {
             return Err(SimError::CheckpointCorrupt {
                 what: "scratchpad",
-                detail: format!("{allocated_bytes} allocated of {capacity_bytes} capacity"),
+                detail: format!(
+                    "{allocated_bytes} allocated of {} capacity",
+                    self.capacity_bytes
+                ),
             });
         }
-        sp.allocated_bytes = allocated_bytes;
-        sp.accesses = accesses;
-        Ok(sp)
+        self.allocated_bytes = allocated_bytes;
+        self.accesses = r.take_u64()?;
+        Ok(())
     }
 }
 
@@ -198,16 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_parameters() {
-        assert!(matches!(
-            Scratchpad::try_new(0, 32),
-            Err(SimError::Config(_))
-        ));
-        assert!(matches!(
-            Scratchpad::try_new(1024, 0),
-            Err(SimError::Config(_))
-        ));
-        assert!(Scratchpad::try_new(1024, 32).is_ok());
+    #[should_panic(expected = "nonzero capacity and banks")]
+    fn zero_capacity_is_refused() {
+        let _ = Scratchpad::new(0, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero capacity and banks")]
+    fn zero_banks_are_refused() {
+        let _ = Scratchpad::new(1024, 0);
     }
 
     #[test]
@@ -259,25 +237,22 @@ mod tests {
         s.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "scratchpad");
-        let restored = Scratchpad::load(&mut r).unwrap();
+        let mut restored = sp();
+        restored.restore(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.capacity_bytes(), s.capacity_bytes());
-        assert_eq!(restored.banks(), s.banks());
         assert_eq!(restored.allocated_bytes(), s.allocated_bytes());
         assert_eq!(restored.accesses(), s.accesses());
     }
 
     #[test]
-    fn scratchpad_load_rejects_overcommit() {
+    fn scratchpad_restore_rejects_overcommit() {
         let mut w = sim::snapshot::Writer::new();
-        w.put_usize(1024);
-        w.put_usize(32);
-        w.put_usize(2048); // allocated > capacity
+        w.put_usize(32 * 1024); // allocated > the 16 KiB capacity
         w.put_u64(0);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "scratchpad");
         assert!(matches!(
-            Scratchpad::load(&mut r),
+            sp().restore(&mut r),
             Err(SimError::CheckpointCorrupt { .. })
         ));
     }

@@ -331,54 +331,26 @@ impl Network {
         (NodeId(i), v)
     }
 
-    /// Serializes the mesh geometry, latency parameters, and all
-    /// accounting. The network is purely a latency/accounting model — no
-    /// in-flight message queues exist, so a barrier-time snapshot captures
-    /// it completely.
+    /// Serializes the accounting: per-class traffic and every router's
+    /// flit tally. The mesh and the hop costs are configuration, fixed
+    /// when the network is built, so they are not saved. The network is
+    /// purely a latency/accounting model — no in-flight message queues
+    /// exist, so a barrier-time snapshot captures it completely.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.mesh.side());
-        w.put_u64(self.hop_x_round_trip_cycles);
-        w.put_u64(self.hop_y_round_trip_cycles);
         self.traffic.save(w);
-        w.put_usize(self.router_flits.len());
         for &f in &self.router_flits {
             w.put_u64(f);
         }
     }
 
-    /// Restores a network written by [`Network::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, sim::SimError> {
-        let corrupt = |detail: String| sim::SimError::CheckpointCorrupt {
-            what: "network",
-            detail,
-        };
-        let side = r.take_usize()?;
-        if side == 0 {
-            return Err(corrupt("zero-sided mesh".into()));
+    /// Reads accounting written by [`Network::save`] into this network,
+    /// built over the saved network's mesh: one tally per router.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), sim::SimError> {
+        self.traffic = TrafficStats::load(r)?;
+        for f in &mut self.router_flits {
+            *f = r.take_u64()?;
         }
-        let hop_x = r.take_u64()?;
-        let hop_y = r.take_u64()?;
-        let traffic = TrafficStats::load(r)?;
-        let n = r.take_usize()?;
-        if side.checked_mul(side) != Some(n) {
-            return Err(corrupt(format!(
-                "{n} router tallies for a {side}x{side} mesh"
-            )));
-        }
-        let mesh = Mesh::new(side);
-        // Every tally reads eight bytes: bound the reservation by the
-        // payload.
-        let mut router_flits = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            router_flits.push(r.take_u64()?);
-        }
-        Ok(Self {
-            mesh,
-            hop_x_round_trip_cycles: hop_x,
-            hop_y_round_trip_cycles: hop_y,
-            traffic,
-            router_flits,
-        })
+        Ok(())
     }
 }
 
@@ -604,28 +576,22 @@ mod tests {
         n.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "network");
-        let restored = Network::load(&mut r).unwrap();
+        let mut restored = Network::with_latencies(Mesh::new(4), 3, 7);
+        restored.restore(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.mesh().side(), 4);
         assert_eq!(restored.traffic(), n.traffic());
         assert_eq!(restored.router_flit_profile(), n.router_flit_profile());
-        assert_eq!(
-            restored.round_trip_cycles(NodeId(0), NodeId(6)),
-            n.round_trip_cycles(NodeId(0), NodeId(6))
-        );
     }
 
     #[test]
-    fn network_load_rejects_router_tally_mismatch() {
-        let n = net();
+    fn network_restore_rejects_a_smaller_mesh_payload() {
+        // A 2x2 network's tallies are too short for a 4x4 network.
         let mut w = sim::snapshot::Writer::new();
-        n.save(&mut w);
-        let mut bytes = w.into_bytes();
-        // Patch the mesh side (first field) from 4 to 5.
-        bytes[0] = 5;
+        Network::new(Mesh::new(2), 5).save(&mut w);
+        let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "network");
         assert!(matches!(
-            Network::load(&mut r),
+            net().restore(&mut r),
             Err(sim::SimError::CheckpointCorrupt { .. })
         ));
     }

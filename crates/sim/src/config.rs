@@ -7,6 +7,37 @@
 
 use crate::clock::ClockDomain;
 
+// Limits [`SystemConfig::validate`] puts on every count and size the
+// memory system allocates from. Each admits the paper's machines, both
+// trace machines and every `dse` space with room to spare; together
+// they keep the largest valid memory system near 120 MiB (64 cores with
+// 4-byte lines and CPU stashes), which is what makes a configuration
+// read from a snapshot safe to build.
+
+/// Most CPU cores plus GPU CUs (the paper's machines have 16).
+pub const MAX_CORES: usize = 64;
+/// Longest mesh side (the paper: 4; the `dse` spaces reach 8).
+pub const MAX_MESH_SIDE: usize = 64;
+/// Most LLC banks (the paper: 16; the `dse` spaces reach 32).
+pub const MAX_L2_BANKS: usize = 1024;
+/// Largest L1 per core in bytes (the paper: 32 KB).
+pub const MAX_L1_BYTES: usize = 256 * 1024;
+/// Highest L1 associativity (the paper: 8).
+pub const MAX_L1_WAYS: usize = 64;
+/// Largest scratchpad or stash per CU in bytes (the paper: 16 KB).
+pub const MAX_SCRATCHPAD_BYTES: usize = 256 * 1024;
+/// Most scratchpad and stash banks (the paper: 32).
+pub const MAX_LOCAL_BANKS: usize = 1024;
+/// Most stash-map entries, and most map-index-table entries per thread
+/// block: a stash-map index is one byte (the paper: 64 and 4).
+pub const MAX_STASH_MAP_ENTRIES: usize = 256;
+/// Most VP-map entries (the paper: 64).
+pub const MAX_VP_MAP_ENTRIES: usize = 4096;
+/// Largest energy scale in percent (the paper's process: 100).
+pub const MAX_ENERGY_SCALE_PCT: u64 = 10_000;
+/// Fastest clock in MHz (the paper: 2,000 CPU and 700 GPU).
+pub const MAX_CLOCK_MHZ: u64 = 1_000_000;
+
 /// Full system configuration (Table 2 of the paper).
 ///
 /// Construct with [`SystemConfig::default`] for the paper's parameters, or
@@ -142,19 +173,49 @@ impl SystemConfig {
 
     /// Validates internal consistency of the configuration.
     ///
+    /// A configuration that passes builds a memory system without
+    /// panicking, and every count and size that memory system allocates
+    /// from lies under this module's `MAX_*` limits, so a configuration
+    /// read from an untrusted snapshot cannot drive an unbounded
+    /// allocation.
+    ///
     /// # Errors
     ///
     /// Returns a message naming the violated constraint: the machine must
     /// have at least one agent and one mesh node (agents co-locate when
-    /// they outnumber nodes), sizes must be powers of two where the
-    /// hardware requires it, and the line size must be a multiple of the
-    /// word size.
+    /// they outnumber nodes), every bounded count lies in `1..=` its
+    /// limit, sizes must be powers of two where the hardware requires it,
+    /// the line size must be a multiple of the word size, and the L1 and
+    /// stash must divide evenly into sets and chunks.
     pub fn validate(&self) -> Result<(), String> {
-        if self.cpu_cores + self.gpu_cus == 0 {
-            return Err("the machine needs at least one CPU core or GPU CU".into());
-        }
-        if self.mesh_side == 0 {
-            return Err("mesh_side must be at least 1".into());
+        let agents = self.cpu_cores.saturating_add(self.gpu_cus);
+        for (name, v, max) in [
+            ("cpu_cores + gpu_cus", agents, MAX_CORES),
+            ("mesh_side", self.mesh_side, MAX_MESH_SIDE),
+            ("l2_banks", self.l2_banks, MAX_L2_BANKS),
+            ("l1_bytes", self.l1_bytes, MAX_L1_BYTES),
+            ("l1_ways", self.l1_ways, MAX_L1_WAYS),
+            (
+                "scratchpad_bytes",
+                self.scratchpad_bytes,
+                MAX_SCRATCHPAD_BYTES,
+            ),
+            ("local_banks", self.local_banks, MAX_LOCAL_BANKS),
+            (
+                "stash_map_entries",
+                self.stash_map_entries,
+                MAX_STASH_MAP_ENTRIES,
+            ),
+            ("vp_map_entries", self.vp_map_entries, MAX_VP_MAP_ENTRIES),
+            (
+                "max_maps_per_thread_block",
+                self.max_maps_per_thread_block,
+                MAX_STASH_MAP_ENTRIES,
+            ),
+        ] {
+            if !(1..=max).contains(&v) {
+                return Err(format!("{name} ({v}) must be in 1..={max}"));
+            }
         }
         for (name, v) in [
             ("line_bytes", self.line_bytes),
@@ -170,22 +231,28 @@ impl SystemConfig {
         if !self.line_bytes.is_multiple_of(4) {
             return Err("line_bytes must be a multiple of the 4-byte word".into());
         }
-        if !self.stash_chunk_bytes.is_multiple_of(4)
-            || self.stash_chunk_bytes > self.scratchpad_bytes
+        if self.line_bytes > self.l1_bytes
+            || !(self.l1_bytes / self.line_bytes).is_multiple_of(self.l1_ways)
         {
-            return Err("stash_chunk_bytes must be word-aligned and fit the stash".into());
+            return Err("l1_bytes must divide into l1_ways-way sets of whole lines".into());
+        }
+        if self.stash_chunk_bytes == 0
+            || !self.stash_chunk_bytes.is_multiple_of(4)
+            || !self.scratchpad_bytes.is_multiple_of(self.stash_chunk_bytes)
+        {
+            return Err("stash_chunk_bytes must be word-aligned and divide the stash".into());
         }
         if !self.threads_per_block.is_multiple_of(self.warp_size) {
             return Err("threads_per_block must be a whole number of warps".into());
         }
-        if self.l2_banks == 0 {
-            return Err("l2_banks must be at least 1".into());
-        }
         if self.l2_interleave_lines == 0 {
             return Err("l2_interleave_lines must be at least 1".into());
         }
-        if self.energy_scale_pct == 0 {
-            return Err("energy_scale_pct must be at least 1".into());
+        if !(1..=MAX_ENERGY_SCALE_PCT).contains(&self.energy_scale_pct) {
+            return Err(format!(
+                "energy_scale_pct ({}) must be in 1..={MAX_ENERGY_SCALE_PCT}",
+                self.energy_scale_pct
+            ));
         }
         Ok(())
     }
@@ -242,9 +309,24 @@ impl SystemConfig {
     /// Restores a configuration written by [`SystemConfig::save`] and
     /// re-validates it (a snapshot carrying an invalid config is corrupt).
     pub fn load(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::SimError> {
+        let corrupt = |detail: String| crate::SimError::CheckpointCorrupt {
+            what: "system config",
+            detail,
+        };
+        let mut clock = || -> Result<ClockDomain, crate::SimError> {
+            let mhz = r.take_u64()?;
+            if !(1..=MAX_CLOCK_MHZ).contains(&mhz) {
+                return Err(corrupt(format!(
+                    "clock of {mhz} MHz is outside 1..={MAX_CLOCK_MHZ}"
+                )));
+            }
+            Ok(ClockDomain::from_mhz(mhz))
+        };
+        let cpu_clock = clock()?;
+        let gpu_clock = clock()?;
         let cfg = Self {
-            cpu_clock: ClockDomain::from_mhz(r.take_u64()?),
-            gpu_clock: ClockDomain::from_mhz(r.take_u64()?),
+            cpu_clock,
+            gpu_clock,
             cpu_cores: r.take_usize()?,
             gpu_cus: r.take_usize()?,
             mesh_side: r.take_usize()?,
@@ -277,11 +359,7 @@ impl SystemConfig {
             kernel_launch_cycles: r.take_u64()?,
             energy_scale_pct: r.take_u64()?,
         };
-        cfg.validate()
-            .map_err(|detail| crate::SimError::CheckpointCorrupt {
-                what: "system config",
-                detail,
-            })?;
+        cfg.validate().map_err(corrupt)?;
         Ok(cfg)
     }
 }
@@ -609,6 +687,54 @@ mod tests {
                 what: "system config",
                 ..
             }
+        ));
+    }
+
+    #[test]
+    fn validate_bounds_every_size_the_memory_system_allocates_from() {
+        let refused: [fn(&mut SystemConfig); 15] = [
+            |c| c.cpu_cores = 1 << 40,
+            |c| c.cpu_cores = usize::MAX,
+            |c| c.mesh_side = (1 << 32) + 1,
+            |c| c.l2_banks = MAX_L2_BANKS + 1,
+            |c| c.l1_bytes = 1 << 40,
+            |c| c.l1_ways = 0,
+            |c| c.l1_ways = 3,
+            |c| c.scratchpad_bytes = 1 << 40,
+            |c| c.local_banks = 0,
+            |c| c.stash_map_entries = 257,
+            |c| c.vp_map_entries = 0,
+            |c| c.max_maps_per_thread_block = 1 << 40,
+            |c| c.stash_chunk_bytes = 0,
+            |c| c.stash_chunk_bytes = 12,
+            |c| c.energy_scale_pct = u64::MAX,
+        ];
+        for tweak in refused {
+            let mut cfg = SystemConfig::for_applications();
+            tweak(&mut cfg);
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
+        // The widest corner the `dse` spaces reach still validates.
+        let wide = SystemConfig {
+            mesh_side: 8,
+            l2_banks: 32,
+            stash_map_entries: 128,
+            ..SystemConfig::for_applications()
+        };
+        assert!(wide.validate().is_ok());
+    }
+
+    #[test]
+    fn config_load_rejects_a_zero_clock() {
+        let mut w = crate::snapshot::Writer::new();
+        SystemConfig::default().save(&mut w);
+        let mut bytes = w.into_bytes();
+        // The CPU clock's MHz is the first field.
+        bytes[..8].copy_from_slice(&0u64.to_le_bytes());
+        let mut r = crate::snapshot::Reader::new(&bytes, "cfg");
+        assert!(matches!(
+            SystemConfig::load(&mut r),
+            Err(crate::SimError::CheckpointCorrupt { .. })
         ));
     }
 

@@ -22,6 +22,14 @@
 //! on. Every draw that fires is appended to a [`FaultEvent`] trace that
 //! those tests compare across `--threads` settings.
 //!
+//! A checkpoint keeps what the schedule's future depends on — the
+//! config, the RNG position and the sequence counter — so a resumed
+//! machine draws exactly what an uninterrupted one would. The event trace
+//! is an observation and stays out of the snapshot: a resumed injector
+//! logs only what happens after the barrier it resumed from, and the
+//! uninterrupted trace is the checkpointed run's trace up to that barrier
+//! followed by the resumed one.
+//!
 //! Latency/energy/traffic are *accounting* in this transaction-level
 //! simulator, so injection never mutates architectural state itself; it
 //! only decides which state transitions the memory system skips, repeats,
@@ -35,21 +43,19 @@
 
 use crate::rng::SplitMix64;
 
-/// Retry/timeout policy for resilient request/response messaging.
+/// Retry policy for resilient request/response messaging.
 ///
-/// A lost (or presumed-lost) request times out after
-/// [`timeout_cycles`](Self::timeout_cycles), is NACKed, and is re-sent
-/// after a bounded exponential backoff: attempt `n` (1-based) waits
+/// A lost request is NACKed and re-sent after a bounded exponential
+/// backoff: attempt `n` (1-based) waits
 /// `min(backoff_base_cycles << (n - 1), backoff_cap_cycles)` extra
-/// cycles. After [`max_retries`](Self::max_retries) failed attempts the
-/// no-progress watchdog trips ([`SimError::Deadlock`]) — the simulator
-/// never hangs.
+/// cycles, the only wait a retry charges (to the
+/// `resilience.backoff_cycles` counter, never to an op's latency). After
+/// [`max_retries`](Self::max_retries) failed attempts the no-progress
+/// watchdog trips ([`SimError::Deadlock`]) — the simulator never hangs.
 ///
 /// [`SimError::Deadlock`]: crate::error::SimError::Deadlock
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Cycles a requester waits before declaring an attempt lost.
-    pub timeout_cycles: u64,
     /// Retries after the first attempt before the watchdog trips.
     pub max_retries: u32,
     /// Backoff after the first failed attempt (doubles per retry).
@@ -61,7 +67,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            timeout_cycles: 200,
             max_retries: 8,
             backoff_base_cycles: 16,
             backoff_cap_cycles: 4096,
@@ -110,7 +115,7 @@ pub struct FaultConfig {
     pub resilience: bool,
     /// Enable the parity/ECC detection model (read checks + end scrub).
     pub parity: bool,
-    /// Timeout/retry/backoff parameters used when `resilience` is on.
+    /// Retry/backoff parameters used when `resilience` is on.
     pub retry: RetryPolicy,
 }
 
@@ -337,9 +342,11 @@ impl FaultInjector {
         None
     }
 
-    /// Serializes the complete injector state — schedule config, RNG
-    /// position, sequence-number source, and fault trace — so a restored
-    /// machine continues the exact same draw stream.
+    /// Serializes what the injector's future depends on — schedule
+    /// config, RNG position and sequence-number source — so a restored
+    /// machine continues the exact same draw stream. The fault-event log
+    /// is an observation and is not saved: a restored injector's log
+    /// starts empty.
     pub fn save(&self, w: &mut crate::snapshot::Writer) {
         let c = &self.cfg;
         w.put_u64(c.seed);
@@ -352,22 +359,15 @@ impl FaultInjector {
         w.put_u64(c.dma_truncate_per_mille);
         w.put_bool(c.resilience);
         w.put_bool(c.parity);
-        w.put_u64(c.retry.timeout_cycles);
         w.put_u32(c.retry.max_retries);
         w.put_u64(c.retry.backoff_base_cycles);
         w.put_u64(c.retry.backoff_cap_cycles);
         w.put_u64(self.rng.state());
         w.put_u64(self.next_seq);
-        w.put_usize(self.trace.len());
-        for e in &self.trace {
-            w.put_str(e.site);
-            w.put_u8(fault_kind_code(e.kind));
-            w.put_u64(e.seq);
-            w.put_u32(e.attempt);
-        }
     }
 
-    /// Restores an injector written by [`FaultInjector::save`].
+    /// Restores an injector written by [`FaultInjector::save`], with an
+    /// empty fault-event log.
     pub fn load(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::SimError> {
         let cfg = FaultConfig {
             seed: r.take_u64()?,
@@ -381,85 +381,18 @@ impl FaultInjector {
             resilience: r.take_bool()?,
             parity: r.take_bool()?,
             retry: RetryPolicy {
-                timeout_cycles: r.take_u64()?,
                 max_retries: r.take_u32()?,
                 backoff_base_cycles: r.take_u64()?,
                 backoff_cap_cycles: r.take_u64()?,
             },
         };
-        let rng = SplitMix64::from_state(r.take_u64()?);
-        let next_seq = r.take_u64()?;
-        let n = r.take_usize()?;
-        let mut trace = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let site = intern_site(r.take_str()?);
-            let kind = fault_kind_from_code(r.take_u8()?)?;
-            let seq = r.take_u64()?;
-            let attempt = r.take_u32()?;
-            trace.push(FaultEvent {
-                site,
-                kind,
-                seq,
-                attempt,
-            });
-        }
         Ok(FaultInjector {
             cfg,
-            rng,
-            next_seq,
-            trace,
+            rng: SplitMix64::from_state(r.take_u64()?),
+            next_seq: r.take_u64()?,
+            trace: Vec::new(),
         })
     }
-}
-
-fn fault_kind_code(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::Drop => 0,
-        FaultKind::Duplicate => 1,
-        FaultKind::Delay => 2,
-        FaultKind::Flip => 3,
-        FaultKind::WritebackLost => 4,
-        FaultKind::DmaTruncated => 5,
-        FaultKind::Retry => 6,
-    }
-}
-
-fn fault_kind_from_code(code: u8) -> Result<FaultKind, crate::SimError> {
-    Ok(match code {
-        0 => FaultKind::Drop,
-        1 => FaultKind::Duplicate,
-        2 => FaultKind::Delay,
-        3 => FaultKind::Flip,
-        4 => FaultKind::WritebackLost,
-        5 => FaultKind::DmaTruncated,
-        6 => FaultKind::Retry,
-        v => {
-            return Err(crate::SimError::CheckpointCorrupt {
-                what: "fault trace",
-                detail: format!("unknown fault kind code {v}"),
-            })
-        }
-    })
-}
-
-/// Interns a site label, returning a `'static` string.
-///
-/// Fault-event sites are `&'static str` in the live simulator (string
-/// literals at injection sites); a deserialized trace has to reconstruct
-/// that, so loaded site names go into a small process-global intern pool.
-/// The pool only ever holds the handful of distinct site labels the
-/// simulator uses, so the leak is bounded.
-pub fn intern_site(name: &str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static POOL: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(Vec::new()));
-    let mut pool = pool.lock().expect("site intern pool poisoned");
-    if let Some(found) = pool.iter().find(|s| **s == name) {
-        return found;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    pool.push(leaked);
-    leaked
 }
 
 #[cfg(test)]
@@ -534,7 +467,10 @@ mod tests {
         let mut back = FaultInjector::load(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.config(), inj.config());
-        assert_eq!(back.trace(), inj.trace());
+        // The event log is an observation: it restarts empty, and from
+        // then on logs exactly what the original logs after the save.
+        assert!(back.trace().is_empty());
+        let logged = inj.trace().len();
         // Future draws must continue the identical stream.
         for i in 0..200 {
             assert_eq!(
@@ -543,13 +479,7 @@ mod tests {
             );
             assert_eq!(inj.next_seq(), back.next_seq());
         }
-    }
-
-    #[test]
-    fn intern_site_dedups() {
-        let a = intern_site("some.site.label");
-        let b = intern_site("some.site.label");
-        assert!(std::ptr::eq(a, b));
+        assert_eq!(back.trace(), &inj.trace()[logged..]);
     }
 
     #[test]
@@ -626,6 +556,7 @@ mod tests {
         let mut r = crate::snapshot::Reader::new(&bytes, "fault");
         let mut back = FaultInjector::load(&mut r).unwrap();
         r.finish().unwrap();
+        let logged = inj.trace().len();
         for _ in 0..300 {
             assert_eq!(inj.flip_word("scrub.post"), back.flip_word("scrub.post"));
             assert_eq!(
@@ -633,6 +564,6 @@ mod tests {
                 back.truncate_dma("scrub.dma", 9)
             );
         }
-        assert_eq!(inj.trace(), back.trace());
+        assert_eq!(&inj.trace()[logged..], back.trace());
     }
 }

@@ -48,8 +48,11 @@ pub const MAGIC: [u8; 8] = *b"STSHSNAP";
 /// structural [`Fnv1aHasher`] hash of the program, not FNV-1a over its
 /// debug text), so a version-1 file reads as
 /// [`SimError::CheckpointVersionMismatch`] rather than as a snapshot of
-/// some other program.
-pub const FORMAT_VERSION: u32 = 2;
+/// some other program. Version 3 states the machine's geometry once, in
+/// its configuration, and drops what is only observed (trace sink, stall
+/// attribution, fault-event log, oracle switch) and the energy model the
+/// configuration implies; version-2 files are a version mismatch too.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The reflected IEEE 802.3 CRC-32 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;

@@ -14,6 +14,9 @@
 //! the last stamp. [`TraceSink::set_base`] shifts stamps by the cycles of
 //! previously completed kernels so timestamps are monotone across a whole
 //! run even though each kernel's scheduler restarts at cycle zero.
+//!
+//! A sink only observes, so it is not part of a checkpoint: a resumed
+//! machine has none until the caller installs a fresh one.
 
 /// Where a GPU cycle went. Every cycle of every CU is attributed to
 /// exactly one reason; the per-CU totals sum to the kernel cycle count
@@ -131,40 +134,6 @@ impl StallBreakdown {
     pub fn iter(&self) -> impl Iterator<Item = (StallReason, u64)> + '_ {
         StallReason::ALL.iter().map(|&r| (r, self.get(r)))
     }
-
-    /// Serializes the per-reason cycle counts in taxonomy order.
-    pub fn save(&self, w: &mut crate::snapshot::Writer) {
-        w.put_usize(StallReason::COUNT);
-        for c in &self.cycles {
-            w.put_u64(*c);
-        }
-    }
-
-    /// Restores a breakdown written by [`StallBreakdown::save`].
-    pub fn load(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::SimError> {
-        let n = r.take_usize()?;
-        if n != StallReason::COUNT {
-            return Err(crate::SimError::CheckpointCorrupt {
-                what: "stall breakdown",
-                detail: format!("{n} reasons, expected {}", StallReason::COUNT),
-            });
-        }
-        let mut out = StallBreakdown::default();
-        for c in &mut out.cycles {
-            *c = r.take_u64()?;
-        }
-        Ok(out)
-    }
-}
-
-fn stall_reason_from_index(i: u8) -> Result<StallReason, crate::SimError> {
-    StallReason::ALL
-        .get(i as usize)
-        .copied()
-        .ok_or_else(|| crate::SimError::CheckpointCorrupt {
-            what: "trace event",
-            detail: format!("stall reason index {i} out of range"),
-        })
 }
 
 /// A typed, cycle-stamped simulation event. `at` is an absolute cycle
@@ -446,56 +415,6 @@ impl TraceSink {
         all[skip..].to_vec()
     }
 
-    /// Serializes the complete sink — ring contents in emission order,
-    /// capacity, drop count, clock stamps, and per-CU stall attribution.
-    pub fn save(&self, w: &mut crate::snapshot::Writer) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.dropped);
-        w.put_u64(self.now);
-        w.put_u64(self.base);
-        let events = self.events();
-        w.put_usize(events.len());
-        for e in &events {
-            save_event(w, e);
-        }
-        w.put_usize(self.breakdown.len());
-        for b in &self.breakdown {
-            b.save(w);
-        }
-    }
-
-    /// Restores a sink written by [`TraceSink::save`].
-    ///
-    /// Events are re-pushed in emission order, so the rebuilt ring holds
-    /// the same events in the same order (with `head` normalized to 0 —
-    /// observable order through [`TraceSink::events`] is identical).
-    pub fn load(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::SimError> {
-        let capacity = r.take_usize()?;
-        let dropped = r.take_u64()?;
-        let now = r.take_u64()?;
-        let base = r.take_u64()?;
-        let mut sink = TraceSink::new(capacity);
-        let n = r.take_usize()?;
-        if n > capacity.max(1) {
-            return Err(crate::SimError::CheckpointCorrupt {
-                what: "trace sink",
-                detail: format!("{n} retained events exceed capacity {capacity}"),
-            });
-        }
-        for _ in 0..n {
-            sink.events.push(load_event(r)?);
-        }
-        sink.dropped = dropped;
-        sink.now = now;
-        sink.base = base;
-        let cus = r.take_usize()?;
-        sink.breakdown.reserve(cus.min(1 << 12));
-        for _ in 0..cus {
-            sink.breakdown.push(StallBreakdown::load(r)?);
-        }
-        Ok(sink)
-    }
-
     /// Merges another sink into this one: its retained events are pushed
     /// in their emission order and its per-CU stall attribution is summed
     /// in. Used to fold a forked shard's trace back into the machine's
@@ -518,222 +437,9 @@ impl TraceSink {
     }
 }
 
-fn save_event(w: &mut crate::snapshot::Writer, e: &TraceEvent) {
-    match *e {
-        TraceEvent::WarpIssue {
-            cu,
-            tb,
-            warp,
-            at,
-            issue,
-            latency,
-        } => {
-            w.put_u8(0);
-            w.put_u32(cu);
-            w.put_u32(tb);
-            w.put_u32(warp);
-            w.put_u64(at);
-            w.put_u64(issue);
-            w.put_u64(latency);
-        }
-        TraceEvent::StallBegin {
-            cu,
-            tb,
-            warp,
-            at,
-            reason,
-        } => {
-            w.put_u8(1);
-            w.put_u32(cu);
-            w.put_u32(tb);
-            w.put_u32(warp);
-            w.put_u64(at);
-            w.put_u8(reason.index() as u8);
-        }
-        TraceEvent::StallEnd {
-            cu,
-            tb,
-            warp,
-            at,
-            reason,
-        } => {
-            w.put_u8(2);
-            w.put_u32(cu);
-            w.put_u32(tb);
-            w.put_u32(warp);
-            w.put_u64(at);
-            w.put_u8(reason.index() as u8);
-        }
-        TraceEvent::L1Access {
-            core,
-            at,
-            store,
-            hit,
-        } => {
-            w.put_u8(3);
-            w.put_u32(core);
-            w.put_u64(at);
-            w.put_bool(store);
-            w.put_bool(hit);
-        }
-        TraceEvent::StashChunkMiss { cu, at, words } => {
-            w.put_u8(4);
-            w.put_u32(cu);
-            w.put_u64(at);
-            w.put_u32(words);
-        }
-        TraceEvent::LlcBank { bank, at } => {
-            w.put_u8(5);
-            w.put_u32(bank);
-            w.put_u64(at);
-        }
-        TraceEvent::NocHop {
-            from,
-            to,
-            at,
-            flits,
-            class,
-        } => {
-            w.put_u8(6);
-            w.put_u32(from);
-            w.put_u32(to);
-            w.put_u64(at);
-            w.put_u64(flits);
-            w.put_u8(class);
-        }
-        TraceEvent::DmaBurst {
-            cu,
-            at,
-            words,
-            store,
-            cycles,
-        } => {
-            w.put_u8(7);
-            w.put_u32(cu);
-            w.put_u64(at);
-            w.put_u32(words);
-            w.put_bool(store);
-            w.put_u64(cycles);
-        }
-        TraceEvent::RetryFired { at, attempt } => {
-            w.put_u8(8);
-            w.put_u64(at);
-            w.put_u32(attempt);
-        }
-        TraceEvent::EnergyEpoch { at, kernel } => {
-            w.put_u8(9);
-            w.put_u64(at);
-            w.put_u32(kernel);
-        }
-    }
-}
-
-fn load_event(r: &mut crate::snapshot::Reader<'_>) -> Result<TraceEvent, crate::SimError> {
-    Ok(match r.take_u8()? {
-        0 => TraceEvent::WarpIssue {
-            cu: r.take_u32()?,
-            tb: r.take_u32()?,
-            warp: r.take_u32()?,
-            at: r.take_u64()?,
-            issue: r.take_u64()?,
-            latency: r.take_u64()?,
-        },
-        1 => TraceEvent::StallBegin {
-            cu: r.take_u32()?,
-            tb: r.take_u32()?,
-            warp: r.take_u32()?,
-            at: r.take_u64()?,
-            reason: stall_reason_from_index(r.take_u8()?)?,
-        },
-        2 => TraceEvent::StallEnd {
-            cu: r.take_u32()?,
-            tb: r.take_u32()?,
-            warp: r.take_u32()?,
-            at: r.take_u64()?,
-            reason: stall_reason_from_index(r.take_u8()?)?,
-        },
-        3 => TraceEvent::L1Access {
-            core: r.take_u32()?,
-            at: r.take_u64()?,
-            store: r.take_bool()?,
-            hit: r.take_bool()?,
-        },
-        4 => TraceEvent::StashChunkMiss {
-            cu: r.take_u32()?,
-            at: r.take_u64()?,
-            words: r.take_u32()?,
-        },
-        5 => TraceEvent::LlcBank {
-            bank: r.take_u32()?,
-            at: r.take_u64()?,
-        },
-        6 => TraceEvent::NocHop {
-            from: r.take_u32()?,
-            to: r.take_u32()?,
-            at: r.take_u64()?,
-            flits: r.take_u64()?,
-            class: r.take_u8()?,
-        },
-        7 => TraceEvent::DmaBurst {
-            cu: r.take_u32()?,
-            at: r.take_u64()?,
-            words: r.take_u32()?,
-            store: r.take_bool()?,
-            cycles: r.take_u64()?,
-        },
-        8 => TraceEvent::RetryFired {
-            at: r.take_u64()?,
-            attempt: r.take_u32()?,
-        },
-        9 => TraceEvent::EnergyEpoch {
-            at: r.take_u64()?,
-            kernel: r.take_u32()?,
-        },
-        v => {
-            return Err(crate::SimError::CheckpointCorrupt {
-                what: "trace event",
-                detail: format!("unknown event code {v}"),
-            })
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sink_round_trips_through_snapshot() {
-        let mut sink = TraceSink::new(4);
-        sink.set_base(50);
-        sink.set_now(3);
-        for bank in 0..6u32 {
-            sink.push(TraceEvent::LlcBank {
-                bank,
-                at: u64::from(bank),
-            });
-        }
-        sink.push(TraceEvent::StallBegin {
-            cu: 1,
-            tb: 2,
-            warp: 3,
-            at: 9,
-            reason: StallReason::StashFetch,
-        });
-        sink.stall(2, StallReason::Drain, 17);
-        let mut w = crate::snapshot::Writer::new();
-        sink.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = crate::snapshot::Reader::new(&bytes, "trace");
-        let back = TraceSink::load(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.events(), sink.events());
-        assert_eq!(back.capacity(), sink.capacity());
-        assert_eq!(back.dropped(), sink.dropped());
-        assert_eq!(back.now(), sink.now());
-        assert_eq!(back.abs(5), sink.abs(5));
-        assert_eq!(back.breakdowns(), sink.breakdowns());
-    }
 
     #[test]
     fn last_events_returns_newest_suffix() {

@@ -91,31 +91,30 @@ impl MapIndexTable {
         self.slots.is_empty()
     }
 
-    /// Serializes capacity and the allocated slots.
+    /// Serializes the allocated slots. The capacity is configuration,
+    /// fixed when the table is built, so it is not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.capacity);
         w.put_usize(self.slots.len());
         for &MapIndex(i) in &self.slots {
             w.put_u8(i);
         }
     }
 
-    /// Restores a table written by [`MapIndexTable::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
-        let capacity = r.take_usize()?;
+    /// Reads slots written by [`MapIndexTable::save`] into this table,
+    /// built with the saved table's capacity.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), SimError> {
         let n = r.take_usize()?;
-        if n > capacity {
+        if n > self.capacity {
             return Err(SimError::CheckpointCorrupt {
                 what: "map index table",
-                detail: format!("{n} slots exceed capacity {capacity}"),
+                detail: format!("{n} slots exceed capacity {}", self.capacity),
             });
         }
-        // Every slot reads one byte: bound the reservation by the payload.
-        let mut slots = Vec::with_capacity(capacity.min(r.remaining()));
+        self.slots.clear();
         for _ in 0..n {
-            slots.push(MapIndex(r.take_u8()?));
+            self.slots.push(MapIndex(r.take_u8()?));
         }
-        Ok(Self { capacity, slots })
+        Ok(())
     }
 }
 

@@ -95,11 +95,6 @@ impl StashMap {
         }
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Adds an entry at the tail, advancing it.
     ///
     /// Returns the new entry's index and, if the reused slot still held a
@@ -191,9 +186,9 @@ impl StashMap {
         self.iter_valid().count()
     }
 
-    /// Serializes capacity, the tail pointer, and every slot.
+    /// Serializes the tail pointer and every slot. The capacity is
+    /// configuration, fixed when the map is built, so it is not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.slots.len());
         w.put_usize(self.tail);
         for slot in &self.slots {
             match slot {
@@ -218,23 +213,23 @@ impl StashMap {
         }
     }
 
-    /// Restores a stash-map written by [`StashMap::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
+    /// Reads state written by [`StashMap::save`] into this map, built
+    /// with the saved map's capacity.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), SimError> {
         let corrupt = |detail: String| SimError::CheckpointCorrupt {
             what: "stash map",
             detail,
         };
-        let capacity = r.take_usize()?;
-        if capacity == 0 || capacity > 256 {
-            return Err(corrupt(format!("capacity {capacity} does not fit a u8")));
-        }
         let tail = r.take_usize()?;
-        if tail >= capacity {
-            return Err(corrupt(format!("tail {tail} outside {capacity} slots")));
+        if tail >= self.slots.len() {
+            return Err(corrupt(format!(
+                "tail {tail} outside {} slots",
+                self.slots.len()
+            )));
         }
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(match r.take_u8()? {
+        self.tail = tail;
+        for slot in &mut self.slots {
+            *slot = match r.take_u8()? {
                 0 => None,
                 1 => Some(StashMapEntry {
                     tile: TileMap::load(r)?,
@@ -250,9 +245,9 @@ impl StashMap {
                     },
                 }),
                 v => return Err(corrupt(format!("unknown slot code {v}"))),
-            });
+            };
         }
-        Ok(Self { slots, tail })
+        Ok(())
     }
 }
 

@@ -752,19 +752,12 @@ impl Stash {
     // Checkpointing
     // ------------------------------------------------------------------
 
-    /// Serializes the configuration and every component: storage, the
-    /// stash-map, the VP-map, live map index tables, and the corrupt-word
-    /// ground truth.
+    /// Serializes every component's state: storage, the stash-map, the
+    /// VP-map, live map index tables, and the corrupt-word ground truth.
+    /// The [`StashConfig`] is not saved: its geometry is the system
+    /// configuration's and its switches are the memory system's, which
+    /// build the stash a snapshot is restored into.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.cfg.capacity_bytes);
-        w.put_usize(self.cfg.chunk_bytes);
-        w.put_usize(self.cfg.map_entries);
-        w.put_usize(self.cfg.vp_map_entries);
-        w.put_usize(self.cfg.max_maps_per_thread_block);
-        w.put_u64(self.cfg.page_bytes);
-        w.put_bool(self.cfg.replication_enabled);
-        w.put_bool(self.cfg.prefetch);
-        w.put_usize(self.cfg.fetch_words);
         self.storage.save(w);
         self.map.save(w);
         self.vp.save(w);
@@ -784,54 +777,30 @@ impl Stash {
         }
     }
 
-    /// Restores a stash written by [`Stash::save`].
-    pub fn restore(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
+    /// Reads state written by [`Stash::save`] into this stash, built with
+    /// the saved stash's configuration.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), SimError> {
         let corrupt_err = |detail: String| SimError::CheckpointCorrupt {
             what: "stash",
             detail,
         };
-        let cfg = StashConfig {
-            capacity_bytes: r.take_usize()?,
-            chunk_bytes: r.take_usize()?,
-            map_entries: r.take_usize()?,
-            vp_map_entries: r.take_usize()?,
-            max_maps_per_thread_block: r.take_usize()?,
-            page_bytes: r.take_u64()?,
-            replication_enabled: r.take_bool()?,
-            prefetch: r.take_bool()?,
-            fetch_words: r.take_usize()?,
-        };
-        if cfg.chunk_bytes == 0
-            || !cfg.chunk_bytes.is_multiple_of(WORD_BYTES as usize)
-            || !cfg.capacity_bytes.is_multiple_of(cfg.chunk_bytes)
-            || cfg.map_entries == 0
-            || cfg.map_entries > 256
-            || cfg.vp_map_entries == 0
-            || !cfg.page_bytes.is_power_of_two()
-        {
-            return Err(corrupt_err(format!("inconsistent configuration {cfg:?}")));
+        self.storage.restore(r)?;
+        self.map.restore(r)?;
+        for i in 0..self.cfg.map_entries {
+            let Some(e) = self.map.entry(MapIndex(i as u8)) else {
+                continue;
+            };
+            // `add_map` and `chg_map` keep every mapping inside the storage.
+            let end = e.stash_base_word.checked_add(e.tile.local_words() as usize);
+            if end.is_none_or(|end| end > self.storage.words()) {
+                return Err(corrupt_err(format!(
+                    "map entry {i} at word {} runs past {} words of storage",
+                    e.stash_base_word,
+                    self.storage.words()
+                )));
+            }
         }
-        let storage = StashStorage::load(r)?;
-        if storage.words() != cfg.capacity_words() || storage.words_per_chunk() != cfg.chunk_words()
-        {
-            return Err(corrupt_err(format!(
-                "storage geometry ({} words, {} per chunk) does not match \
-                 configuration ({} words, {} per chunk)",
-                storage.words(),
-                storage.words_per_chunk(),
-                cfg.capacity_words(),
-                cfg.chunk_words()
-            )));
-        }
-        let map = StashMap::load(r)?;
-        if map.capacity() != cfg.map_entries {
-            return Err(corrupt_err(format!(
-                "stash-map capacity {} does not match configured {}",
-                map.capacity(),
-                cfg.map_entries
-            )));
-        }
-        let vp = VpMap::load(r)?;
+        self.vp.restore(r)?;
         let table_count = r.take_usize()?;
         // Every table slot reads at least one byte: bound the reservation
         // by the payload.
@@ -839,30 +808,27 @@ impl Stash {
         for _ in 0..table_count {
             tables.push(match r.take_u8()? {
                 0 => None,
-                1 => Some(MapIndexTable::load(r)?),
+                1 => {
+                    let mut t = MapIndexTable::new(self.cfg.max_maps_per_thread_block);
+                    t.restore(r)?;
+                    Some(t)
+                }
                 v => return Err(corrupt_err(format!("unknown table slot code {v}"))),
             });
         }
+        self.tables = tables;
         let n = r.take_usize()?;
-        let mut corrupt = BTreeSet::new();
         for _ in 0..n {
             let word = r.take_usize()?;
-            if word >= storage.words() {
+            if word >= self.storage.words() {
                 return Err(corrupt_err(format!(
                     "corrupt word {word} outside {} words of storage",
-                    storage.words()
+                    self.storage.words()
                 )));
             }
-            corrupt.insert(word);
+            self.corrupt.insert(word);
         }
-        Ok(Self {
-            cfg,
-            storage,
-            map,
-            vp,
-            tables,
-            corrupt,
-        })
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1165,10 +1131,9 @@ mod tests {
         s.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = sim::snapshot::Reader::new(&bytes, "stash");
-        let mut restored = Stash::restore(&mut r).unwrap();
+        let mut restored = stash();
+        restored.restore(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.config(), s.config());
-        assert_eq!(restored.words(), s.words());
         assert_eq!(restored.corrupt_word_count(), 1);
         assert_eq!(restored.word_state(0), s.word_state(0));
         assert_eq!(restored.word_state(1), WordState::Registered);
@@ -1186,7 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn stash_load_rejects_out_of_range_corrupt_word() {
+    fn stash_restore_rejects_out_of_range_corrupt_word() {
         let mut s = stash();
         s.flip_word(10);
         let mut w = sim::snapshot::Writer::new();
@@ -1198,9 +1163,40 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut r = sim::snapshot::Reader::new(&bytes, "stash");
         assert!(matches!(
-            Stash::restore(&mut r),
+            stash().restore(&mut r),
             Err(SimError::CheckpointCorrupt { .. })
         ));
+    }
+
+    #[test]
+    fn stash_restore_rejects_a_map_entry_past_the_storage() {
+        let mut s = stash();
+        let m = s
+            .add_map(0, tile(0x1000, 64), 0, UsageMode::MappedCoherent)
+            .unwrap();
+        let mut w = sim::snapshot::Writer::new();
+        s.save(&mut w);
+        let mut bytes = w.into_bytes();
+        // The first map slot's base word follows the storage, the map's
+        // tail, the slot's code and its tile.
+        let mut prefix = sim::snapshot::Writer::new();
+        s.storage.save(&mut prefix);
+        prefix.put_usize(0);
+        prefix.put_u8(1);
+        s.map_entry(m.index).unwrap().tile.save(&mut prefix);
+        let off = prefix.into_bytes().len();
+        assert_eq!(bytes[off..off + 8], 0u64.to_le_bytes());
+        for base in [s.storage.words() - 32, usize::MAX] {
+            bytes[off..off + 8].copy_from_slice(&(base as u64).to_le_bytes());
+            let mut r = sim::snapshot::Reader::new(&bytes, "stash");
+            assert!(
+                matches!(
+                    stash().restore(&mut r),
+                    Err(SimError::CheckpointCorrupt { .. })
+                ),
+                "base word {base}"
+            );
+        }
     }
 
     #[test]

@@ -205,10 +205,10 @@ impl StashStorage {
             .count()
     }
 
-    /// Serializes the word-state arena and per-chunk metadata.
+    /// Serializes the word states and per-chunk metadata. The capacity
+    /// and chunk size are configuration, fixed when the storage is
+    /// built, so they are not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.words_per_chunk);
-        w.put_usize(self.word_states.len());
         for &state in &self.word_states {
             w.put_u8(mem::coherence::word_state_code(state));
         }
@@ -225,43 +225,30 @@ impl StashStorage {
         }
     }
 
-    /// Restores storage written by [`StashStorage::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, sim::SimError> {
-        let corrupt = |detail: String| sim::SimError::CheckpointCorrupt {
-            what: "stash storage",
-            detail,
-        };
-        let words_per_chunk = r.take_usize()?;
-        let words = r.take_usize()?;
-        if words_per_chunk == 0 || !words.is_multiple_of(words_per_chunk) {
-            return Err(corrupt(format!(
-                "{words} words do not chunk evenly by {words_per_chunk}"
-            )));
+    /// Reads state written by [`StashStorage::save`] into this storage,
+    /// built with the saved storage's geometry.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), sim::SimError> {
+        for state in &mut self.word_states {
+            *state = mem::coherence::word_state_from_code(r.take_u8()?)?;
         }
-        // Every word and chunk reads at least one byte: a declared count
-        // can never reserve more than the payload could fill.
-        let mut word_states = Vec::with_capacity(words.min(r.remaining()));
-        for _ in 0..words {
-            word_states.push(mem::coherence::word_state_from_code(r.take_u8()?)?);
-        }
-        let mut chunks = Vec::with_capacity((words / words_per_chunk).min(r.remaining()));
-        for _ in 0..words / words_per_chunk {
+        for meta in &mut self.chunks {
             let owner = match r.take_u8()? {
                 0 => None,
                 1 => Some(MapIndex(r.take_u8()?)),
-                v => return Err(corrupt(format!("unknown chunk owner code {v}"))),
+                v => {
+                    return Err(sim::SimError::CheckpointCorrupt {
+                        what: "stash storage",
+                        detail: format!("unknown chunk owner code {v}"),
+                    })
+                }
             };
-            chunks.push(ChunkMeta {
+            *meta = ChunkMeta {
                 owner,
                 dirty: r.take_bool()?,
                 writeback_pending: r.take_bool()?,
-            });
+            };
         }
-        Ok(Self {
-            word_states,
-            chunks,
-            words_per_chunk,
-        })
+        Ok(())
     }
 }
 

@@ -182,10 +182,10 @@ impl VpMap {
         self.entries.iter().any(|e| e.vpage == vpage)
     }
 
-    /// Serializes capacity, page size, and live entries in table order.
+    /// Serializes the live entries in table order. The capacity and
+    /// page size are configuration, fixed when the map is built, so they
+    /// are not saved.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.page_bytes);
         w.put_usize(self.entries.len());
         for e in &self.entries {
             w.put_u64(e.vpage);
@@ -200,26 +200,21 @@ impl VpMap {
         }
     }
 
-    /// Restores a VP-map written by [`VpMap::save`].
-    pub fn load(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
+    /// Reads entries written by [`VpMap::save`] into this map, built
+    /// with the saved map's capacity and page size.
+    pub fn restore(&mut self, r: &mut sim::snapshot::Reader<'_>) -> Result<(), SimError> {
         let corrupt = |detail: String| SimError::CheckpointCorrupt {
             what: "vp map",
             detail,
         };
-        let capacity = r.take_usize()?;
-        let page_bytes = r.take_u64()?;
-        if capacity == 0 || !page_bytes.is_power_of_two() {
+        let n = r.take_usize()?;
+        if n > self.capacity {
             return Err(corrupt(format!(
-                "capacity {capacity}, page size {page_bytes}"
+                "{n} entries exceed capacity {}",
+                self.capacity
             )));
         }
-        let n = r.take_usize()?;
-        if n > capacity {
-            return Err(corrupt(format!("{n} entries exceed capacity {capacity}")));
-        }
-        // Every entry reads at least one byte: a declared count can never
-        // reserve more than the payload could fill.
-        let mut entries = Vec::with_capacity(capacity.min(r.remaining()));
+        self.entries.clear();
         for _ in 0..n {
             let vpage = r.take_u64()?;
             let frame = match r.take_u8()? {
@@ -227,17 +222,13 @@ impl VpMap {
                 1 => Some(r.take_u64()?),
                 v => return Err(corrupt(format!("unknown frame code {v}"))),
             };
-            entries.push(VpEntry {
+            self.entries.push(VpEntry {
                 vpage,
                 frame,
                 last_user: MapIndex(r.take_u8()?),
             });
         }
-        Ok(Self {
-            entries,
-            capacity,
-            page_bytes,
-        })
+        Ok(())
     }
 }
 
