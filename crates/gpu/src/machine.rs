@@ -473,15 +473,26 @@ impl Machine {
         let cursor = AtomicUsize::new(0);
         let master = &self.mem;
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&cu) = jobs.get(i) else { break };
-                    let mut shard = master.fork_shard((ordinal << 32) | cu as u64);
-                    let outcome = run_cu_blocks(&mut shard, cu, &per_cu[cu])
-                        .map(|cycles| shard.reduce_shard(cu, cycles));
-                    *results[i].lock().expect("result lock") = Some(outcome);
-                });
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&cu) = jobs.get(i) else { break };
+                        let mut shard = master.fork_shard((ordinal << 32) | cu as u64);
+                        let outcome = run_cu_blocks(&mut shard, cu, &per_cu[cu])
+                            .map(|cycles| shard.reduce_shard(cu, cycles));
+                        *results[i].lock().expect("result lock") = Some(outcome);
+                    })
+                })
+                .collect();
+            // Join each worker: the scope alone returns once the closures
+            // end, before the threads exit, so the next kernel's workers
+            // could start while these still hold their allocator arenas
+            // and get fresh ones, each keeping its own heap resident.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         // Join every worker first, then surface the lowest-numbered

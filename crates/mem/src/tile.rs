@@ -193,15 +193,29 @@ impl TileMap {
 
     /// The set of virtual pages the tile touches (sorted, deduplicated);
     /// its size bounds the VP-map entries the mapping needs.
+    ///
+    /// Costs the tile's rows and pages, not its elements: when no whole
+    /// page fits between two fields (`object_bytes − field_bytes <
+    /// page_bytes`), every page from a row's first byte to its last
+    /// mapped byte holds a field byte, so the row is one page range.
+    /// Only otherwise are the row's fields walked one by one.
     pub fn pages_touched(&self, page_bytes: u64) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
-            .iter_field_vaddrs()
-            .flat_map(|va| {
-                let first = va.page(page_bytes);
-                let last = va.add(self.field_bytes - 1).page(page_bytes);
-                first..=last
-            })
-            .collect();
+        let gapless = self.object_bytes - self.field_bytes < page_bytes;
+        let mut pages = Vec::new();
+        for row in 0..self.rows {
+            let row_base = self.global_base.add(row * self.row_stride_bytes);
+            if gapless {
+                let last =
+                    row_base.add((self.row_elems - 1) * self.object_bytes + self.field_bytes - 1);
+                pages.extend(row_base.page(page_bytes)..=last.page(page_bytes));
+            } else {
+                for col in 0..self.row_elems {
+                    let field = row_base.add(col * self.object_bytes);
+                    let last = field.add(self.field_bytes - 1);
+                    pages.extend(field.page(page_bytes)..=last.page(page_bytes));
+                }
+            }
+        }
         pages.sort_unstable();
         pages.dedup();
         pages
@@ -250,6 +264,7 @@ impl TileMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::rng::SplitMix64;
 
     fn aos_1d() -> TileMap {
         // 8 objects of 16 B, one 4-B field mapped, linear.
@@ -325,6 +340,51 @@ mod tests {
         assert_eq!(t.pages_touched(4096), vec![4]);
         // With 1 KB pages each row is its own page.
         assert_eq!(t.pages_touched(1024), vec![16, 17, 18, 19]);
+    }
+
+    /// The reference page set: every page of every element's field.
+    fn pages_by_element(t: &TileMap, page_bytes: u64) -> Vec<u64> {
+        let mut pages: Vec<u64> = t
+            .iter_field_vaddrs()
+            .flat_map(|va| va.page(page_bytes)..=va.add(t.field_bytes() - 1).page(page_bytes))
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    #[test]
+    fn pages_touched_matches_the_element_walk() {
+        let mut rng = SplitMix64::new(0x7113);
+        let (mut cases, mut page_wide_gaps) = (0u64, 0u64);
+        for _ in 0..8000 {
+            let field = 4 * (1 + rng.next_below(16));
+            // Up to ~12 KiB past the field, log-spread so that gaps both
+            // narrower and wider than a page are common.
+            let spread = 3 << rng.next_below(11);
+            let object = field + 4 * rng.next_below(spread);
+            let row_elems = 1 + rng.next_below(300);
+            let rows = 1 + rng.next_below(8);
+            let stride = row_elems * object + rng.next_below(8193);
+            let base = VAddr(4 * rng.next_below(1 << 18));
+            let t = TileMap::new(base, field, object, row_elems, stride, rows).unwrap();
+            for page_bytes in (6..=12).map(|shift| 1u64 << shift) {
+                cases += 1;
+                if object - field >= page_bytes {
+                    page_wide_gaps += 1;
+                }
+                assert_eq!(
+                    t.pages_touched(page_bytes),
+                    pages_by_element(&t, page_bytes),
+                    "{t:?} over {page_bytes} B pages"
+                );
+            }
+        }
+        // Both the page-range rows and the field-walked rows ran.
+        assert!(
+            (cases / 10..cases * 9 / 10).contains(&page_wide_gaps),
+            "{page_wide_gaps} of {cases} cases had a page-wide gap"
+        );
     }
 
     #[test]

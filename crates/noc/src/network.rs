@@ -271,15 +271,17 @@ impl Network {
             MsgClass::Write => 1,
             MsgClass::Writeback => 2,
         };
-        let route = self.mesh.route(from, to);
-        for pair in route.windows(2) {
+        let mut route = self.mesh.route(from, to);
+        let mut prev = route.next().expect("a route starts at its source");
+        for node in route {
             sink.push(TraceEvent::NocHop {
-                from: pair[0].0 as u32,
-                to: pair[1].0 as u32,
+                from: prev.0 as u32,
+                to: node.0 as u32,
                 at,
                 flits,
                 class,
             });
+            prev = node;
         }
     }
 

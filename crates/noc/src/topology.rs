@@ -90,22 +90,23 @@ impl Mesh {
         2 * (self.side as u64 - 1)
     }
 
-    /// The sequence of nodes an XY-routed message visits, inclusive of both
-    /// endpoints (X dimension first, then Y — Garnet's default).
-    pub fn route(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let (fx, fy) = self.coords(from);
+    /// The nodes an XY-routed message visits, inclusive of both endpoints
+    /// (X dimension first, then Y — Garnet's default). Walked lazily, so a
+    /// message costs no allocation.
+    pub fn route(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = NodeId> {
         let (tx, ty) = self.coords(to);
-        let mut path = vec![from];
-        let (mut x, mut y) = (fx, fy);
-        while x != tx {
-            x = if tx > x { x + 1 } else { x - 1 };
-            path.push(self.node_at(x, y));
-        }
-        while y != ty {
-            y = if ty > y { y + 1 } else { y - 1 };
-            path.push(self.node_at(x, y));
-        }
-        path
+        let mesh = *self;
+        let step = |c: usize, t: usize| if t > c { c + 1 } else { c - 1 };
+        std::iter::successors(Some(self.coords(from)), move |&(x, y)| {
+            if x != tx {
+                Some((step(x, tx), y))
+            } else if y != ty {
+                Some((x, step(y, ty)))
+            } else {
+                None
+            }
+        })
+        .map(move |(x, y)| mesh.node_at(x, y))
     }
 
     /// Iterates over all nodes in index order.
@@ -175,7 +176,7 @@ mod tests {
             let mesh = Mesh::new(side);
             for a in mesh.iter() {
                 for b in mesh.iter() {
-                    let route = mesh.route(a, b);
+                    let route: Vec<NodeId> = mesh.route(a, b).collect();
                     assert_eq!(route.len() as u64, mesh.hops(a, b) + 1);
                     assert_eq!(*route.first().unwrap(), a);
                     assert_eq!(*route.last().unwrap(), b);
@@ -187,7 +188,7 @@ mod tests {
     #[test]
     fn route_is_x_first() {
         let mesh = Mesh::new(4);
-        let route = mesh.route(NodeId(0), NodeId(5)); // (0,0) -> (1,1)
+        let route: Vec<NodeId> = mesh.route(NodeId(0), NodeId(5)).collect(); // (0,0) -> (1,1)
         assert_eq!(route, vec![NodeId(0), NodeId(1), NodeId(5)]);
     }
 

@@ -909,19 +909,26 @@ impl Stash {
         writebacks
     }
 
-    /// Releases a retired entry's VP-map translations, re-homing pages
-    /// that other valid mappings still need (see `VpMap::release`).
+    /// Releases a retired entry's VP-map translations, re-homing each page
+    /// that other valid mappings still need to the highest-slot one (see
+    /// `VpMap::release`). The page → entry map is built only when the
+    /// VP-map first asks for a page: half or more of the releases in the
+    /// applications name an entry that no page points at.
     fn vp_release(&mut self, removed: MapIndex) {
-        let mut needs: HashMap<u64, MapIndex> = HashMap::new();
-        for (i, e) in self.map.iter_valid() {
-            if i == removed {
-                continue;
-            }
-            for p in e.tile.pages_touched(self.cfg.page_bytes) {
-                needs.insert(p, i);
-            }
-        }
-        self.vp.release(removed, |page| needs.get(&page).copied());
+        let (map, page_bytes) = (&self.map, self.cfg.page_bytes);
+        let mut needs: Option<HashMap<u64, MapIndex>> = None;
+        self.vp.release(removed, |page| {
+            let needs = needs.get_or_insert_with(|| {
+                let mut needs = HashMap::new();
+                for (i, e) in map.iter_valid().filter(|&(i, _)| i != removed) {
+                    for p in e.tile.pages_touched(page_bytes) {
+                        needs.insert(p, i);
+                    }
+                }
+                needs
+            });
+            needs.get(&page).copied()
+        });
     }
 
     fn decrement_dirty(&mut self, idx: MapIndex) {
@@ -1197,6 +1204,35 @@ mod tests {
                 "base word {base}"
             );
         }
+    }
+
+    #[test]
+    fn release_re_homes_pages_to_the_highest_slot_user() {
+        let mut s = stash();
+        let mut map = |tb, base, elems, word| {
+            s.add_map(tb, tile(base, elems), word, UsageMode::MappedCoherent)
+                .unwrap()
+                .index
+        };
+        let a = map(0, 0x10_000, 64, 0); // page 0x10
+        let b = map(1, 0x10_800, 256, 64); // pages 0x10-0x11
+        let c = map(2, 0x10_c00, 512, 320); // pages 0x10-0x12
+        assert!(a < b && b < c);
+        for page in 0x10..=0x12 {
+            assert_eq!(s.vp.back_pointer(page), Some(c));
+        }
+        // c retires clean: each of its pages goes to the highest-slot
+        // valid entry that still touches it (b, not a), and the page only
+        // c touched is freed.
+        s.end_thread_block(2);
+        assert_eq!(s.vp.back_pointer(0x10), Some(b));
+        assert_eq!(s.vp.back_pointer(0x11), Some(b));
+        assert_eq!(s.vp.back_pointer(0x12), None);
+        // No page points at a, so its release leaves the VP-map as it was.
+        let before = s.vp.clone();
+        s.end_thread_block(0);
+        assert!(s.map_entry(a).is_some_and(|e| !e.valid));
+        assert_eq!(s.vp, before);
     }
 
     #[test]

@@ -43,7 +43,7 @@ struct VpEntry {
 /// assert_eq!(vp.translate(VAddr(5 * 4096 + 12)), Some(PAddr(9 * 4096 + 12)));
 /// assert_eq!(vp.reverse(PAddr(9 * 4096 + 12)), Some(VAddr(5 * 4096 + 12)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VpMap {
     entries: Vec<VpEntry>,
     capacity: usize,
@@ -131,13 +131,6 @@ impl VpMap {
             .map(|e| VAddr(e.vpage * self.page_bytes + pa.offset_in(self.page_bytes)))
     }
 
-    /// Reclaims every entry whose back-pointer names `removed` — called
-    /// when that stash-map entry is replaced. Because map entries retire
-    /// in FIFO order, an entry pointing at `removed` has no younger user.
-    pub fn remove_for(&mut self, removed: MapIndex) {
-        self.entries.retain(|e| e.last_user != removed);
-    }
-
     /// Releases `removed`'s translations, *reassigning* any page that a
     /// still-valid mapping needs (per `still_needed_by`) instead of
     /// dropping it.
@@ -180,6 +173,15 @@ impl VpMap {
     /// Whether `vpage` is currently covered.
     pub fn covers_page(&self, vpage: u64) -> bool {
         self.entries.iter().any(|e| e.vpage == vpage)
+    }
+
+    /// The stash-map entry `vpage`'s back-pointer names, if covered.
+    #[cfg(test)]
+    pub(crate) fn back_pointer(&self, vpage: u64) -> Option<MapIndex> {
+        self.entries
+            .iter()
+            .find(|e| e.vpage == vpage)
+            .map(|e| e.last_user)
     }
 
     /// Serializes the live entries in table order. The capacity and
@@ -265,10 +267,11 @@ mod tests {
         let mut v = vp();
         v.add_page(MapIndex(0), 5, Some(1)).unwrap();
         v.add_page(MapIndex(1), 5, Some(1)).unwrap();
-        // Removing the *older* user must keep the shared page alive.
-        v.remove_for(MapIndex(0));
+        // Releasing the *older* user must keep the shared page alive,
+        // even with no other mapping left to re-home it to.
+        v.release(MapIndex(0), |_| None);
         assert!(v.covers_page(5));
-        v.remove_for(MapIndex(1));
+        v.release(MapIndex(1), |_| None);
         assert!(!v.covers_page(5));
     }
 

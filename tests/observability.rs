@@ -5,24 +5,35 @@
 //!   and the full report are bit-identical either way. The tracing-off
 //!   digests are additionally pinned against the Figure 5 baselines, so
 //!   a change to either the simulation or the tracing hooks that moves
-//!   results is caught here.
+//!   results is caught here. So are the per-router flit profiles of the
+//!   same cells and of lud StashG, which no digest covers.
 //! * **Exact attribution**: with tracing on, every CU's stall breakdown
 //!   sums exactly to the run's `gpu_cycles` for every cell of the
 //!   Figure 5 matrix — no unattributed or double-counted cycles.
 
+use std::collections::HashMap;
+
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
 use gpu::report::RunReport;
+use sim::snapshot::fnv1a;
 use sim::trace::StallReason;
 use workloads::suite;
 
-/// Runs one cell, optionally traced, returning the report, the digest,
-/// and (when traced) the per-CU stall breakdown totals.
-fn run_cell(
-    workload: &suite::Workload,
-    kind: MemConfigKind,
-    traced: bool,
-) -> (RunReport, u64, Vec<u64>) {
+/// What one run of a cell leaves behind.
+struct Cell {
+    report: RunReport,
+    digest: u64,
+    /// FNV-1a of the per-router flit profile (little-endian `u64`s) —
+    /// the route walk's footprint, which neither `state_digest` nor the
+    /// report includes.
+    routers: u64,
+    /// Per-CU stall breakdown totals; empty when untraced.
+    stall_totals: Vec<u64>,
+}
+
+/// Runs one cell, optionally traced.
+fn run_cell(workload: &suite::Workload, kind: MemConfigKind, traced: bool) -> Cell {
     let program = (workload.build)(kind);
     let mut machine = Machine::new(workload.set.system_config(), kind);
     if traced {
@@ -30,12 +41,23 @@ fn run_cell(
     }
     let report = machine.run(&program).expect("cell runs");
     let digest = machine.memory().state_digest();
-    let totals = machine
+    let profile: Vec<u8> = machine
+        .memory()
+        .router_flit_profile()
+        .iter()
+        .flat_map(|flits| flits.to_le_bytes())
+        .collect();
+    let stall_totals = machine
         .memory_mut()
         .take_trace()
         .map(|sink| sink.breakdowns().iter().map(|b| b.total()).collect())
         .unwrap_or_default();
-    (report, digest, totals)
+    Cell {
+        report,
+        digest,
+        routers: fnv1a(&profile),
+        stall_totals,
+    }
 }
 
 /// Figure 5 microbenchmark digests with tracing off, pinned. Regenerate
@@ -80,47 +102,107 @@ const FIGURE5_DIGESTS: [(&str, [u64; 4]); 4] = [
     ),
 ];
 
+/// The same cells' router-profile hashes (`Cell::routers`), pinned the
+/// same way, plus one application cell whose messages cross the whole
+/// mesh.
+const FIGURE5_ROUTER_PROFILES: [(&str, [u64; 4]); 4] = [
+    (
+        "implicit",
+        [
+            9566181161509727957,
+            9566181161509727957,
+            9092516663061665938,
+            9282319858922134009,
+        ],
+    ),
+    (
+        "pollution",
+        [
+            4539797451691662185,
+            8501737956152298104,
+            12931899473336843256,
+            2659341162888450188,
+        ],
+    ),
+    (
+        "ondemand",
+        [
+            15960916240750183219,
+            14400585332264590450,
+            7926628689147457090,
+            17980558563155714832,
+        ],
+    ),
+    (
+        "reuse",
+        [
+            2550992701105360636,
+            2550992701105360636,
+            17413044549364850170,
+            5879168378758577916,
+        ],
+    ),
+];
+const LUD_STASHG_ROUTER_PROFILE: u64 = 13143159526089892614;
+
 #[test]
 fn tracing_is_observationally_free_and_digests_match_baselines() {
-    let pinned: std::collections::HashMap<&str, [u64; 4]> = FIGURE5_DIGESTS.into_iter().collect();
+    let pinned: HashMap<&str, [u64; 4]> = FIGURE5_DIGESTS.into_iter().collect();
+    let pinned_routers: HashMap<&str, [u64; 4]> = FIGURE5_ROUTER_PROFILES.into_iter().collect();
     for workload in &suite::micros() {
-        let expected = pinned[workload.name];
         for (i, &kind) in MemConfigKind::FIGURE5.iter().enumerate() {
-            let (plain_report, plain_digest, no_totals) = run_cell(workload, kind, false);
-            let (traced_report, traced_digest, _) = run_cell(workload, kind, true);
-            assert!(no_totals.is_empty());
+            let plain = run_cell(workload, kind, false);
+            let traced = run_cell(workload, kind, true);
+            assert!(plain.stall_totals.is_empty());
             assert_eq!(
-                plain_digest,
-                traced_digest,
+                plain.digest,
+                traced.digest,
                 "{} / {}: tracing changed architectural state",
                 workload.name,
                 kind.name()
             );
             assert_eq!(
-                plain_report,
-                traced_report,
+                plain.report,
+                traced.report,
                 "{} / {}: tracing changed the report (timing, counters, energy)",
                 workload.name,
                 kind.name()
             );
             assert_eq!(
-                plain_digest,
-                expected[i],
+                plain.digest,
+                pinned[workload.name][i],
                 "{} / {}: digest moved off the pinned Figure 5 baseline",
+                workload.name,
+                kind.name()
+            );
+            assert_eq!(
+                plain.routers,
+                pinned_routers[workload.name][i],
+                "{} / {}: router flit profile moved off its pinned baseline",
                 workload.name,
                 kind.name()
             );
         }
     }
+    let lud = suite::by_name("lud").expect("lud is in the suite");
+    assert_eq!(
+        run_cell(&lud, MemConfigKind::StashG, false).routers,
+        LUD_STASHG_ROUTER_PROFILE,
+        "lud / StashG: router flit profile moved off its pinned baseline"
+    );
 }
 
 #[test]
 fn stall_decomposition_sums_to_total_cycles_across_figure5() {
     for workload in &suite::micros() {
         for &kind in &MemConfigKind::FIGURE5 {
-            let (report, _, totals) = run_cell(workload, kind, true);
-            assert!(!totals.is_empty());
-            for (cu, &total) in totals.iter().enumerate() {
+            let Cell {
+                report,
+                stall_totals,
+                ..
+            } = run_cell(workload, kind, true);
+            assert!(!stall_totals.is_empty());
+            for (cu, &total) in stall_totals.iter().enumerate() {
                 assert_eq!(
                     total,
                     report.gpu_cycles,
