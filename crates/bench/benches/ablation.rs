@@ -9,6 +9,7 @@
 use bench::timing;
 use gpu::config::MemConfigKind;
 use gpu::machine::Machine;
+use sim::config::SystemConfig;
 use workloads::suite;
 
 fn main() {
@@ -18,9 +19,12 @@ fn main() {
         let mut machine = Machine::new(workload.set.system_config(), MemConfigKind::Stash);
         machine.run(&program).expect("reuse runs")
     });
+    let no_replication = SystemConfig {
+        stash_replication: false,
+        ..workload.set.system_config()
+    };
     timing::bench("ablation/replication/off", || {
-        let mut machine = Machine::new(workload.set.system_config(), MemConfigKind::Stash);
-        machine.memory_mut().disable_stash_replication();
+        let mut machine = Machine::new(no_replication.clone(), MemConfigKind::Stash);
         machine.run(&program).expect("reuse runs")
     });
 

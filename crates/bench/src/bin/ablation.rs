@@ -9,41 +9,20 @@
 //! 5. §8 extensions: AddMap-time prefetch and widened fetch granularity
 //!    (On-demand vs Implicit show the trade-off).
 //!
-//! Every ablation cell is an independent simulation; the whole grid is
-//! one pool batch (`--threads N`), and each printed block reports the
-//! host wall-clock its simulations took.
+//! Each cell is a machine whose `SystemConfig` differs from the paper's
+//! in at most one switch (`bench::ablation::grid`). Every ablation cell
+//! is an independent simulation; the whole grid is one pool batch
+//! (`--threads N`), and each printed block reports the host wall-clock
+//! its simulations took.
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
+use bench::ablation;
 use bench::cli;
 use bench::pool::{JobPool, JobResult};
 use gpu::config::MemConfigKind;
-use gpu::machine::Machine;
 use gpu::report::RunReport;
-use workloads::suite;
-
-type Tweak = Box<dyn FnOnce(&mut Machine) + Send>;
-type CellError = (String, sim::SimError);
-type Job = Box<dyn FnOnce() -> Result<RunReport, CellError> + Send>;
-
-fn cell(name: &'static str, kind: MemConfigKind, tweak: Tweak) -> Job {
-    Box::new(move || {
-        let context = format!("ablation: {name} on {}", kind.name());
-        let Some(w) = suite::by_name(name) else {
-            let e = sim::SimError::Config(format!("workload {name:?} is not registered"));
-            return Err((context, e));
-        };
-        let program = (w.build)(kind);
-        let mut machine = Machine::new(w.set.system_config(), kind);
-        tweak(&mut machine);
-        machine.run(&program).map_err(|e| (context, e))
-    })
-}
-
-fn plain(name: &'static str, kind: MemConfigKind) -> Job {
-    cell(name, kind, Box::new(|_| {}))
-}
 
 fn host_ms(results: &[&JobResult<RunReport>]) -> f64 {
     results
@@ -62,62 +41,19 @@ fn main() {
     let pool = JobPool::new(threads);
     let start = std::time::Instant::now();
 
-    // The full ablation grid as one batch; indices name the cells below.
-    let jobs: Vec<Job> = vec![
-        /*  0 */ plain("reuse", MemConfigKind::Stash),
-        /*  1 */
-        cell(
-            "reuse",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().disable_stash_replication()),
-        ),
-        /*  2 */ plain("implicit", MemConfigKind::Stash),
-        /*  3 */ plain("implicit", MemConfigKind::Cache),
-        /*  4 */
-        cell(
-            "reuse",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().set_eager_stash_writebacks(true)),
-        ),
-        /*  5 */
-        cell(
-            "implicit",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().set_eager_stash_writebacks(true)),
-        ),
-        /*  6 */ plain("pathfinder", MemConfigKind::Cache),
-        /*  7 */
-        cell(
-            "pathfinder",
-            MemConfigKind::Cache,
-            Box::new(|m| m.memory_mut().set_line_grain_registration(true)),
-        ),
-        /*  8 */
-        cell(
-            "implicit",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().set_stash_prefetch(true)),
-        ),
-        /*  9 */
-        cell(
-            "implicit",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().set_stash_fetch_words(8)),
-        ),
-        /* 10 */ plain("ondemand", MemConfigKind::Stash),
-        /* 11 */
-        cell(
-            "ondemand",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().set_stash_prefetch(true)),
-        ),
-        /* 12 */
-        cell(
-            "ondemand",
-            MemConfigKind::Stash,
-            Box::new(|m| m.memory_mut().set_stash_fetch_words(8)),
-        ),
-    ];
+    // The full ablation grid as one batch; `ablation::grid` documents
+    // which cell each index below names.
+    let jobs: Vec<_> = ablation::grid()
+        .into_iter()
+        .map(|cell| {
+            move || {
+                cell.run().map(|(report, _)| report).map_err(|e| {
+                    let context = format!("ablation: {} on {}", cell.workload, cell.kind.name());
+                    (context, e)
+                })
+            }
+        })
+        .collect();
     let jobs_len = jobs.len();
     // A failed cell reports its (workload, configuration) context and
     // exits nonzero — a deadlock additionally prints its diagnostic

@@ -16,8 +16,9 @@
 //! in input order, so a `stats` line or a refused line waits for the
 //! results of the requests before it.
 //!
-//! A malformed or failing request produces an `error` event; the
-//! process only exits on `shutdown` or end-of-input.
+//! A malformed or failing request produces an `error` event, and so
+//! does a line longer than `server::MAX_LINE_BYTES` (1 MiB) or one that
+//! is not UTF-8; the process only exits on `shutdown` or end-of-input.
 //!
 //! Flags:
 //!
@@ -29,14 +30,17 @@
 //! --threads N     simulation pool width (default: all cores)
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::num::NonZeroUsize;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use bench::cli;
 use bench::json;
-use bench::server::{error_event, parse_request, Request, ResultCache, Server, CODE_VERSION};
+use bench::server::{
+    error_event, parse_request, read_line, Request, ResultCache, Server, CODE_VERSION,
+    MAX_LINE_BYTES,
+};
 
 fn hello_line() -> String {
     format!(
@@ -86,10 +90,11 @@ fn run_batch(server: &Mutex<Server>, batch: &mut Vec<(u64, Request)>, emit: &mut
 }
 
 /// Serves one connection's line stream until EOF or `shutdown`, answering
-/// in input order. Returns true when a `shutdown` command was seen.
+/// in input order; a line the reader refused is answered by an `error`
+/// event in its place. Returns true when a `shutdown` command was seen.
 fn serve_lines(
     server: &Mutex<Server>,
-    lines: &mpsc::Receiver<String>,
+    lines: &mpsc::Receiver<Result<String, String>>,
     out: &mut dyn Write,
 ) -> bool {
     let mut emit = |line: &str| {
@@ -108,10 +113,11 @@ fn serve_lines(
         }
         let mut batch: Vec<(u64, Request)> = Vec::new();
         for line in &raw {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = parse_line(line);
+            let parsed = match line {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => parse_line(line),
+                Err(refusal) => Parsed::Bad(error_event(0, "?", refusal)),
+            };
             if !matches!(parsed, Parsed::Compute(..)) {
                 run_batch(server, &mut batch, &mut emit);
             }
@@ -132,13 +138,16 @@ fn serve_lines(
     }
 }
 
-/// Pumps a reader's lines into a channel from a dedicated thread, so
-/// the serving loop can batch what queues up between turns.
-fn line_pump<R: std::io::Read + Send + 'static>(reader: R) -> mpsc::Receiver<String> {
+/// Pumps a reader's lines, each bounded by [`MAX_LINE_BYTES`], into a
+/// channel from a dedicated thread, so the serving loop can batch what
+/// queues up between turns. Both transports read through it.
+fn line_pump<R: std::io::Read + Send + 'static>(
+    reader: R,
+) -> mpsc::Receiver<Result<String, String>> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        for line in BufReader::new(reader).lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(reader);
+        while let Ok(Some(line)) = read_line(&mut reader, MAX_LINE_BYTES) {
             if tx.send(line).is_err() {
                 break;
             }

@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod ablation;
 pub mod chaos;
 pub mod cli;
 pub mod json;

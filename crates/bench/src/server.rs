@@ -58,6 +58,65 @@ pub const TAG_RESULT: u32 = u32::from_le_bytes(*b"RSLT");
 /// Default bound on disk cache entries before oldest-first eviction.
 pub const DEFAULT_CACHE_MAX: usize = 512;
 
+/// Longest request line the daemon reads, newline excluded (1 MiB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next request line from `input` and buffers at most `cap`
+/// bytes of it. Returns `None` at the end of input, `Some(Ok(line))`
+/// for a line of at most `cap` bytes of UTF-8 (its `\n` or `\r\n`
+/// removed), and `Some(Err(message))` for a longer line or one that is
+/// not UTF-8. Either way the next call starts after the line's newline.
+///
+/// # Errors
+///
+/// Propagates a read error from `input`.
+pub fn read_line(
+    input: &mut impl std::io::BufRead,
+    cap: usize,
+) -> std::io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let mut too_long = false;
+    let mut ended = false;
+    let mut read_any = false;
+    while !ended {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let (body, used) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                ended = true;
+                (&chunk[..i], i + 1)
+            }
+            None => (chunk, chunk.len()),
+        };
+        if too_long || line.len() + body.len() > cap {
+            too_long = true;
+            line = Vec::new();
+        } else {
+            line.extend_from_slice(body);
+        }
+        input.consume(used);
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(Err(format!("request line longer than {cap} bytes"))));
+    }
+    if ended && line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(Some(String::from_utf8(line).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
+}
+
 /// The 16-hex-digit content address of a key byte string.
 pub fn key_hex(key: &[u8]) -> String {
     format!("{:016x}", fnv1a(key))
@@ -934,6 +993,26 @@ pub fn mix_templates() -> Vec<String> {
 mod tests {
     use super::*;
     use crate::json;
+
+    #[test]
+    fn read_line_bounds_each_line_and_resumes_after_it() {
+        let input = b"{}\r\n12345\n\xff\xfe\n1234\nlast";
+        let mut r = std::io::BufReader::with_capacity(2, &input[..]);
+        let mut lines = Vec::new();
+        while let Some(line) = read_line(&mut r, 4).unwrap() {
+            lines.push(line);
+        }
+        assert_eq!(
+            lines,
+            [
+                Ok("{}".to_string()),
+                Err("request line longer than 4 bytes".to_string()),
+                Err("request line is not valid UTF-8".to_string()),
+                Ok("1234".to_string()),
+                Ok("last".to_string()),
+            ]
+        );
+    }
 
     #[test]
     fn parse_request_validates_names() {

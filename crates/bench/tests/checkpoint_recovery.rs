@@ -1,25 +1,27 @@
 //! The pinned resume==straight-through contract (DESIGN.md §15).
 //!
-//! For every Figure 5/6 matrix cell, checkpointing at each phase barrier
-//! and restoring from a mid-program snapshot yields byte-identical
-//! reports (counters included) and state digests versus an uninterrupted
-//! run — on the sequential seed path and on the parallel path across
-//! thread counts {1, 8}. Alongside it: the store-level recovery contract
-//! (truncated and corrupt snapshots are rejected with the right error,
-//! old format versions are a version mismatch rather than damage, and
-//! `latest_valid` falls back to the newest good file), and crafted
-//! snapshots that must come back as typed errors, never as an abort.
+//! For every Figure 5/6 matrix cell and every ablation-grid cell (a
+//! machine with a switch off the paper's default), checkpointing at each
+//! phase barrier and restoring from a mid-program snapshot yields
+//! byte-identical reports (counters included) and state digests versus
+//! an uninterrupted run — on the sequential seed path and on the
+//! parallel path across thread counts {1, 8}. Alongside it: the
+//! store-level recovery contract (truncated and corrupt snapshots are
+//! rejected with the right error, old format versions are a version
+//! mismatch rather than damage, and `latest_valid` falls back to the
+//! newest good file), and crafted snapshots that must come back as
+//! typed errors, never as an abort.
 
 use bench::pool::JobPool;
 use gpu::config::MemConfigKind;
 use gpu::machine::{Machine, ParallelConfig, RunCursor};
+use sim::config::SystemConfig;
 use sim::snapshot::{read_snapshot, CheckpointStore, Reader, Snapshot, Writer};
 use sim::SimError;
 use workloads::suite;
 
-/// One cell's verdicts; empty = the contract holds.
-fn check_cell(w: &suite::Workload, kind: MemConfigKind) -> Vec<String> {
-    let sys = w.set.system_config();
+/// One cell's verdicts on machine `sys`; empty = the contract holds.
+fn check_cell(w: &suite::Workload, kind: MemConfigKind, sys: &SystemConfig) -> Vec<String> {
     let program = (w.build)(kind);
     let mut failures = Vec::new();
     let resume_at = (program.phases.len() / 2).max(1);
@@ -118,20 +120,21 @@ fn check_cell(w: &suite::Workload, kind: MemConfigKind) -> Vec<String> {
 
 #[test]
 fn resume_equals_straight_through_across_the_matrix() {
-    let cells: Vec<(suite::Workload, MemConfigKind)> = suite::all()
-        .into_iter()
-        .flat_map(|w| {
-            w.set
-                .figure_kinds()
-                .iter()
-                .map(move |&kind| (w, kind))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let matrix = suite::all().into_iter().flat_map(|w| {
+        w.set
+            .figure_kinds()
+            .iter()
+            .map(move |&kind| (w, kind, w.set.system_config()))
+    });
+    let grid = bench::ablation::grid().into_iter().map(|cell| {
+        let w = suite::by_name(cell.workload).expect("registered");
+        (w, cell.kind, cell.sys)
+    });
+    let cells: Vec<(suite::Workload, MemConfigKind, SystemConfig)> = matrix.chain(grid).collect();
     let pool = JobPool::new(bench::cli::default_threads());
     let jobs: Vec<_> = cells
         .iter()
-        .map(|(w, kind)| move || check_cell(w, *kind))
+        .map(|(w, kind, sys)| move || check_cell(w, *kind, sys))
         .collect();
     let failures: Vec<String> = pool.run(jobs).into_iter().flat_map(|r| r.value).collect();
     assert!(
@@ -143,7 +146,7 @@ fn resume_equals_straight_through_across_the_matrix() {
 }
 
 /// A small real snapshot to damage in the store tests.
-fn real_snapshot() -> (Snapshot, gpu::program::Program, sim::config::SystemConfig) {
+fn real_snapshot() -> (Snapshot, gpu::program::Program, SystemConfig) {
     let w = suite::micros()[0];
     let sys = w.set.system_config();
     let program = (w.build)(MemConfigKind::Stash);
@@ -207,11 +210,12 @@ fn truncated_and_corrupt_snapshots_are_rejected_with_fallback() {
 fn future_format_version_is_a_version_mismatch_not_corruption() {
     let (snap, _, _) = real_snapshot();
     let bytes = snap.to_bytes();
-    // A newer format; version 2, whose memory-system section repeated
-    // the geometry in every structure; and version 1, whose META
-    // fingerprint hashed the program's debug text. An old file is not
-    // damage.
-    for version in [sim::snapshot::FORMAT_VERSION + 1, 2, 1] {
+    // A newer format; version 3, which wrote the memory-system switches
+    // apart from the configuration; version 2, whose memory-system
+    // section repeated the geometry in every structure; and version 1,
+    // whose META fingerprint hashed the program's debug text. An old
+    // file is not damage.
+    for version in [sim::snapshot::FORMAT_VERSION + 1, 3, 2, 1] {
         let mut patched = bytes.clone();
         // Version lives at offset 8 (after the 8-byte magic), LE u32.
         patched[8..12].copy_from_slice(&version.to_le_bytes());
@@ -331,7 +335,7 @@ fn crafted_section_counts_never_drive_unbounded_allocation() {
 fn a_configuration_claiming_2_40_cores_is_corrupt_not_an_abort() {
     let (snap, program, sys) = real_snapshot();
     let mut w = Writer::new();
-    sim::config::SystemConfig {
+    SystemConfig {
         cpu_cores: 1 << 40,
         ..sys
     }
@@ -366,15 +370,10 @@ fn a_registration_naming_a_missing_core_is_corrupt_not_a_panic() {
     // Walk the payload with the restore entry points up to and through
     // the LLC, so the splice needs no knowledge of their byte layout.
     let mut r = Reader::new(msys, "MSYS");
-    let cfg = sim::config::SystemConfig::load(&mut r).unwrap();
+    let cfg = SystemConfig::load(&mut r).unwrap();
     let kind = MemConfigKind::from_code(r.take_u8().unwrap()).unwrap();
     assert_eq!(kind, MemConfigKind::Stash);
-    for _ in 0..4 {
-        r.take_bool().unwrap();
-    }
-    r.take_usize().unwrap();
-    let cpu_stashes = r.take_bool().unwrap();
-    let stashes = if cpu_stashes { cores } else { cfg.gpu_cus };
+    let stashes = if cfg.cpu_stashes { cores } else { cfg.gpu_cus };
     noc::Network::new(noc::Mesh::new(cfg.mesh_side), cfg.hop_round_trip_cycles)
         .restore(&mut r)
         .unwrap();

@@ -15,7 +15,7 @@ const TRACE_REQUEST: &str = r#"{"id":1,"cmd":"run-trace","configs":["Stash"],"tr
 
 /// Runs `stashd` with `args`, writes `input` to its stdin, closes it,
 /// and returns the exit code plus every stdout line parsed as JSON.
-fn stashd(args: &[&str], input: &str) -> (Option<i32>, Vec<Value>) {
+fn stashd(args: &[&str], input: impl AsRef<[u8]>) -> (Option<i32>, Vec<Value>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_stashd"))
         .args(args)
         .stdin(Stdio::piped())
@@ -27,7 +27,7 @@ fn stashd(args: &[&str], input: &str) -> (Option<i32>, Vec<Value>) {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("stashd reads its input");
     let out = child.wait_with_output().expect("stashd exits");
     let events = String::from_utf8_lossy(&out.stdout)
@@ -83,25 +83,42 @@ fn restart_answers_from_the_disk_cache_byte_identically() {
 }
 
 #[test]
-fn deeply_nested_line_is_an_error_and_serving_continues() {
-    let hostile = "[".repeat(100_000);
-    let input = format!("{hostile}\n{TRACE_REQUEST}\n{{\"cmd\":\"shutdown\"}}\n");
-    let (code, events) = stashd(&["--threads", "2", "--no-cache"], &input);
-    assert_eq!(code, Some(0), "shutdown exits 0: {events:?}");
-    let error = answer(&events, "error", 0);
-    assert!(
-        error
-            .get_str("error")
-            .is_some_and(|e| e.contains("nesting deeper than")),
-        "{error:?}"
-    );
-    let result = answer(&events, "result", 1);
-    assert!(!result.get_str("payload").expect("payload").is_empty());
-    assert_eq!(
-        events.last().and_then(|v| v.get_str("event")),
-        Some("bye"),
-        "{events:?}"
-    );
+fn hostile_lines_are_errors_and_serving_continues() {
+    // Each hostile line is answered by an `error` event in its place,
+    // and the daemon goes on to answer the request after it.
+    let rows: [(&str, Vec<u8>, &str); 3] = [
+        ("deep nesting", b"[".repeat(100_000), "nesting deeper than"),
+        (
+            "over the line cap",
+            b"x".repeat(bench::server::MAX_LINE_BYTES + 1),
+            "longer than 1048576 bytes",
+        ),
+        ("not UTF-8", b"\xff\xfe".to_vec(), "not valid UTF-8"),
+    ];
+    for (what, hostile, expected) in rows {
+        let input = [
+            hostile.as_slice(),
+            b"\n",
+            TRACE_REQUEST.as_bytes(),
+            b"\n{\"cmd\":\"shutdown\"}\n",
+        ]
+        .concat();
+        let (code, events) = stashd(&["--threads", "2", "--no-cache"], input);
+        assert_eq!(code, Some(0), "{what}: shutdown exits 0: {events:?}");
+        let error = answer(&events, "error", 0);
+        assert!(
+            error.get_str("error").is_some_and(|e| e.contains(expected)),
+            "{what}: {error:?}"
+        );
+        let result = answer(&events, "result", 1);
+        assert!(!result.get_str("payload").expect("payload").is_empty());
+        let order: Vec<&str> = events
+            .iter()
+            .filter_map(|v| v.get_str("event"))
+            .filter(|&e| e != "progress")
+            .collect();
+        assert_eq!(order, ["hello", "error", "result", "bye"], "{what}");
+    }
 }
 
 #[test]

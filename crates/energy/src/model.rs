@@ -39,11 +39,6 @@ pub struct EnergyModel {
     /// Calibrated so the GPU-core+ share of Figure 5b's Scratch bars lands
     /// near the paper's.
     pub core_instruction: Energy,
-    /// One stash-map translation (six ALU ops, §4.1.3). Table 3's 86.8 pJ
-    /// stash-miss energy already includes it; this standalone constant
-    /// exists for the ablation that moves index computation between core
-    /// software and the map hardware.
-    pub map_translation: Energy,
 }
 
 impl Default for EnergyModel {
@@ -58,7 +53,6 @@ impl Default for EnergyModel {
             l2_access: tenth_pj(1600),
             noc_flit_hop: tenth_pj(150),
             core_instruction: tenth_pj(2800),
-            map_translation: tenth_pj(60),
         }
     }
 }
@@ -81,7 +75,6 @@ impl EnergyModel {
             l2_access: s(self.l2_access),
             noc_flit_hop: s(self.noc_flit_hop),
             core_instruction: s(self.core_instruction),
-            map_translation: s(self.map_translation),
         }
     }
 

@@ -7,27 +7,30 @@
 //! prevent the CPU accesses from dominating execution time" — the same
 //! structure the `workloads` crate emits.
 //!
-//! With [`MemorySystem::enable_cpu_stashes`] (the paper's §8 extension to
-//! "other compute units"), a phase may declare per-core stash mappings
-//! ([`CpuPhase::stash_maps`]); its [`CpuOp::StashMem`] ops then enjoy the
-//! same implicit, compact, word-granular transfers CUs get.
+//! On a machine whose configuration sets `cpu_stashes` (the paper's §8
+//! extension to "other compute units"), a phase may declare per-core
+//! stash mappings ([`CpuPhase::stash_maps`]); its [`CpuOp::StashMem`] ops
+//! then enjoy the same implicit, compact, word-granular transfers CUs
+//! get.
 
 use crate::memsys::MemorySystem;
 use crate::program::{CpuOp, CpuPhase};
 use sim::SimError;
 use stash::MapIndex;
 
-/// Thread-block id space for CPU-phase stash mappings (disjoint from GPU
-/// thread blocks, which count up from zero).
-const CPU_TB_BASE: usize = 0x0800_0000;
+/// Thread-block id of a CPU phase's stash mappings. A CPU core's stash
+/// serves only that core, one phase at a time, so every phase maps
+/// through the first slot of its stash's thread-block table (GPU thread
+/// blocks never touch a CPU core's stash).
+const CPU_PHASE_TB: usize = 0;
 
 /// Runs a CPU phase; returns its duration in CPU cycles.
 ///
 /// # Errors
 ///
-/// Returns an error if the phase declares stash mappings without
-/// [`MemorySystem::enable_cpu_stashes`], or a `StashMem` op references an
-/// undeclared slot.
+/// Returns an error if the phase declares stash mappings on a machine
+/// without CPU stashes (`cpu_stashes` unset, or a kind without stashes),
+/// or a `StashMem` op references an undeclared slot.
 ///
 /// # Panics
 ///
@@ -39,9 +42,10 @@ pub fn run_cpu_phase(mem: &mut MemorySystem, phase: &CpuPhase) -> Result<u64, Si
         phase.per_core.len(),
         mem.config().cpu_cores
     );
-    if !phase.stash_maps.is_empty() && !mem.cpu_stashes_enabled() {
+    let cpu_stashes = mem.config().cpu_stashes && mem.kind().uses_stash();
+    if !phase.stash_maps.is_empty() && !cpu_stashes {
         return Err(SimError::InvalidMapping(
-            "CPU stash mappings need MemorySystem::enable_cpu_stashes".into(),
+            "CPU stash mappings need a stash configuration with cpu_stashes set".into(),
         ));
     }
 
@@ -52,13 +56,12 @@ pub fn run_cpu_phase(mem: &mut MemorySystem, phase: &CpuPhase) -> Result<u64, Si
     let mut core_maps: Vec<Vec<(MapIndex, usize)>> = Vec::new();
     for (c, tiles) in phase.stash_maps.iter().enumerate() {
         let core_id = gpu_cus + c;
-        let tb = CPU_TB_BASE + core_id;
         let mut maps = Vec::with_capacity(tiles.len());
         let mut next_word = 0usize;
         for tile in tiles {
             let out = mem.stash_add_map(
                 core_id,
-                tb,
+                CPU_PHASE_TB,
                 *tile,
                 next_word,
                 stash::UsageMode::MappedCoherent,
@@ -100,7 +103,7 @@ pub fn run_cpu_phase(mem: &mut MemorySystem, phase: &CpuPhase) -> Result<u64, Si
     // a GPU thread block completing.
     for (c, _) in phase.stash_maps.iter().enumerate() {
         let core_id = gpu_cus + c;
-        mem.end_thread_block(core_id, CPU_TB_BASE + core_id);
+        mem.end_thread_block(core_id, CPU_PHASE_TB);
     }
     Ok(slowest)
 }
@@ -157,9 +160,17 @@ mod tests {
         assert!(t > 1, "a cold miss must cost more than the issue cycle");
     }
 
+    /// The microbenchmark machine with CPU stashes switched on.
+    fn with_cpu_stashes(kind: MemConfigKind) -> MemorySystem {
+        let cfg = SystemConfig {
+            cpu_stashes: true,
+            ..SystemConfig::for_microbenchmarks()
+        };
+        MemorySystem::new(cfg, kind)
+    }
+
     #[test]
     fn cpu_stash_requires_the_switch() {
-        let mut m = MemorySystem::new(SystemConfig::for_microbenchmarks(), MemConfigKind::Stash);
         let tile = TileMap::new(VAddr(0x8000), 4, 16, 16, 0, 1).unwrap();
         let phase = CpuPhase {
             per_core: vec![vec![CpuOp::StashMem {
@@ -169,8 +180,11 @@ mod tests {
             }]],
             stash_maps: vec![vec![tile]],
         };
-        assert!(run_cpu_phase(&mut m, &phase).is_err());
-        m.enable_cpu_stashes();
+        let mut off = MemorySystem::new(SystemConfig::for_microbenchmarks(), MemConfigKind::Stash);
+        assert!(run_cpu_phase(&mut off, &phase).is_err());
+        // The switch does nothing on a kind without stashes.
+        assert!(run_cpu_phase(&mut with_cpu_stashes(MemConfigKind::Cache), &phase).is_err());
+        let mut m = with_cpu_stashes(MemConfigKind::Stash);
         let t = run_cpu_phase(&mut m, &phase).unwrap();
         assert!(t > 1, "the first access misses and fetches");
         // A second identical phase: the mapping replicates and the data
@@ -182,8 +196,7 @@ mod tests {
 
     #[test]
     fn undeclared_slot_errors() {
-        let mut m = MemorySystem::new(SystemConfig::for_microbenchmarks(), MemConfigKind::Stash);
-        m.enable_cpu_stashes();
+        let mut m = with_cpu_stashes(MemConfigKind::Stash);
         let phase = CpuPhase {
             per_core: vec![vec![CpuOp::StashMem {
                 write: false,

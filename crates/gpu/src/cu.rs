@@ -401,7 +401,7 @@ fn start_stage(
             mem.note_gpu_instructions(1);
             // §8 extension: AddMap-time prefetch blocks like a DMA
             // preload.
-            if mem.stash_prefetch_enabled() {
+            if mem.config().stash_prefetch {
                 if let Some(map) = mem.stash_resolve_slot(cu, ctx.tb_id, req.slot) {
                     mem.set_now(*port_free);
                     let lat = mem.stash_prefetch_mapping(cu, map)?;

@@ -217,13 +217,17 @@ impl Machine {
         self.certified_kernels
     }
 
-    /// The underlying memory system (diagnostics, ablation switches).
+    /// The underlying memory system (diagnostics; its `config()` is the
+    /// machine the simulation runs on).
     pub fn memory(&self) -> &MemorySystem {
         &self.mem
     }
 
-    /// Mutable access to the memory system (ablation switches; call before
-    /// running).
+    /// Mutable access to the memory system, to install its observers:
+    /// [`MemorySystem::set_verify`], [`MemorySystem::enable_trace`] and
+    /// [`MemorySystem::set_fault_injector`]. What the machine is — its
+    /// geometry and its switches — is the [`SystemConfig`] it was built
+    /// from and does not change after [`Machine::new`].
     pub fn memory_mut(&mut self) -> &mut MemorySystem {
         &mut self.mem
     }
@@ -441,7 +445,7 @@ impl Machine {
                     .ok()
                     .and_then(|k| c.kernels.get(k))
                     .is_some_and(|k| {
-                        if self.mem.line_grain_registration() {
+                        if self.mem.config().line_grain_registration {
                             k.line_disjoint
                         } else {
                             k.word_disjoint

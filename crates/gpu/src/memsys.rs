@@ -30,7 +30,7 @@ use mem::scratchpad::Scratchpad;
 use mem::tile::TileMap;
 use noc::{Attempt, Delivery, Mesh, Message, MsgClass, Network, NodeId};
 use sim::config::SystemConfig;
-use sim::fault::{FaultConfig, FaultEvent, FaultInjector, FaultKind};
+use sim::fault::{self, FaultConfig, FaultEvent, FaultInjector, FaultKind};
 use sim::stats::{Counter, Counters};
 use sim::trace::{StallReason, TraceEvent, TraceSink};
 use sim::SimError;
@@ -154,8 +154,6 @@ pub struct MemorySystem {
     energy: EnergyAccount,
     counters: Counters,
     gpu_instructions: u64,
-    eager_stash_writebacks: bool,
-    line_grain_registration: bool,
     verify: bool,
     fault: Option<FaultInjector>,
     trace: Option<Box<TraceSink>>,
@@ -167,7 +165,12 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Builds the memory system for one configuration.
+    /// Builds the memory system for one configuration: the whole machine,
+    /// switches included. A kind with stashes gets one per CU, plus one
+    /// per CPU core when `cfg.cpu_stashes` is set (stash indices are core
+    /// IDs); every stash is built from the same
+    /// [`StashConfig::for_system`] translation of `cfg`. On a kind
+    /// without stashes the stash switches do nothing.
     ///
     /// # Panics
     ///
@@ -185,25 +188,15 @@ impl MemorySystem {
         } else {
             Vec::new()
         };
-        let stashes = if kind.uses_stash() {
-            (0..cfg.gpu_cus)
-                .map(|_| {
-                    Stash::new(StashConfig {
-                        capacity_bytes: cfg.scratchpad_bytes,
-                        chunk_bytes: cfg.stash_chunk_bytes,
-                        map_entries: cfg.stash_map_entries,
-                        vp_map_entries: cfg.vp_map_entries,
-                        max_maps_per_thread_block: cfg.max_maps_per_thread_block,
-                        page_bytes: cfg.page_bytes as u64,
-                        replication_enabled: true,
-                        prefetch: false,
-                        fetch_words: 1,
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
+        let stash_count = match (kind.uses_stash(), cfg.cpu_stashes) {
+            (false, _) => 0,
+            (true, false) => cfg.gpu_cus,
+            (true, true) => cores,
         };
+        let stash_cfg = StashConfig::for_system(&cfg);
+        let stashes = (0..stash_count)
+            .map(|_| Stash::new(stash_cfg.clone()))
+            .collect();
         Self {
             net: Network::with_latencies(
                 Mesh::new(cfg.mesh_side),
@@ -219,8 +212,6 @@ impl MemorySystem {
             energy: EnergyAccount::new(),
             counters: Counters::new(),
             gpu_instructions: 0,
-            eager_stash_writebacks: false,
-            line_grain_registration: false,
             verify: false,
             fault: None,
             trace: None,
@@ -463,17 +454,16 @@ impl MemorySystem {
     // ------------------------------------------------------------------
 
     /// Serializes the machine once and then its state. The machine is
-    /// the [`SystemConfig`], the configuration kind and the memory
-    /// system's own switches (eager writebacks, line-grain registration,
-    /// stash replication, prefetch and fetch width, CPU stashes); the
-    /// state is what changes as it runs: network and LLC accounting, the
-    /// LLC registry, every L1, scratchpad and stash, the page table, the
-    /// energy account, the counters, and the fault injector's schedule
-    /// position. No structure repeats a size the configuration holds, and
-    /// what is only observed — the trace sink, its stall attribution, the
-    /// fault-event log and the oracle switch — is not saved. Only
-    /// meaningful at a phase barrier, where no request is in flight and
-    /// the latency-and-accounting model holds no transient state.
+    /// the [`SystemConfig`], switches included, and the configuration
+    /// kind; the state is what changes as it runs: network and LLC
+    /// accounting, the LLC registry, every L1, scratchpad and stash, the
+    /// page table, the energy account, the counters, and the fault
+    /// injector's schedule position. No structure repeats a size the
+    /// configuration holds, and what is only observed — the trace sink,
+    /// its stall attribution, the fault-event log and the oracle switch —
+    /// is not saved. Only meaningful at a phase barrier, where no request
+    /// is in flight and the latency-and-accounting model holds no
+    /// transient state.
     ///
     /// # Panics
     ///
@@ -486,13 +476,6 @@ impl MemorySystem {
         );
         self.cfg.save(w);
         w.put_u8(self.kind.code());
-        let stash = self.stashes.first().map(Stash::config);
-        w.put_bool(self.eager_stash_writebacks);
-        w.put_bool(self.line_grain_registration);
-        w.put_bool(stash.is_none_or(|c| c.replication_enabled));
-        w.put_bool(self.stash_prefetch_enabled());
-        w.put_usize(stash.map_or(1, |c| c.fetch_words));
-        w.put_bool(self.cpu_stashes_enabled());
         self.net.save(w);
         self.llc.save(w);
         for l1 in &self.l1s {
@@ -519,41 +502,21 @@ impl MemorySystem {
     }
 
     /// Restores a hierarchy written by [`MemorySystem::save`]: builds the
-    /// machine with [`MemorySystem::new`] from the saved configuration
-    /// and kind, applies the saved switches, then reads the state into
-    /// it. The restored system has no trace sink, no fault-event log and
-    /// the oracle off; a caller that wants them installs them again.
+    /// machine once, with [`MemorySystem::new`] from the saved
+    /// configuration and kind, then reads the state into it. The restored
+    /// system has no trace sink, no fault-event log and the oracle off; a
+    /// caller that wants them installs them again.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::CheckpointCorrupt`] if the configuration fails
-    /// [`SystemConfig::validate`], a switch does not fit the machine, a
-    /// structure's state is malformed or does not fit its geometry, or
-    /// the LLC registry names an owner the machine lacks.
+    /// [`SystemConfig::validate`], a structure's state is malformed or
+    /// does not fit its geometry, or the LLC registry names an owner the
+    /// machine lacks.
     pub fn restore(r: &mut sim::snapshot::Reader<'_>) -> Result<Self, SimError> {
         let cfg = SystemConfig::load(r)?;
         let kind = MemConfigKind::from_code(r.take_u8()?)?;
         let mut m = MemorySystem::new(cfg, kind);
-        m.eager_stash_writebacks = r.take_bool()?;
-        m.line_grain_registration = r.take_bool()?;
-        let replication = r.take_bool()?;
-        let prefetch = r.take_bool()?;
-        let fetch_words = r.take_usize()?;
-        let cpu_stashes = r.take_bool()?;
-        if cpu_stashes && m.stashes.is_empty() {
-            return Err(SimError::CheckpointCorrupt {
-                what: "memory system",
-                detail: format!("CPU stashes on a {kind} machine without CU stashes"),
-            });
-        }
-        m.rebuild_stashes(|c| {
-            c.replication_enabled = replication;
-            c.prefetch = prefetch;
-            c.fetch_words = fetch_words.max(1);
-        });
-        if cpu_stashes {
-            m.enable_cpu_stashes();
-        }
         m.net.restore(r)?;
         m.llc
             .restore(r, m.l1s.len(), m.stashes.len(), m.cfg.stash_map_entries)?;
@@ -758,7 +721,7 @@ impl MemorySystem {
         }
     }
 
-    /// The system configuration.
+    /// The system configuration: the machine, switches included.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
     }
@@ -766,84 +729,6 @@ impl MemorySystem {
     /// The memory configuration kind.
     pub fn kind(&self) -> MemConfigKind {
         self.kind
-    }
-
-    /// Disables the §4.5 replication optimization on every stash
-    /// (ablation). Must be called before any accesses.
-    pub fn disable_stash_replication(&mut self) {
-        self.rebuild_stashes(|cfg| cfg.replication_enabled = false);
-    }
-
-    /// Ablation: drain every stash's dirty data at kernel boundaries
-    /// (scratchpad-like eager writebacks) instead of the paper's lazy
-    /// reclamation-time writebacks.
-    pub fn set_eager_stash_writebacks(&mut self, eager: bool) {
-        self.eager_stash_writebacks = eager;
-    }
-
-    /// Ablation: register cache store misses at *line* granularity (a
-    /// single-writer MESI-style registry) instead of DeNovo's word
-    /// granularity — quantifies the false sharing §4.3 warns about.
-    /// Stash registrations always stay word-granular (the stash holds
-    /// only the mapped words of a line).
-    pub fn set_line_grain_registration(&mut self, line: bool) {
-        self.line_grain_registration = line;
-    }
-
-    /// Whether the line-granularity registration ablation is active —
-    /// certificate consumers must then require *line*-disjoint verdicts.
-    pub fn line_grain_registration(&self) -> bool {
-        self.line_grain_registration
-    }
-
-    /// §8 extension: give every *CPU core* a stash too ("expand the
-    /// stash idea to other compute units"). Extends the stash vector to
-    /// cover all cores — stash indices equal core IDs. Must be called
-    /// before any accesses, on a stash-bearing configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no stashes.
-    pub fn enable_cpu_stashes(&mut self) {
-        assert!(
-            self.kind.uses_stash(),
-            "CPU stashes require a stash configuration"
-        );
-        let template = self.stashes.first().expect("stash config").config().clone();
-        while self.stashes.len() < self.cfg.gpu_cus + self.cfg.cpu_cores {
-            self.stashes.push(Stash::new(template.clone()));
-        }
-    }
-
-    /// Whether CPU cores have stashes.
-    pub fn cpu_stashes_enabled(&self) -> bool {
-        self.stashes.len() > self.cfg.gpu_cus
-    }
-
-    /// §8 extension: prefetch mappings at `AddMap` time. Must be called
-    /// before any accesses.
-    pub fn set_stash_prefetch(&mut self, prefetch: bool) {
-        self.rebuild_stashes(|cfg| cfg.prefetch = prefetch);
-    }
-
-    /// §8 extension: widen each stash load miss to fetch up to `words`
-    /// neighbouring mapped words. Must be called before any accesses.
-    pub fn set_stash_fetch_words(&mut self, words: usize) {
-        self.rebuild_stashes(|cfg| cfg.fetch_words = words.max(1));
-    }
-
-    /// Whether `AddMap`-time prefetch is enabled (the CU model gates the
-    /// stage on the prefetch transfer, like a DMA preload).
-    pub fn stash_prefetch_enabled(&self) -> bool {
-        self.stashes.first().is_some_and(|s| s.config().prefetch)
-    }
-
-    fn rebuild_stashes(&mut self, tweak: impl Fn(&mut StashConfig)) {
-        for s in &mut self.stashes {
-            let mut cfg = s.config().clone();
-            tweak(&mut cfg);
-            *s = Stash::new(cfg);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -931,10 +816,12 @@ impl MemorySystem {
         if self.fault.is_none() {
             return Ok(self.send(from, to, msg));
         }
-        let (resilient, policy) = {
-            let cfg = self.fault.as_ref().expect("injector checked").config();
-            (cfg.resilience, cfg.retry)
-        };
+        let resilient = self
+            .fault
+            .as_ref()
+            .expect("injector checked")
+            .config()
+            .resilience;
         let seq = self.fault.as_mut().expect("injector checked").next_seq();
         let flit_energy = msg.flits() * self.net.mesh().hops(from, to) * self.model.noc_flit_hop;
         let mut attempt: u32 = 1;
@@ -964,7 +851,7 @@ impl MemorySystem {
                 }
                 Delivery::Dropped => {
                     self.counters.bump(Counter::FaultDropInjected);
-                    if !resilient || attempt > policy.max_retries {
+                    if !resilient || attempt > fault::MAX_RETRIES {
                         return Err(SimError::Deadlock {
                             site,
                             attempts: attempt,
@@ -978,7 +865,7 @@ impl MemorySystem {
                         let at = t.now();
                         t.push(TraceEvent::RetryFired { at, attempt });
                     }
-                    let backoff = policy.backoff(attempt - 1);
+                    let backoff = fault::backoff(attempt - 1);
                     self.counters.add(Counter::ResilienceBackoffCycles, backoff);
                     self.fault.as_mut().expect("injector checked").log(
                         site,
@@ -1012,10 +899,12 @@ impl MemorySystem {
             self.send(from, to, msg);
             return Ok(true);
         }
-        let (resilient, policy) = {
-            let cfg = self.fault.as_ref().expect("injector checked").config();
-            (cfg.resilience, cfg.retry)
-        };
+        let resilient = self
+            .fault
+            .as_ref()
+            .expect("injector checked")
+            .config()
+            .resilience;
         let seq = self.fault.as_mut().expect("injector checked").next_seq();
         let mut attempt: u32 = 1;
         loop {
@@ -1032,7 +921,7 @@ impl MemorySystem {
             if !resilient {
                 return Ok(false);
             }
-            if attempt > policy.max_retries {
+            if attempt > fault::MAX_RETRIES {
                 return Err(SimError::Deadlock {
                     site,
                     attempts: attempt,
@@ -1045,7 +934,7 @@ impl MemorySystem {
                 let at = t.now();
                 t.push(TraceEvent::RetryFired { at, attempt });
             }
-            let backoff = policy.backoff(attempt - 1);
+            let backoff = fault::backoff(attempt - 1);
             self.counters.add(Counter::ResilienceBackoffCycles, backoff);
             self.fault.as_mut().expect("injector checked").log(
                 site,
@@ -1296,7 +1185,7 @@ impl MemorySystem {
                 }
                 self.l1s[core.0].set_word(pa, mem::coherence::WordState::Registered);
             }
-            if self.line_grain_registration {
+            if self.cfg.line_grain_registration {
                 for w in 0..self.l1s[core.0].words_per_line() {
                     let pa = line.word_addr(w);
                     let out = self.llc.register_word(line, w, Registration::Cache(core));
@@ -1693,7 +1582,7 @@ impl MemorySystem {
                         load_fetches.push((w, vaddr));
                         // §8 flexible communication granularity: widen
                         // the miss to neighbouring mapped words.
-                        let widen = self.stashes[cu].config().fetch_words;
+                        let widen = self.cfg.stash_fetch_words;
                         if widen > 1 {
                             for (nw, nva) in self.stashes[cu].prefetch_candidates(w, map, widen) {
                                 if !load_fetches.iter().any(|&(x, _)| x == nw) {
@@ -1982,7 +1871,7 @@ impl MemorySystem {
         for cu in 0..self.cfg.gpu_cus {
             self.l1s[cu].self_invalidate();
         }
-        if self.eager_stash_writebacks {
+        if self.cfg.eager_stash_writebacks {
             for cu in 0..self.stashes.len() {
                 let wbs = self.stashes[cu].drain_writebacks();
                 self.counters.add(Counter::WbEagerDrained, wbs.len() as u64);
@@ -2176,10 +2065,9 @@ impl MemorySystem {
             // whole recovery is accounting-only (counters, energy,
             // traffic): the returned latency stays the fault-free value
             // so the warp schedule matches the golden replay.
-            let policy = self.fault.as_ref().expect("truncated").config().retry;
             self.counters.bump(Counter::ResilienceNack);
             self.counters.bump(Counter::ResilienceRetry);
-            let backoff = policy.backoff(1);
+            let backoff = fault::backoff(1);
             self.counters.add(Counter::ResilienceBackoffCycles, backoff);
             let (_, tail) = dma.split_at_truncation(dma.word_count() - truncated_tail);
             let first_line = self.pt.translate(tail[0]).line(line_bytes);
@@ -2239,8 +2127,6 @@ impl MemorySystem {
             energy: EnergyAccount::new(),
             counters: Counters::new(),
             gpu_instructions: 0,
-            eager_stash_writebacks: self.eager_stash_writebacks,
-            line_grain_registration: self.line_grain_registration,
             verify: self.verify,
             fault: self
                 .fault
@@ -2589,6 +2475,13 @@ mod tests {
         MemorySystem::new(SystemConfig::for_microbenchmarks(), kind)
     }
 
+    /// The microbenchmark machine with `Stash` and one switch thrown.
+    fn micro_stash(tweak: fn(&mut SystemConfig)) -> MemorySystem {
+        let mut cfg = SystemConfig::for_microbenchmarks();
+        tweak(&mut cfg);
+        MemorySystem::new(cfg, MemConfigKind::Stash)
+    }
+
     fn tx(vas: &[u64]) -> Transaction {
         Transaction {
             line_va: VAddr(vas[0]).align_down(64),
@@ -2728,8 +2621,7 @@ mod tests {
 
     #[test]
     fn eager_writebacks_drain_at_kernel_end() {
-        let mut m = micro(MemConfigKind::Stash);
-        m.set_eager_stash_writebacks(true);
+        let mut m = micro_stash(|c| c.eager_stash_writebacks = true);
         let tile = TileMap::new(VAddr(0x10000), 4, 16, 64, 0, 1).unwrap();
         let out = m
             .stash_add_map(0, 0, tile, 0, UsageMode::MappedCoherent)
@@ -2747,8 +2639,7 @@ mod tests {
 
     #[test]
     fn widened_fetches_fill_neighbours() {
-        let mut m = micro(MemConfigKind::Stash);
-        m.set_stash_fetch_words(4);
+        let mut m = micro_stash(|c| c.stash_fetch_words = 4);
         let tile = TileMap::new(VAddr(0x10000), 4, 16, 64, 0, 1).unwrap();
         let out = m
             .stash_add_map(0, 0, tile, 0, UsageMode::MappedCoherent)
@@ -2763,9 +2654,7 @@ mod tests {
 
     #[test]
     fn addmap_prefetch_fetches_whole_mapping() {
-        let mut m = micro(MemConfigKind::Stash);
-        m.set_stash_prefetch(true);
-        assert!(m.stash_prefetch_enabled());
+        let mut m = micro_stash(|c| c.stash_prefetch = true);
         let tile = TileMap::new(VAddr(0x10000), 4, 16, 64, 0, 1).unwrap();
         let out = m
             .stash_add_map(0, 0, tile, 0, UsageMode::MappedCoherent)
@@ -2783,8 +2672,11 @@ mod tests {
 
     #[test]
     fn line_grain_registration_causes_false_sharing() {
-        let mut m = MemorySystem::new(SystemConfig::for_applications(), MemConfigKind::Cache);
-        m.set_line_grain_registration(true);
+        let line = SystemConfig {
+            line_grain_registration: true,
+            ..SystemConfig::for_applications()
+        };
+        let mut m = MemorySystem::new(line, MemConfigKind::Cache);
         // Two CUs store to different words of the same line: the second
         // store revokes the first core's whole-line registration.
         m.gpu_global_tx(0, true, &tx(&[0x5000])).unwrap();
@@ -2797,6 +2689,21 @@ mod tests {
         w.gpu_global_tx(1, true, &tx(&[0x5004])).unwrap();
         assert_eq!(w.counters().get("coherence.false_sharing_revocation"), 0);
         assert_eq!(w.llc().words_registered_to(CoreId(0)), 1);
+    }
+
+    #[test]
+    fn cpu_stashes_are_built_only_on_a_kind_with_stashes() {
+        let cfg = SystemConfig {
+            cpu_stashes: true,
+            ..SystemConfig::for_microbenchmarks()
+        };
+        let cores = cfg.gpu_cus + cfg.cpu_cores;
+        let stash = MemorySystem::new(cfg.clone(), MemConfigKind::Stash);
+        assert!(stash.stash(cores - 1).is_some() && stash.stash(cores).is_none());
+        assert!(micro(MemConfigKind::Stash).stash(1).is_none());
+        for kind in [MemConfigKind::Cache, MemConfigKind::Scratch] {
+            assert!(MemorySystem::new(cfg.clone(), kind).stash(0).is_none());
+        }
     }
 
     #[test]

@@ -187,8 +187,8 @@ pub enum CpuOp {
     },
     /// A CPU-side stash access (the paper's §8 extension: "expand the
     /// stash idea to other compute units (e.g., CPUs)"). Requires the
-    /// phase to declare a mapping in [`CpuPhase::stash_maps`] and the
-    /// machine's `enable_cpu_stashes` switch.
+    /// phase to declare a mapping in [`CpuPhase::stash_maps`] and a
+    /// machine whose configuration sets `cpu_stashes`.
     StashMem {
         /// Store (true) or load.
         write: bool,

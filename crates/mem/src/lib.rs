@@ -6,7 +6,7 @@
 //! * [`addr`] — typed virtual/physical addresses, words, lines, pages;
 //! * [`tile`] — the strided 1-D/2-D tile descriptor shared by `AddMap` and
 //!   the DMA engine (Figure 2 of the paper);
-//! * [`paging`] — a demand-allocating page table and a 64-entry TLB;
+//! * [`paging`] — a demand-allocating page table;
 //! * [`coherence`] — the DeNovo word-granularity coherence state machine
 //!   (Invalid / Shared / Registered) the paper extends for the stash;
 //! * [`cache`] — a set-associative write-back cache with line-granularity

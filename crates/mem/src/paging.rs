@@ -1,4 +1,4 @@
-//! Demand-allocating page table and TLB.
+//! Demand-allocating page table.
 //!
 //! The simulator allocates physical frames on first touch, so any virtual
 //! address a workload names is backed deterministically. Frames are handed
@@ -6,10 +6,10 @@
 //! order, so physically indexed structures (L2 bank interleaving) see a
 //! realistic, non-identity layout while runs stay reproducible.
 //!
-//! The TLB is a simple LRU array. The paper does not model TLB misses
-//! ("all our TLB accesses are charged as if they are hits"), so the TLB
-//! here exists for *event counting* — every translation is charged Table
-//! 3's 14.1 pJ — and for the VP-map's occupancy accounting.
+//! There is no TLB structure. The paper does not model TLB misses ("all
+//! our TLB accesses are charged as if they are hits"), so the memory
+//! system charges Table 3's 14.1 pJ TLB energy per GPU L1 transaction
+//! and per stash translation, and the stash's TLB is its VP-map.
 
 use crate::addr::{PAddr, VAddr};
 use std::collections::HashMap;
@@ -172,78 +172,6 @@ impl PageTable {
     }
 }
 
-/// A least-recently-used TLB over virtual pages.
-#[derive(Debug, Clone)]
-pub struct Tlb {
-    entries: usize,
-    page_bytes: u64,
-    /// `(virtual page, last-use tick)` pairs, unordered.
-    resident: Vec<(u64, u64)>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl Tlb {
-    /// Creates a TLB with `entries` slots over `page_bytes` pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero.
-    pub fn new(entries: usize, page_bytes: u64) -> Self {
-        assert!(entries > 0, "TLB needs at least one entry");
-        Self {
-            entries,
-            page_bytes,
-            resident: Vec::with_capacity(entries),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Looks up the page of `va`, updating LRU state and hit/miss counts.
-    /// Returns `true` on a hit.
-    pub fn access(&mut self, va: VAddr) -> bool {
-        self.tick += 1;
-        let page = va.page(self.page_bytes);
-        if let Some(slot) = self.resident.iter_mut().find(|(p, _)| *p == page) {
-            slot.1 = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        if self.resident.len() == self.entries {
-            let lru = self
-                .resident
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(i, _)| i)
-                .expect("nonempty");
-            self.resident.swap_remove(lru);
-        }
-        self.resident.push((page, self.tick));
-        false
-    }
-
-    /// Whether a page is currently resident (no LRU update).
-    pub fn contains(&self, va: VAddr) -> bool {
-        let page = va.page(self.page_bytes);
-        self.resident.iter().any(|(p, _)| *p == page)
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Currently resident page count.
-    pub fn occupancy(&self) -> usize {
-        self.resident.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,14 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn tlb_hits_after_fill() {
-        let mut tlb = Tlb::new(4, 4096);
-        assert!(!tlb.access(VAddr(0x1000)));
-        assert!(tlb.access(VAddr(0x1FFF))); // same page
-        assert_eq!(tlb.stats(), (1, 1));
-    }
-
-    #[test]
     fn page_table_round_trips_through_snapshot() {
         let mut pt = PageTable::new(4096);
         for p in 0..100u64 {
@@ -339,18 +259,5 @@ mod tests {
             PageTable::new(4096).restore(&mut r),
             Err(sim::SimError::CheckpointCorrupt { .. })
         ));
-    }
-
-    #[test]
-    fn tlb_evicts_lru() {
-        let mut tlb = Tlb::new(2, 4096);
-        tlb.access(VAddr(0x0000)); // page 0
-        tlb.access(VAddr(0x1000)); // page 1
-        tlb.access(VAddr(0x0000)); // touch page 0 -> page 1 is LRU
-        tlb.access(VAddr(0x2000)); // evicts page 1
-        assert!(tlb.contains(VAddr(0x0000)));
-        assert!(!tlb.contains(VAddr(0x1000)));
-        assert!(tlb.contains(VAddr(0x2000)));
-        assert_eq!(tlb.occupancy(), 2);
     }
 }

@@ -1,9 +1,14 @@
-//! System configuration: every parameter of Table 2 of the paper.
+//! System configuration: the machine one simulation runs on.
 //!
 //! The defaults reproduce the simulated heterogeneous system of the paper:
 //! a 4×4 mesh with CPU cores and GPU compute units at its nodes, a shared
 //! banked NUCA L2, per-GPU-core L1 + 16 KB scratchpad/stash, and the DeNovo
-//! coherence protocol.
+//! coherence protocol. Every field is one the simulator acts on: the
+//! Table 2 parameters it models, and the switches that select the
+//! paper's design choices and §8 extensions (replication, eager
+//! writebacks, line-grain registration, prefetch, fetch width, CPU
+//! stashes). Table 2's L1 bank count and L2 capacity are not modelled
+//! and are not fields; `table2` prints them as the paper's values.
 
 use crate::clock::ClockDomain;
 
@@ -38,7 +43,8 @@ pub const MAX_ENERGY_SCALE_PCT: u64 = 10_000;
 /// Fastest clock in MHz (the paper: 2,000 CPU and 700 GPU).
 pub const MAX_CLOCK_MHZ: u64 = 1_000_000;
 
-/// Full system configuration (Table 2 of the paper).
+/// Full system configuration (Table 2 of the paper, plus the
+/// memory-system switches).
 ///
 /// Construct with [`SystemConfig::default`] for the paper's parameters, or
 /// use the `for_microbenchmarks` / `for_applications` presets which select
@@ -77,12 +83,8 @@ pub struct SystemConfig {
     pub l1_bytes: usize,
     /// L1 associativity (8-way).
     pub l1_ways: usize,
-    /// L1 banks (8).
-    pub l1_banks: usize,
     /// Cache line size in bytes (64 B, i.e. 16 four-byte words).
     pub line_bytes: usize,
-    /// Shared L2 capacity in bytes (4 MB NUCA).
-    pub l2_bytes: usize,
     /// L2 bank count (16, one per mesh node). Bank counts above the node
     /// count co-locate several banks per tile; below it, the low tiles
     /// host the banks.
@@ -90,8 +92,6 @@ pub struct SystemConfig {
     /// Consecutive lines mapped to one bank before the interleave moves to
     /// the next (1 = classic line interleave).
     pub l2_interleave_lines: u64,
-    /// L2 associativity.
-    pub l2_ways: usize,
     /// L1 and stash hit latency in cycles (1).
     pub l1_hit_cycles: u64,
     /// Stash address-translation latency applied on misses (10 cycles).
@@ -123,14 +123,8 @@ pub struct SystemConfig {
     pub max_maps_per_thread_block: usize,
     /// Page size in bytes (4 KB).
     pub page_bytes: usize,
-    /// Threads per thread block used by the workloads (256 ⇒ 8 warps).
-    pub threads_per_block: usize,
-    /// Warp width (32 lanes).
-    pub warp_size: usize,
     /// Maximum thread blocks resident on one CU at a time (8).
     pub max_blocks_per_cu: usize,
-    /// Maximum outstanding misses per CU (MSHR-like limit).
-    pub max_outstanding_misses: usize,
     /// Writeback chunk granularity for the stash in bytes (64 B).
     pub stash_chunk_bytes: usize,
     /// Fixed GPU cycles per kernel launch (driver + dispatch overhead;
@@ -140,6 +134,29 @@ pub struct SystemConfig {
     /// (100 = the Table 3 process node). Energy is linear in its
     /// constants; only the energy model reads them, never timing.
     pub energy_scale_pct: u64,
+    /// §4.5 data replication: an `AddMap` of a tile an older stash-map
+    /// entry still holds copies the data locally instead of refetching
+    /// it (on in the paper).
+    pub stash_replication: bool,
+    /// Drain every stash's dirty data at each kernel boundary, like a
+    /// scratchpad, instead of the paper's lazy writebacks at reclamation
+    /// (off in the paper; §2's lazy-writeback ablation).
+    pub eager_stash_writebacks: bool,
+    /// Register cache store misses for the whole line (a MESI-style
+    /// single writer) instead of DeNovo's single word (off in the paper;
+    /// §4.3's false-sharing ablation). Stash registrations stay
+    /// word-granular: a stash holds only the mapped words of a line.
+    pub line_grain_registration: bool,
+    /// §8 extension: fetch a mapping's words at `AddMap` time, like a
+    /// DMA preload (off in the paper: stash loads are on demand).
+    pub stash_prefetch: bool,
+    /// §8 extension: words one stash load miss fetches, the missing word
+    /// and its mapped neighbours in the chunk (1 in the paper; at most
+    /// `stash_chunk_bytes / 4`).
+    pub stash_fetch_words: usize,
+    /// §8 extension: every CPU core gets a stash too, on a configuration
+    /// kind with stashes (off in the paper). Stash indices are core IDs.
+    pub cpu_stashes: bool,
 }
 
 impl SystemConfig {
@@ -185,8 +202,9 @@ impl SystemConfig {
     /// have at least one agent and one mesh node (agents co-locate when
     /// they outnumber nodes), every bounded count lies in `1..=` its
     /// limit, sizes must be powers of two where the hardware requires it,
-    /// the line size must be a multiple of the word size, and the L1 and
-    /// stash must divide evenly into sets and chunks.
+    /// the line size must be a multiple of the word size, the L1 and
+    /// stash must divide evenly into sets and chunks, and a stash fetch
+    /// is 1 word up to one chunk.
     pub fn validate(&self) -> Result<(), String> {
         let agents = self.cpu_cores.saturating_add(self.gpu_cus);
         for (name, v, max) in [
@@ -220,7 +238,6 @@ impl SystemConfig {
         for (name, v) in [
             ("line_bytes", self.line_bytes),
             ("l1_bytes", self.l1_bytes),
-            ("l2_bytes", self.l2_bytes),
             ("page_bytes", self.page_bytes),
             ("scratchpad_bytes", self.scratchpad_bytes),
         ] {
@@ -242,8 +259,12 @@ impl SystemConfig {
         {
             return Err("stash_chunk_bytes must be word-aligned and divide the stash".into());
         }
-        if !self.threads_per_block.is_multiple_of(self.warp_size) {
-            return Err("threads_per_block must be a whole number of warps".into());
+        let chunk_words = self.stash_chunk_bytes / 4;
+        if !(1..=chunk_words).contains(&self.stash_fetch_words) {
+            return Err(format!(
+                "stash_fetch_words ({}) must be in 1..={chunk_words}",
+                self.stash_fetch_words
+            ));
         }
         if self.l2_interleave_lines == 0 {
             return Err("l2_interleave_lines must be at least 1".into());
@@ -268,12 +289,9 @@ impl SystemConfig {
         w.put_usize(self.local_banks);
         w.put_usize(self.l1_bytes);
         w.put_usize(self.l1_ways);
-        w.put_usize(self.l1_banks);
         w.put_usize(self.line_bytes);
-        w.put_usize(self.l2_bytes);
         w.put_usize(self.l2_banks);
         w.put_u64(self.l2_interleave_lines);
-        w.put_usize(self.l2_ways);
         w.put_u64(self.l1_hit_cycles);
         w.put_u64(self.stash_translation_cycles);
         w.put_u64(self.l2_base_cycles);
@@ -285,13 +303,16 @@ impl SystemConfig {
         w.put_usize(self.stash_map_entries);
         w.put_usize(self.max_maps_per_thread_block);
         w.put_usize(self.page_bytes);
-        w.put_usize(self.threads_per_block);
-        w.put_usize(self.warp_size);
         w.put_usize(self.max_blocks_per_cu);
-        w.put_usize(self.max_outstanding_misses);
         w.put_usize(self.stash_chunk_bytes);
         w.put_u64(self.kernel_launch_cycles);
         w.put_u64(self.energy_scale_pct);
+        w.put_bool(self.stash_replication);
+        w.put_bool(self.eager_stash_writebacks);
+        w.put_bool(self.line_grain_registration);
+        w.put_bool(self.stash_prefetch);
+        w.put_usize(self.stash_fetch_words);
+        w.put_bool(self.cpu_stashes);
     }
 
     /// A stable 64-bit content hash of the configuration: FNV-1a over the
@@ -334,12 +355,9 @@ impl SystemConfig {
             local_banks: r.take_usize()?,
             l1_bytes: r.take_usize()?,
             l1_ways: r.take_usize()?,
-            l1_banks: r.take_usize()?,
             line_bytes: r.take_usize()?,
-            l2_bytes: r.take_usize()?,
             l2_banks: r.take_usize()?,
             l2_interleave_lines: r.take_u64()?,
-            l2_ways: r.take_usize()?,
             l1_hit_cycles: r.take_u64()?,
             stash_translation_cycles: r.take_u64()?,
             l2_base_cycles: r.take_u64()?,
@@ -351,13 +369,16 @@ impl SystemConfig {
             stash_map_entries: r.take_usize()?,
             max_maps_per_thread_block: r.take_usize()?,
             page_bytes: r.take_usize()?,
-            threads_per_block: r.take_usize()?,
-            warp_size: r.take_usize()?,
             max_blocks_per_cu: r.take_usize()?,
-            max_outstanding_misses: r.take_usize()?,
             stash_chunk_bytes: r.take_usize()?,
             kernel_launch_cycles: r.take_u64()?,
             energy_scale_pct: r.take_u64()?,
+            stash_replication: r.take_bool()?,
+            eager_stash_writebacks: r.take_bool()?,
+            line_grain_registration: r.take_bool()?,
+            stash_prefetch: r.take_bool()?,
+            stash_fetch_words: r.take_usize()?,
+            cpu_stashes: r.take_bool()?,
         };
         cfg.validate().map_err(corrupt)?;
         Ok(cfg)
@@ -376,12 +397,9 @@ impl Default for SystemConfig {
             local_banks: 32,
             l1_bytes: 32 * 1024,
             l1_ways: 8,
-            l1_banks: 8,
             line_bytes: 64,
-            l2_bytes: 4 * 1024 * 1024,
             l2_banks: 16,
             l2_interleave_lines: 1,
-            l2_ways: 16,
             l1_hit_cycles: 1,
             stash_translation_cycles: 10,
             l2_base_cycles: 29,
@@ -393,13 +411,16 @@ impl Default for SystemConfig {
             stash_map_entries: 64,
             max_maps_per_thread_block: 4,
             page_bytes: 4096,
-            threads_per_block: 256,
-            warp_size: 32,
             max_blocks_per_cu: 8,
-            max_outstanding_misses: 64,
             stash_chunk_bytes: 64,
             kernel_launch_cycles: 2000,
             energy_scale_pct: 100,
+            stash_replication: true,
+            eager_stash_writebacks: false,
+            line_grain_registration: false,
+            stash_prefetch: false,
+            stash_fetch_words: 1,
+            cpu_stashes: false,
         }
     }
 }
@@ -529,11 +550,16 @@ mod tests {
         assert_eq!(c.stash_translation_cycles, 10);
         assert_eq!(c.l1_hit_cycles, 1);
         assert_eq!(c.l1_bytes, 32 * 1024);
-        assert_eq!(c.l1_banks, 8);
         assert_eq!(c.l1_ways, 8);
-        assert_eq!(c.l2_bytes, 4 * 1024 * 1024);
         assert_eq!(c.l2_banks, 16);
         assert!(c.validate().is_ok());
+        // The switches select the paper's design.
+        assert!(c.stash_replication);
+        assert!(!c.eager_stash_writebacks);
+        assert!(!c.line_grain_registration);
+        assert!(!c.stash_prefetch);
+        assert_eq!(c.stash_fetch_words, 1);
+        assert!(!c.cpu_stashes);
     }
 
     #[test]
@@ -639,12 +665,18 @@ mod tests {
             base.stable_hash(),
             SystemConfig::for_microbenchmarks().stable_hash()
         );
-        // A single-field change anywhere must move the hash.
+        // A single-field change anywhere must move the hash, a switch's
+        // too.
         let tweaked = SystemConfig {
             l2_interleave_lines: 2,
             ..base.clone()
         };
         assert_ne!(base.stable_hash(), tweaked.stable_hash());
+        let eager = SystemConfig {
+            eager_stash_writebacks: true,
+            ..base.clone()
+        };
+        assert_ne!(base.stable_hash(), eager.stable_hash());
         // Every design-point overlay dimension is visible too.
         let p = DesignPoint {
             stash_map_entries: 16,
@@ -658,6 +690,9 @@ mod tests {
         let cfg = SystemConfig {
             mesh_side: 8,
             l2_banks: 32,
+            stash_replication: false,
+            stash_fetch_words: 8,
+            cpu_stashes: true,
             ..SystemConfig::for_applications()
         };
         let mut w = crate::snapshot::Writer::new();
@@ -692,7 +727,7 @@ mod tests {
 
     #[test]
     fn validate_bounds_every_size_the_memory_system_allocates_from() {
-        let refused: [fn(&mut SystemConfig); 15] = [
+        let refused: [fn(&mut SystemConfig); 17] = [
             |c| c.cpu_cores = 1 << 40,
             |c| c.cpu_cores = usize::MAX,
             |c| c.mesh_side = (1 << 32) + 1,
@@ -708,17 +743,21 @@ mod tests {
             |c| c.stash_chunk_bytes = 0,
             |c| c.stash_chunk_bytes = 12,
             |c| c.energy_scale_pct = u64::MAX,
+            |c| c.stash_fetch_words = 0,
+            |c| c.stash_fetch_words = 17,
         ];
         for tweak in refused {
             let mut cfg = SystemConfig::for_applications();
             tweak(&mut cfg);
             assert!(cfg.validate().is_err(), "{cfg:?}");
         }
-        // The widest corner the `dse` spaces reach still validates.
+        // The widest corner the `dse` spaces reach still validates, and
+        // so does a fetch of a whole 16-word chunk.
         let wide = SystemConfig {
             mesh_side: 8,
             l2_banks: 32,
             stash_map_entries: 128,
+            stash_fetch_words: 16,
             ..SystemConfig::for_applications()
         };
         assert!(wide.validate().is_ok());
@@ -742,15 +781,6 @@ mod tests {
     fn validate_rejects_non_power_of_two_line() {
         let cfg = SystemConfig {
             line_bytes: 48,
-            ..SystemConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_ragged_thread_block() {
-        let cfg = SystemConfig {
-            threads_per_block: 100,
             ..SystemConfig::default()
         };
         assert!(cfg.validate().is_err());

@@ -23,12 +23,14 @@
 //! those tests compare across `--threads` settings.
 //!
 //! A checkpoint keeps what the schedule's future depends on — the
-//! config, the RNG position and the sequence counter — so a resumed
-//! machine draws exactly what an uninterrupted one would. The event trace
-//! is an observation and stays out of the snapshot: a resumed injector
-//! logs only what happens after the barrier it resumed from, and the
-//! uninterrupted trace is the checkpointed run's trace up to that barrier
-//! followed by the resumed one.
+//! rates and switches, the RNG position and the sequence counter — so a
+//! resumed machine draws exactly what an uninterrupted one would. The
+//! retry policy and the delay bound are this module's constants, not
+//! part of a schedule. The event trace is an observation and stays out
+//! of the snapshot: a resumed injector logs only what happens after the
+//! barrier it resumed from, and the uninterrupted trace is the
+//! checkpointed run's trace up to that barrier followed by the resumed
+//! one.
 //!
 //! Latency/energy/traffic are *accounting* in this transaction-level
 //! simulator, so injection never mutates architectural state itself; it
@@ -43,47 +45,31 @@
 
 use crate::rng::SplitMix64;
 
-/// Retry policy for resilient request/response messaging.
-///
-/// A lost request is NACKed and re-sent after a bounded exponential
-/// backoff: attempt `n` (1-based) waits
-/// `min(backoff_base_cycles << (n - 1), backoff_cap_cycles)` extra
-/// cycles, the only wait a retry charges (to the
-/// `resilience.backoff_cycles` counter, never to an op's latency). After
-/// [`max_retries`](Self::max_retries) failed attempts the no-progress
-/// watchdog trips ([`SimError::Deadlock`]) — the simulator never hangs.
-///
-/// [`SimError::Deadlock`]: crate::error::SimError::Deadlock
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt before the watchdog trips.
-    pub max_retries: u32,
-    /// Backoff after the first failed attempt (doubles per retry).
-    pub backoff_base_cycles: u64,
-    /// Upper bound on a single backoff wait.
-    pub backoff_cap_cycles: u64,
-}
+// The retry policy of resilient request/response messaging. A lost
+// request is NACKed and re-sent after a bounded exponential backoff
+// (`backoff`), the only wait a retry charges (to the
+// `resilience.backoff_cycles` counter, never to an op's latency). After
+// `MAX_RETRIES` retries the no-progress watchdog trips
+// (`SimError::Deadlock`), so the simulator never hangs.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            backoff_base_cycles: 16,
-            backoff_cap_cycles: 4096,
-        }
-    }
-}
+/// Retries after the first attempt before the watchdog trips.
+pub const MAX_RETRIES: u32 = 8;
+/// Backoff after the first failed attempt, in cycles (doubles per retry).
+pub const BACKOFF_BASE_CYCLES: u64 = 16;
+/// Upper bound on a single backoff wait, in cycles.
+pub const BACKOFF_CAP_CYCLES: u64 = 4096;
+/// Longest extra latency of a delayed message: 1..=this many cycles.
+pub const DELAY_MAX_CYCLES: u64 = 64;
 
-impl RetryPolicy {
-    /// The bounded-exponential backoff for 1-based failed attempt `n`.
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        let factor = 1u64
-            .checked_shl(attempt.saturating_sub(1))
-            .unwrap_or(u64::MAX);
-        self.backoff_base_cycles
-            .saturating_mul(factor)
-            .min(self.backoff_cap_cycles)
-    }
+/// The bounded-exponential backoff for 1-based failed attempt `n`:
+/// `min(BACKOFF_BASE_CYCLES << (n - 1), BACKOFF_CAP_CYCLES)`.
+pub fn backoff(attempt: u32) -> u64 {
+    let factor = 1u64
+        .checked_shl(attempt.saturating_sub(1))
+        .unwrap_or(u64::MAX);
+    BACKOFF_BASE_CYCLES
+        .saturating_mul(factor)
+        .min(BACKOFF_CAP_CYCLES)
 }
 
 /// Per-mille fault rates plus the resilience/detection switches.
@@ -101,10 +87,8 @@ pub struct FaultConfig {
     pub drop_per_mille: u64,
     /// Per-mille chance a message is duplicated (same sequence number).
     pub dup_per_mille: u64,
-    /// Per-mille chance a message is delayed.
+    /// Per-mille chance a message is delayed (by 1..=[`DELAY_MAX_CYCLES`]).
     pub delay_per_mille: u64,
-    /// Extra latency of a delayed message: 1..=`delay_max_cycles`.
-    pub delay_max_cycles: u64,
     /// Per-mille chance a word arriving at a stash/LLC is flipped.
     pub flip_per_mille: u64,
     /// Per-mille chance a fire-and-forget writeback is lost.
@@ -115,8 +99,6 @@ pub struct FaultConfig {
     pub resilience: bool,
     /// Enable the parity/ECC detection model (read checks + end scrub).
     pub parity: bool,
-    /// Retry/backoff parameters used when `resilience` is on.
-    pub retry: RetryPolicy,
 }
 
 impl FaultConfig {
@@ -128,13 +110,11 @@ impl FaultConfig {
             drop_per_mille: 3,
             dup_per_mille: 2,
             delay_per_mille: 5,
-            delay_max_cycles: 64,
             flip_per_mille: 2,
             wb_lose_per_mille: 3,
             dma_truncate_per_mille: 5,
             resilience: true,
             parity: true,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -305,7 +285,7 @@ impl FaultInjector {
             return MessageFate::Duplicated;
         }
         if self.chance(self.cfg.delay_per_mille) {
-            let extra = 1 + self.rng.next_below(self.cfg.delay_max_cycles.max(1));
+            let extra = 1 + self.rng.next_below(DELAY_MAX_CYCLES);
             self.log(site, FaultKind::Delay, seq, attempt);
             return MessageFate::Delayed(extra);
         }
@@ -346,22 +326,19 @@ impl FaultInjector {
     /// config, RNG position and sequence-number source — so a restored
     /// machine continues the exact same draw stream. The fault-event log
     /// is an observation and is not saved: a restored injector's log
-    /// starts empty.
+    /// starts empty. The retry policy and delay bound are this module's
+    /// constants, so a snapshot cannot set them.
     pub fn save(&self, w: &mut crate::snapshot::Writer) {
         let c = &self.cfg;
         w.put_u64(c.seed);
         w.put_u64(c.drop_per_mille);
         w.put_u64(c.dup_per_mille);
         w.put_u64(c.delay_per_mille);
-        w.put_u64(c.delay_max_cycles);
         w.put_u64(c.flip_per_mille);
         w.put_u64(c.wb_lose_per_mille);
         w.put_u64(c.dma_truncate_per_mille);
         w.put_bool(c.resilience);
         w.put_bool(c.parity);
-        w.put_u32(c.retry.max_retries);
-        w.put_u64(c.retry.backoff_base_cycles);
-        w.put_u64(c.retry.backoff_cap_cycles);
         w.put_u64(self.rng.state());
         w.put_u64(self.next_seq);
     }
@@ -374,17 +351,11 @@ impl FaultInjector {
             drop_per_mille: r.take_u64()?,
             dup_per_mille: r.take_u64()?,
             delay_per_mille: r.take_u64()?,
-            delay_max_cycles: r.take_u64()?,
             flip_per_mille: r.take_u64()?,
             wb_lose_per_mille: r.take_u64()?,
             dma_truncate_per_mille: r.take_u64()?,
             resilience: r.take_bool()?,
             parity: r.take_bool()?,
-            retry: RetryPolicy {
-                max_retries: r.take_u32()?,
-                backoff_base_cycles: r.take_u64()?,
-                backoff_cap_cycles: r.take_u64()?,
-            },
         };
         Ok(FaultInjector {
             cfg,
@@ -436,12 +407,11 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(1), 16);
-        assert_eq!(p.backoff(2), 32);
-        assert_eq!(p.backoff(3), 64);
-        assert_eq!(p.backoff(9), 4096, "capped");
-        assert_eq!(p.backoff(64), 4096, "shift overflow is capped too");
+        assert_eq!(backoff(1), 16);
+        assert_eq!(backoff(2), 32);
+        assert_eq!(backoff(3), 64);
+        assert_eq!(backoff(9), 4096, "capped");
+        assert_eq!(backoff(64), 4096, "shift overflow is capped too");
     }
 
     #[test]

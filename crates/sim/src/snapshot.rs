@@ -52,7 +52,11 @@ pub const MAGIC: [u8; 8] = *b"STSHSNAP";
 /// its configuration, and drops what is only observed (trace sink, stall
 /// attribution, fault-event log, oracle switch) and the energy model the
 /// configuration implies; version-2 files are a version mismatch too.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 4 moves the memory-system switches into the configuration,
+/// drops the six configuration fields nothing read, and takes the
+/// retry policy and delay bound out of the fault schedule; version-3
+/// files are a version mismatch.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The reflected IEEE 802.3 CRC-32 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;

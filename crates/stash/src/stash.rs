@@ -16,10 +16,13 @@ use crate::vpmap::VpMap;
 use mem::addr::{PAddr, VAddr, WORD_BYTES};
 use mem::coherence::WordState;
 use mem::tile::TileMap;
+use sim::config::SystemConfig;
 use sim::SimError;
 use std::collections::{BTreeSet, HashMap};
 
-/// Stash hardware parameters (defaults are the paper's Table 2 values).
+/// Stash hardware parameters: the part of a [`SystemConfig`] one stash
+/// acts on ([`StashConfig::for_system`]). The default is the paper's
+/// machine, [`SystemConfig::default`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StashConfig {
     /// Storage capacity in bytes (16 KB).
@@ -35,18 +38,26 @@ pub struct StashConfig {
     /// Page size for the VP-map (4 KB).
     pub page_bytes: u64,
     /// §4.5 data-replication optimization switch (on in the paper's
-    /// evaluation; the ablation bench turns it off).
+    /// evaluation; the `ablation` grid turns it off).
     pub replication_enabled: bool,
-    /// §8 extension: prefetch a mapping's words eagerly at `AddMap` time
-    /// (off in the paper's evaluation — stash loads are on-demand).
-    pub prefetch: bool,
-    /// §8 extension: fetch granularity — widen each load miss to up to
-    /// this many neighbouring mapped words of the same chunk (1 = the
-    /// paper's word-granularity behaviour; capped at the chunk size).
-    pub fetch_words: usize,
 }
 
 impl StashConfig {
+    /// The stash of a machine built from `sys`: its scratchpad capacity,
+    /// chunk, map and VP-map sizes, page size and replication switch.
+    #[must_use]
+    pub fn for_system(sys: &SystemConfig) -> Self {
+        Self {
+            capacity_bytes: sys.scratchpad_bytes,
+            chunk_bytes: sys.stash_chunk_bytes,
+            map_entries: sys.stash_map_entries,
+            vp_map_entries: sys.vp_map_entries,
+            max_maps_per_thread_block: sys.max_maps_per_thread_block,
+            page_bytes: sys.page_bytes as u64,
+            replication_enabled: sys.stash_replication,
+        }
+    }
+
     /// Storage capacity in words.
     #[must_use]
     pub fn capacity_words(&self) -> usize {
@@ -69,17 +80,7 @@ impl StashConfig {
 
 impl Default for StashConfig {
     fn default() -> Self {
-        Self {
-            capacity_bytes: 16 * 1024,
-            chunk_bytes: 64,
-            map_entries: 64,
-            vp_map_entries: 64,
-            max_maps_per_thread_block: 4,
-            page_bytes: 4096,
-            replication_enabled: true,
-            prefetch: false,
-            fetch_words: 1,
-        }
+        Self::for_system(&SystemConfig::default())
     }
 }
 
@@ -754,9 +755,9 @@ impl Stash {
 
     /// Serializes every component's state: storage, the stash-map, the
     /// VP-map, live map index tables, and the corrupt-word ground truth.
-    /// The [`StashConfig`] is not saved: its geometry is the system
-    /// configuration's and its switches are the memory system's, which
-    /// build the stash a snapshot is restored into.
+    /// The [`StashConfig`] is not saved: it is a translation of the
+    /// system configuration, which builds the stash a snapshot is
+    /// restored into.
     pub fn save(&self, w: &mut sim::snapshot::Writer) {
         self.storage.save(w);
         self.map.save(w);

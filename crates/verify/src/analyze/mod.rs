@@ -190,11 +190,7 @@ pub fn workload_notes<F: Fn(MemConfigKind) -> Program>(
 
     // Footprint vs local capacity: chunk-rounded, the granularity the
     // wave allocator hands out (shared with the stash crate).
-    let stash_cfg = StashConfig {
-        capacity_bytes: sys.scratchpad_bytes,
-        chunk_bytes: sys.stash_chunk_bytes,
-        ..StashConfig::default()
-    };
+    let stash_cfg = StashConfig::for_system(sys);
     let mut worst_block_words = 0u64;
     for phase in &ref_program.phases {
         if let gpu::program::Phase::Gpu(kernel) = phase {

@@ -4,7 +4,9 @@
 //! A GPU kernel updates one field of an AoS array through its stash; the
 //! CPU cores then consume the fields. With plain caches, each CPU read
 //! drags a 64-byte line through the L1 for 4 useful bytes; with CPU-side
-//! stashes the cores map the fields compactly and fetch word-granular.
+//! stashes (`SystemConfig::cpu_stashes`) the cores map the fields
+//! compactly and fetch word-granular. The example fails unless the CPU
+//! stash moves fewer read flits than the CPU cache.
 //!
 //! ```text
 //! cargo run --release --example cpu_stash
@@ -112,24 +114,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<18}{:>12}{:>14}{:>14}",
         "CPU consumer", "cpu cycles", "read flits", "forwards"
     );
+    let mut read_flits = Vec::new();
     for use_stash in [false, true] {
-        let mut machine = Machine::new(SystemConfig::for_microbenchmarks(), MemConfigKind::Stash);
-        if use_stash {
-            machine.memory_mut().enable_cpu_stashes();
-        }
+        let cfg = SystemConfig {
+            cpu_stashes: use_stash,
+            ..SystemConfig::for_microbenchmarks()
+        };
+        let mut machine = Machine::new(cfg, MemConfigKind::Stash);
         let program = Program {
             phases: vec![Phase::Gpu(gpu_kernel()), Phase::Cpu(cpu_phase(use_stash))],
         };
         let report = machine.run(&program)?;
+        let flits = report.traffic.flits(stash_repro::noc::MsgClass::Read);
         println!(
             "{:<18}{:>12}{:>14}{:>14}",
             if use_stash { "CPU stash" } else { "CPU cache" },
             report.cpu_cycles,
-            report.traffic.flits(stash_repro::noc::MsgClass::Read),
+            flits,
             report.counters.get("remote.forward") + report.counters.get("remote.self_forward"),
         );
+        read_flits.push(flits);
     }
     println!("\n(the CPU stash maps only the 4-byte fields: no line fills, no L1");
     println!(" pollution on the consumer side — the §8 extension in action)");
+    let (cache, stash) = (read_flits[0], read_flits[1]);
+    if stash >= cache {
+        return Err(
+            format!("the CPU stash moved {stash} read flits, the CPU cache {cache}").into(),
+        );
+    }
     Ok(())
 }

@@ -237,7 +237,10 @@ fn assert_oracle_catches(
     mutation: ConflictMutation,
     line_grain: bool,
 ) {
-    let sys = stash_repro::sim::config::SystemConfig::for_applications();
+    let sys = stash_repro::sim::config::SystemConfig {
+        line_grain_registration: line_grain,
+        ..stash_repro::sim::config::SystemConfig::for_applications()
+    };
     let par = ParallelConfig::with_threads(2);
     let shape = MachineShape {
         cus: sys.gpu_cus,
@@ -263,7 +266,6 @@ fn assert_oracle_catches(
     // Control: without a certificate the contended program merges fine
     // through full reconciliation (races resolve by revocation).
     let mut clean = Machine::new(sys.clone(), kind);
-    clean.memory_mut().set_line_grain_registration(line_grain);
     clean.memory_mut().set_verify(true);
     clean
         .run_parallel(program, &par)
@@ -272,7 +274,6 @@ fn assert_oracle_catches(
     // With the lying certificate installed, the oracle must abort the
     // merge before any state is corrupted.
     let mut machine = Machine::new(sys, kind);
-    machine.memory_mut().set_line_grain_registration(line_grain);
     machine.memory_mut().set_verify(true);
     machine.set_certificate(lied);
     match machine.run_parallel(program, &par) {

@@ -2,7 +2,7 @@
 //! fallback equivalence and the no-progress watchdog.
 
 use stash_repro::gpu::config::MemConfigKind;
-use stash_repro::gpu::machine::Machine;
+use stash_repro::gpu::machine::{Machine, RunCursor};
 use stash_repro::gpu::program::{
     AllocId, Kernel, LocalAlloc, MapReq, Phase, Program, Stage, ThreadBlock, WarpOp,
 };
@@ -113,26 +113,37 @@ fn stash_fallback_final_memory_matches_cache_golden() {
 #[test]
 fn watchdog_surfaces_deadlock_with_diagnostic_dump() {
     // Every message dropped: the retry budget must run dry and trip the
-    // watchdog — never hang, never return Ok.
+    // watchdog — never hang, never return Ok. The budget is a constant,
+    // not part of the schedule, so a machine resumed from a snapshot
+    // taken before the first phase gives up after the same attempts.
     let mut cfg = FaultConfig::chaos(1);
     cfg.drop_per_mille = 1000;
     let w = suite::micros()[0];
+    let program = (w.build)(MemConfigKind::Stash);
     let mut machine = Machine::new(w.set.system_config(), MemConfigKind::Stash);
     machine.memory_mut().set_fault_injector(cfg);
-    match machine.run(&(w.build)(MemConfigKind::Stash)) {
-        Err(SimError::Deadlock {
-            site,
-            attempts,
-            dump,
-        }) => {
-            assert!(!site.is_empty());
-            assert!(attempts > 1, "resilient path should have retried");
-            assert!(
-                dump.contains(site),
-                "diagnostic dump must name the stuck site: {dump}"
-            );
+    let snap = machine.checkpoint(&program, RunCursor::default());
+    let (mut resumed, mut cursor) = Machine::resume(&snap, &program).expect("snapshot resumes");
+    let runs = [
+        machine.run(&program),
+        resumed.run_from(&program, None, &mut cursor, |_, _| Ok(())),
+    ];
+    for run in runs {
+        match run {
+            Err(SimError::Deadlock {
+                site,
+                attempts,
+                dump,
+            }) => {
+                assert!(!site.is_empty());
+                assert_eq!(attempts, 9, "the first attempt and 8 retries");
+                assert!(
+                    dump.contains(site),
+                    "diagnostic dump must name the stuck site: {dump}"
+                );
+            }
+            other => panic!("expected a watchdog deadlock, got {other:?}"),
         }
-        other => panic!("expected a watchdog deadlock, got {other:?}"),
     }
 }
 
