@@ -206,6 +206,40 @@ fn truncated_and_corrupt_snapshots_are_rejected_with_fallback() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A round trip would pass a format change that reads back what it
+/// writes, so the bytes themselves are pinned: the FNV-1a of the first
+/// micro snapshot ([`real_snapshot`]) and of lud on StashG at its 23rd of
+/// 46 barriers. Both values come from a build that wrote every word tag
+/// and word state one byte at a time, so a bulk append that changes a
+/// byte fails here.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let (snap, _, _) = real_snapshot();
+    assert_eq!(sim::snapshot::fnv1a(&snap.to_bytes()), REAL_SNAPSHOT_FNV);
+
+    let w = suite::all().into_iter().find(|w| w.name == "lud").unwrap();
+    let kind = MemConfigKind::StashG;
+    let program = (w.build)(kind);
+    let mut machine = Machine::new(w.set.system_config(), kind);
+    let mut cursor = RunCursor::default();
+    let (mut barriers, mut mid) = (0, None);
+    machine
+        .run_from(&program, None, &mut cursor, |m, c| {
+            barriers += 1;
+            if barriers == 23 {
+                mid = Some(m.checkpoint(&program, *c));
+            }
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(barriers, 46);
+    let mid = mid.unwrap().to_bytes();
+    assert_eq!(sim::snapshot::fnv1a(&mid), LUD_STASHG_MID_FNV);
+}
+
+const REAL_SNAPSHOT_FNV: u64 = 6_813_311_847_518_519_250;
+const LUD_STASHG_MID_FNV: u64 = 1_545_791_600_191_766_630;
+
 #[test]
 fn future_format_version_is_a_version_mismatch_not_corruption() {
     let (snap, _, _) = real_snapshot();

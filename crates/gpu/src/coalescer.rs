@@ -9,7 +9,7 @@
 //! fetches and energy on AoS data (§1.1), which the stash's compact
 //! storage avoids.
 
-use mem::addr::VAddr;
+use mem::addr::{VAddr, WORD_BYTES};
 
 /// One coalesced transaction: distinct words of one cache line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,55 +20,145 @@ pub struct Transaction {
     pub words: Vec<VAddr>,
 }
 
-/// Coalesces per-lane addresses into per-line transactions.
+/// The coalescer, with the buffer its transactions live in.
 ///
-/// Duplicate lane addresses (broadcast reads) collapse into one word.
-/// Transactions are returned in first-touch order, matching issue order.
+/// Each [`Coalescer::coalesce`] call replaces the previous warp's
+/// transactions. The buffer keeps every transaction's word vector across
+/// calls, so once it has seen the widest warp a caller issues, coalescing
+/// allocates nothing.
 ///
 /// # Example
 ///
 /// ```
-/// use gpu::coalescer::coalesce;
+/// use gpu::coalescer::Coalescer;
 /// use mem::addr::VAddr;
 ///
+/// let mut co = Coalescer::default();
 /// // Unit stride: 32 lanes, 2 lines.
 /// let lanes: Vec<VAddr> = (0..32).map(|i| VAddr(0x1000 + i * 4)).collect();
-/// let txs = coalesce(&lanes, 64);
+/// let txs = co.coalesce(&lanes, 64);
 /// assert_eq!(txs.len(), 2);
 /// assert_eq!(txs[0].words.len(), 16);
 /// ```
-#[inline]
-pub fn coalesce(lanes: &[VAddr], line_bytes: u64) -> Vec<Transaction> {
-    // A unit-stride warp touches at most ceil(32*4/64)+1 lines; reserving
-    // a handful of slots up front covers the common shapes without a
-    // reallocation, and a fully shattered warp grows from there.
-    let mut txs: Vec<Transaction> = Vec::with_capacity(4.min(lanes.len()));
-    let words_per_line = (line_bytes / 4) as usize;
-    for &va in lanes {
-        let word_va = va.align_down(4);
-        let line_va = va.align_down(line_bytes);
-        match txs.iter_mut().find(|t| t.line_va == line_va) {
-            Some(t) => {
-                if !t.words.contains(&word_va) {
-                    t.words.push(word_va);
-                }
+#[derive(Debug, Clone, Default)]
+pub struct Coalescer {
+    /// The last warp's transactions are `txs[..len]`; the rest are spare.
+    txs: Vec<Transaction>,
+    len: usize,
+}
+
+impl Coalescer {
+    /// Coalesces per-lane addresses into per-line transactions of
+    /// `line_bytes` bytes, a power of two.
+    ///
+    /// Duplicate lane addresses (broadcast reads) collapse into one word.
+    /// Transactions are returned in first-touch order, matching issue
+    /// order.
+    pub fn coalesce(&mut self, lanes: &[VAddr], line_bytes: u64) -> &[Transaction] {
+        self.len = 0;
+        for &va in lanes {
+            let word_va = va.align_down(WORD_BYTES);
+            let line_va = va.align_down(line_bytes);
+            // Lines are distinct, so searching from the newest finds the
+            // same transaction as searching from the oldest, sooner.
+            if let Some(t) = self.txs[..self.len]
+                .iter_mut()
+                .rev()
+                .find(|t| t.line_va == line_va)
+            {
+                t.words.push(word_va);
+                continue;
             }
-            None => {
-                let mut words = Vec::with_capacity(words_per_line.min(lanes.len()));
-                words.push(word_va);
-                txs.push(Transaction { line_va, words });
+            if self.len == self.txs.len() {
+                self.txs.push(Transaction {
+                    line_va,
+                    words: Vec::new(),
+                });
             }
+            let t = &mut self.txs[self.len];
+            t.line_va = line_va;
+            t.words.clear();
+            t.words.push(word_va);
+            self.len += 1;
         }
+        let txs = &mut self.txs[..self.len];
+        for t in txs.iter_mut() {
+            t.words.sort_unstable();
+            t.words.dedup();
+        }
+        txs
     }
-    for t in &mut txs {
-        t.words.sort_unstable();
-    }
-    txs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::rng::SplitMix64;
+
+    /// The coalescer as it was before its buffer was reused: a fresh
+    /// vector of transactions per warp, each with its own word vector.
+    /// The oracle of `reused_buffer_matches_the_allocating_coalescer`.
+    fn coalesce_fresh(lanes: &[VAddr], line_bytes: u64) -> Vec<Transaction> {
+        let mut txs: Vec<Transaction> = Vec::new();
+        for &va in lanes {
+            let word_va = VAddr(va.0 - va.0 % 4);
+            let line_va = VAddr(va.0 - va.0 % line_bytes);
+            match txs.iter_mut().find(|t| t.line_va == line_va) {
+                Some(t) => {
+                    if !t.words.contains(&word_va) {
+                        t.words.push(word_va);
+                    }
+                }
+                None => txs.push(Transaction {
+                    line_va,
+                    words: vec![word_va],
+                }),
+            }
+        }
+        for t in &mut txs {
+            t.words.sort_unstable();
+        }
+        txs
+    }
+
+    fn coalesce(lanes: &[VAddr], line_bytes: u64) -> Vec<Transaction> {
+        Coalescer::default().coalesce(lanes, line_bytes).to_vec()
+    }
+
+    /// Every case runs through one coalescer, so a warp after a wider one
+    /// would expose any stale transaction or word the buffer kept.
+    #[test]
+    fn reused_buffer_matches_the_allocating_coalescer() {
+        let mut rng = SplitMix64::new(0x000c_0a1e);
+        let mut co = Coalescer::default();
+        for case in 0..4000 {
+            let n = 1 + rng.next_below(32);
+            let base = 0x1000 + rng.next_below(1 << 20);
+            let line_bytes = 1 << (4 + rng.next_below(4)); // 16..=128 B
+            let lanes: Vec<VAddr> = match case % 5 {
+                // Unit stride, from any byte.
+                0 => (0..n).map(|i| VAddr(base + 4 * i)).collect(),
+                // AoS stride: one field of 8..=256 B objects.
+                1 => {
+                    let stride = 8 * (1 + rng.next_below(32));
+                    (0..n).map(|i| VAddr(base + stride * i)).collect()
+                }
+                // Broadcast.
+                2 => vec![VAddr(base); n as usize],
+                // Misaligned bytes over a few words.
+                3 => (0..n).map(|_| VAddr(base + rng.next_below(16))).collect(),
+                // Random lanes over a few lines.
+                _ => (0..n)
+                    .map(|_| VAddr(base + rng.next_below(4 * line_bytes)))
+                    .collect(),
+            };
+            assert_eq!(
+                co.coalesce(&lanes, line_bytes),
+                coalesce_fresh(&lanes, line_bytes),
+                "case {case}: {n} lanes from {base:#x}, {line_bytes} B lines"
+            );
+        }
+    }
 
     #[test]
     fn strided_aos_shatters() {
@@ -96,7 +186,10 @@ mod tests {
 
     #[test]
     fn empty_lanes_mean_no_transactions() {
-        assert!(coalesce(&[], 64).is_empty());
+        let mut co = Coalescer::default();
+        let wide: Vec<VAddr> = (0..32).map(|i| VAddr(0x1000 + i * 64)).collect();
+        assert_eq!(co.coalesce(&wide, 64).len(), 32);
+        assert!(co.coalesce(&[], 64).is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! adaptation — they occupy the shared issue port, stalling every
 //! resident warp.
 
-use crate::coalescer::coalesce;
+use crate::coalescer::Coalescer;
 use crate::config::MemConfigKind;
 use crate::memsys::MemorySystem;
 use crate::program::{Stage, ThreadBlock, WarpOp};
@@ -108,9 +108,20 @@ pub fn run_cu_blocks(
         start = end;
     }
 
+    // One coalescer buffer for every warp this CU issues.
+    let mut coalescer = Coalescer::default();
     let mut cycle = 0u64;
     for wave in waves {
-        cycle = run_wave(mem, cu, kind, chunk_words, capacity_words, wave, cycle)?;
+        cycle = run_wave(
+            mem,
+            &mut coalescer,
+            cu,
+            kind,
+            chunk_words,
+            capacity_words,
+            wave,
+            cycle,
+        )?;
     }
     Ok(cycle)
 }
@@ -118,6 +129,7 @@ pub fn run_cu_blocks(
 #[allow(clippy::too_many_arguments)]
 fn run_wave(
     mem: &mut MemorySystem,
+    coalescer: &mut Coalescer,
     cu: usize,
     kind: MemConfigKind,
     chunk_words: usize,
@@ -236,7 +248,7 @@ fn run_wave(
         // Stamp the issue cycle unconditionally: it orders staged ops in
         // the staged-op merge and doubles as the trace clock when tracing.
         mem.set_now(start);
-        let (issue_cycles, latency, tr) = execute_op(mem, cu, kind, &ctxs[bi], op)?;
+        let (issue_cycles, latency, tr) = execute_op(mem, coalescer, cu, kind, &ctxs[bi], op)?;
         if tracing {
             mem.trace_stall(
                 cu,
@@ -455,6 +467,7 @@ fn finish_stage_dma(
 /// plus the issue-cycle decomposition for the stall trace.
 fn execute_op(
     mem: &mut MemorySystem,
+    coalescer: &mut Coalescer,
     cu: usize,
     kind: MemConfigKind,
     ctx: &BlockCtx,
@@ -484,10 +497,10 @@ fn execute_op(
         }
         WarpOp::GlobalMem { write, lanes } => {
             mem.note_gpu_instructions(1);
-            let txs = coalesce(lanes, mem.config().line_bytes as u64);
+            let txs = coalescer.coalesce(lanes, mem.config().line_bytes as u64);
             let mut lat = 0u64;
             let mut occupancy = 0u64;
-            for tx in &txs {
+            for tx in txs {
                 let cost = mem.gpu_global_tx(cu, *write, tx)?;
                 lat = lat.max(cost.latency);
                 occupancy += cost.occupancy;

@@ -18,7 +18,7 @@
 //! (in [`crate::cu`]) and in DMA's blocking transfers; router queueing is
 //! not modelled (see DESIGN.md).
 
-use crate::coalescer::{coalesce, Transaction};
+use crate::coalescer::{Coalescer, Transaction};
 use crate::config::MemConfigKind;
 use energy::{Component, EnergyAccount, EnergyModel};
 use mem::addr::{LineAddr, PAddr, VAddr, WORD_BYTES};
@@ -26,7 +26,7 @@ use mem::cache::DenovoCache;
 use mem::dma::{DmaDirection, DmaTransfer};
 use mem::llc::{CoreId, Llc, LlcLoadOutcome, Registration};
 use mem::paging::PageTable;
-use mem::scratchpad::Scratchpad;
+use mem::scratchpad::{busiest_bank, Scratchpad};
 use mem::tile::TileMap;
 use noc::{Attempt, Delivery, Mesh, Message, MsgClass, Network, NodeId};
 use sim::config::SystemConfig;
@@ -139,6 +139,108 @@ impl ShardResult {
     }
 }
 
+/// Words grouped by physical line for one batch of global actions (a
+/// stash fetch, registration or writeback, a DMA transfer): lines in
+/// first-touch order, each line's words in arrival order, each word a
+/// physical address and one value its caller carries along (a stash
+/// word). Regrouping reuses the buffers, so it allocates nothing once
+/// they have grown to the batch.
+#[derive(Debug, Clone, Default)]
+struct LineGroups {
+    /// Each line in first-touch order with the end of its words.
+    lines: Vec<(LineAddr, usize)>,
+    /// Each word's line index and payload, in arrival order.
+    arrivals: Vec<(usize, PAddr, usize)>,
+    /// The payloads grouped line by line.
+    words: Vec<(PAddr, usize)>,
+}
+
+impl LineGroups {
+    /// Replaces the groups with `words`, given in arrival order: a
+    /// stable counting sort by each word's first-touch line.
+    fn regroup(&mut self, line_bytes: u64, words: impl Iterator<Item = (PAddr, usize)>) {
+        self.lines.clear();
+        self.arrivals.clear();
+        for (pa, aux) in words {
+            let line = pa.line(line_bytes);
+            // Lines are distinct; the newest is the likeliest match.
+            let g = match self.lines.iter().rposition(|&(l, _)| l == line) {
+                Some(g) => g,
+                None => {
+                    self.lines.push((line, 0));
+                    self.lines.len() - 1
+                }
+            };
+            self.lines[g].1 += 1;
+            self.arrivals.push((g, pa, aux));
+        }
+        // Counts become start offsets, and each placement advances its
+        // line's offset, which ends at the line's end.
+        let mut start = 0;
+        for (_, n) in &mut self.lines {
+            let count = *n;
+            *n = start;
+            start += count;
+        }
+        self.words.clear();
+        self.words.resize(self.arrivals.len(), (PAddr(0), 0));
+        for &(g, pa, aux) in &self.arrivals {
+            let at = &mut self.lines[g].1;
+            self.words[*at] = (pa, aux);
+            *at += 1;
+        }
+    }
+
+    /// Each line with its words, in first-touch order.
+    fn iter(&self) -> impl Iterator<Item = (LineAddr, &[(PAddr, usize)])> {
+        let mut begin = 0;
+        self.lines.iter().map(move |&(line, end)| {
+            let words = &self.words[begin..end];
+            begin = end;
+            (line, words)
+        })
+    }
+}
+
+/// The lists one operation builds, kept so that operations reuse them
+/// instead of allocating. Scratch only: no operation reads what an
+/// earlier one left in them, so `save`, `restore`, `state_digest` and
+/// `fork_shard` ignore them. An operation that fails drops the lists it
+/// had taken out; the next one starts with empty ones.
+#[derive(Debug, Clone, Default)]
+struct OpBuffers {
+    /// `stash_fallback_tx`'s lane addresses and their transactions.
+    lanes: Vec<VAddr>,
+    coalescer: Coalescer,
+    /// `cache_tx`'s physical words.
+    pas: Vec<PAddr>,
+    /// `stash_tx`'s sorted distinct words, and the loads and
+    /// registrations they need.
+    stash_words: Vec<usize>,
+    loads: Vec<(usize, VAddr)>,
+    registrations: Vec<(usize, VAddr)>,
+    /// One zeroed counter per stash bank, for [`busiest_bank`].
+    bank_counts: Vec<u32>,
+    /// The one grouping of words by line.
+    groups: LineGroups,
+}
+
+impl OpBuffers {
+    fn new(local_banks: usize) -> Self {
+        Self {
+            bank_counts: vec![0; local_banks],
+            ..Self::default()
+        }
+    }
+}
+
+/// Takes a reused list out of its owner, emptied.
+fn take_cleared<T>(list: &mut Vec<T>) -> Vec<T> {
+    let mut taken = std::mem::take(list);
+    taken.clear();
+    taken
+}
+
 /// The assembled memory hierarchy.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
@@ -162,6 +264,8 @@ pub struct MemorySystem {
     now: u64,
     /// Staged-op log, present only in forked CU shards.
     stage: Option<Box<StageLog>>,
+    /// Per-operation lists, reused.
+    bufs: OpBuffers,
 }
 
 impl MemorySystem {
@@ -217,6 +321,7 @@ impl MemorySystem {
             trace: None,
             now: 0,
             stage: None,
+            bufs: OpBuffers::new(cfg.local_banks),
             cfg,
             kind,
         }
@@ -1040,7 +1145,7 @@ impl MemorySystem {
     ) -> Result<TxCost, SimError> {
         let core = self.cu_core(cu);
         let flits_before = self.net.traffic().total_flits();
-        let latency = self.cache_tx(core, write, tx, true)?;
+        let latency = self.cache_tx(core, write, &tx.words, true)?;
         self.verify_after("gpu_global_tx");
         Ok(TxCost {
             latency,
@@ -1057,12 +1162,8 @@ impl MemorySystem {
     /// installed fault schedule.
     pub fn cpu_access(&mut self, cpu: usize, write: bool, va: VAddr) -> Result<u64, SimError> {
         let core = self.cpu_core(cpu);
-        let tx = Transaction {
-            line_va: va.align_down(self.cfg.line_bytes as u64),
-            words: vec![va.align_down(WORD_BYTES)],
-        };
         let flits_before = self.net.traffic().total_flits();
-        let latency = self.cache_tx(core, write, &tx, false)?;
+        let latency = self.cache_tx(core, write, &[va.align_down(WORD_BYTES)], false)?;
         self.verify_after("cpu_access");
         Ok(latency + (self.net.traffic().total_flits() - flits_before))
     }
@@ -1088,14 +1189,19 @@ impl MemorySystem {
         self.counters.bump(Counter::ResilienceFallbackTx);
         let core = self.cu_core(cu);
         let flits_before = self.net.traffic().total_flits();
-        let vas: Vec<VAddr> = lane_words
-            .iter()
-            .map(|&w| tile.virt_of_local_offset(u64::from(w) * WORD_BYTES))
-            .collect();
+        let mut lanes = take_cleared(&mut self.bufs.lanes);
+        lanes.extend(
+            lane_words
+                .iter()
+                .map(|&w| tile.virt_of_local_offset(u64::from(w) * WORD_BYTES)),
+        );
+        let mut coalescer = std::mem::take(&mut self.bufs.coalescer);
         let mut latency = 0u64;
-        for t in coalesce(&vas, self.cfg.line_bytes as u64) {
-            latency = latency.max(self.cache_tx(core, write, &t, true)?);
+        for t in coalescer.coalesce(&lanes, self.cfg.line_bytes as u64) {
+            latency = latency.max(self.cache_tx(core, write, &t.words, true)?);
         }
+        self.bufs.lanes = lanes;
+        self.bufs.coalescer = coalescer;
         self.verify_after("stash_fallback_tx");
         Ok(TxCost {
             latency,
@@ -1103,11 +1209,28 @@ impl MemorySystem {
         })
     }
 
+    /// One transaction of `words`, distinct words of one line, from
+    /// `core`: a GPU CU (`charge_l1`) or a CPU core.
     fn cache_tx(
         &mut self,
         core: CoreId,
         write: bool,
-        tx: &Transaction,
+        words: &[VAddr],
+        charge_l1: bool,
+    ) -> Result<u64, SimError> {
+        let mut pas = take_cleared(&mut self.bufs.pas);
+        pas.extend(words.iter().map(|&va| self.pt.translate(va)));
+        let latency = self.cache_line_tx(core, write, &pas, charge_l1);
+        self.bufs.pas = pas;
+        latency
+    }
+
+    /// [`Self::cache_tx`] on the words' physical addresses.
+    fn cache_line_tx(
+        &mut self,
+        core: CoreId,
+        write: bool,
+        pas: &[PAddr],
         charge_l1: bool,
     ) -> Result<u64, SimError> {
         self.counters.bump(match (charge_l1, write) {
@@ -1122,7 +1245,6 @@ impl MemorySystem {
             self.energy.add(Component::L1, self.model.tlb_access);
         }
 
-        let pas: Vec<PAddr> = tx.words.iter().map(|&va| self.pt.translate(va)).collect();
         let line = pas[0].line(self.cfg.line_bytes as u64);
         let hit = pas.iter().all(|&pa| {
             let st = self.l1s[core.0].word_state(pa);
@@ -1173,7 +1295,7 @@ impl MemorySystem {
             // ablation the whole line registers to this core (MESI-style
             // single writer), revoking every other core's words in it.
             let mut revoked: Vec<(Registration, PAddr)> = Vec::new();
-            for &pa in &pas {
+            for &pa in pas {
                 let w = pa.word_in_line(self.cfg.line_bytes as u64);
                 let out = self.llc.register_word(line, w, Registration::Cache(core));
                 self.stage_op(StagedOp::RegisterWord(line, w, Registration::Cache(core)));
@@ -1248,7 +1370,7 @@ impl MemorySystem {
             };
 
         // Forward-fetch the needed words the LLC could not supply.
-        for &pa in &pas {
+        for &pa in pas {
             let w = pa.word_in_line(self.cfg.line_bytes as u64);
             if !skip.contains(&w) {
                 continue;
@@ -1395,12 +1517,11 @@ impl MemorySystem {
         self.counters.bump(Counter::ScratchAccess);
         self.energy
             .add(Component::LocalMem, self.model.scratchpad_access);
-        let offsets: Vec<usize> = lane_words
+        let offsets = lane_words
             .iter()
-            .map(|&w| base_bytes + w as usize * WORD_BYTES as usize)
-            .collect();
+            .map(|&w| base_bytes + w as usize * WORD_BYTES as usize);
         self.scratchpads[cu]
-            .conflict_cycles(&offsets)
+            .conflict_cycles(offsets)
             .max(self.cfg.l1_hit_cycles)
     }
 
@@ -1516,26 +1637,20 @@ impl MemorySystem {
         } else {
             Counter::StashLoadTx
         });
-        let mut words: Vec<usize> = lane_words.iter().map(|&w| base_word + w as usize).collect();
+        let mut words = take_cleared(&mut self.bufs.stash_words);
+        words.extend(lane_words.iter().map(|&w| base_word + w as usize));
         words.sort_unstable();
         words.dedup();
 
         // Bank conflicts behave exactly like the scratchpad's.
-        let bank_cycles = {
-            let banks = self.cfg.local_banks;
-            let mut per_bank = vec![0u64; banks];
-            for &w in &words {
-                per_bank[w % banks] += 1;
-            }
-            per_bank.into_iter().max().unwrap_or(1).max(1)
-        };
+        let bank_cycles = busiest_bank(words.iter().copied(), &mut self.bufs.bank_counts).max(1);
 
         let mut missed = false;
         let mut latency = bank_cycles.max(self.cfg.l1_hit_cycles);
         // Collect per-line global actions so words sharing a line batch
         // into one message pair.
-        let mut load_fetches: Vec<(usize, VAddr)> = Vec::new();
-        let mut registrations: Vec<(usize, VAddr)> = Vec::new();
+        let mut load_fetches = take_cleared(&mut self.bufs.loads);
+        let mut registrations = take_cleared(&mut self.bufs.registrations);
 
         for &w in &words {
             if write {
@@ -1623,6 +1738,9 @@ impl MemorySystem {
         }
 
         latency += self.stash_global_fetches(cu, map, &load_fetches, &registrations)?;
+        self.bufs.stash_words = words;
+        self.bufs.loads = load_fetches;
+        self.bufs.registrations = registrations;
         self.verify_after("stash_tx");
         Ok(TxCost {
             latency,
@@ -1645,19 +1763,11 @@ impl MemorySystem {
         let my_node = self.node_of(core);
         let line_bytes = self.cfg.line_bytes as u64;
         let mut extra = 0u64;
+        let mut groups = std::mem::take(&mut self.bufs.groups);
 
         // Loads, grouped by physical line.
-        let mut by_line: Vec<(LineAddr, Vec<(usize, PAddr)>)> = Vec::new();
-        for &(w, va) in load_fetches {
-            let pa = self.pt.translate(va);
-            self.stashes[cu].note_translation(va, pa);
-            let line = pa.line(line_bytes);
-            match by_line.iter_mut().find(|(l, _)| *l == line) {
-                Some((_, v)) => v.push((w, pa)),
-                None => by_line.push((line, vec![(w, pa)])),
-            }
-        }
-        for (line, group) in by_line {
+        self.group_stash_words(cu, load_fetches, &mut groups);
+        for (line, group) in groups.iter() {
             let home = self.home_of(line);
             self.send_reliable(
                 my_node,
@@ -1669,7 +1779,7 @@ impl MemorySystem {
             let mut lat = self.round_trip(my_node, home);
             let mut supplied = 0usize;
             let mut self_forwards = 0usize;
-            for &(w, pa) in &group {
+            for &(pa, w) in group {
                 let widx = pa.word_in_line(line_bytes);
                 self.stage_op(StagedOp::LoadWord(line, widx));
                 match self.llc.load_word(line, widx) {
@@ -1726,17 +1836,8 @@ impl MemorySystem {
 
         // Registrations, grouped by physical line; the request carries the
         // stash-map index that the registry records (§4.3).
-        let mut by_line: Vec<(LineAddr, Vec<(usize, PAddr)>)> = Vec::new();
-        for &(w, va) in registrations {
-            let pa = self.pt.translate(va);
-            self.stashes[cu].note_translation(va, pa);
-            let line = pa.line(line_bytes);
-            match by_line.iter_mut().find(|(l, _)| *l == line) {
-                Some((_, v)) => v.push((w, pa)),
-                None => by_line.push((line, vec![(w, pa)])),
-            }
-        }
-        for (line, group) in by_line {
+        self.group_stash_words(cu, registrations, &mut groups);
+        for (line, group) in groups.iter() {
             let home = self.home_of(line);
             self.send_reliable(
                 my_node,
@@ -1746,7 +1847,7 @@ impl MemorySystem {
             )?;
             self.send(home, my_node, Message::control(MsgClass::Write));
             self.llc_access(line);
-            for &(w, pa) in &group {
+            for &(pa, w) in group {
                 let widx = pa.word_in_line(line_bytes);
                 let reg = Registration::Stash {
                     core,
@@ -1765,7 +1866,30 @@ impl MemorySystem {
                 .add(Counter::StashRegisterWords, group.len() as u64);
             extra = extra.max(self.round_trip(my_node, home));
         }
+        self.bufs.groups = groups;
         Ok(extra)
+    }
+
+    /// Translates a stash transaction's `(stash word, address)` pairs in
+    /// order, since first touch assigns frames, and groups them by
+    /// physical line. The VP-map learns a page's frame once per run of
+    /// words on that page.
+    fn group_stash_words(&mut self, cu: usize, words: &[(usize, VAddr)], groups: &mut LineGroups) {
+        let page_bytes = self.cfg.page_bytes as u64;
+        let mut noted_page = None;
+        let (pt, stash) = (&mut self.pt, &mut self.stashes[cu]);
+        groups.regroup(
+            self.cfg.line_bytes as u64,
+            words.iter().map(|&(w, va)| {
+                let pa = pt.translate(va);
+                let page = va.page(page_bytes);
+                if noted_page != Some(page) {
+                    stash.note_translation(va, pa);
+                    noted_page = Some(page);
+                }
+                (pa, w)
+            }),
+        );
     }
 
     /// Sends a batch of stash writebacks (lazy or blocking) to the LLC.
@@ -1780,18 +1904,31 @@ impl MemorySystem {
         let core = CoreId(cu);
         let my_node = self.node_of(core);
         let line_bytes = self.cfg.line_bytes as u64;
-        let mut by_line: Vec<(LineAddr, Vec<(PAddr, usize)>)> = Vec::new();
-        for wb in wbs {
-            let pa = self.stashes[cu]
-                .translate(wb.vaddr)
-                .unwrap_or_else(|| self.pt.translate(wb.vaddr));
-            let line = pa.line(line_bytes);
-            match by_line.iter_mut().find(|(l, _)| *l == line) {
-                Some((_, v)) => v.push((pa, wb.stash_word)),
-                None => by_line.push((line, vec![(pa, wb.stash_word)])),
-            }
-        }
-        for (line, group) in by_line {
+        let page_bytes = self.cfg.page_bytes as u64;
+        let mut groups = std::mem::take(&mut self.bufs.groups);
+        // One translation per run of words on a page: the VP-map's, or
+        // the page table's when the VP-map has none.
+        let mut page_frame: Option<(u64, PAddr)> = None;
+        let (pt, stash) = (&mut self.pt, &self.stashes[cu]);
+        groups.regroup(
+            line_bytes,
+            wbs.iter().map(|wb| {
+                let page = wb.vaddr.page(page_bytes);
+                let frame = match page_frame {
+                    Some((p, frame)) if p == page => frame,
+                    _ => {
+                        let pa = stash
+                            .translate(wb.vaddr)
+                            .unwrap_or_else(|| pt.translate(wb.vaddr));
+                        let frame = pa.align_down(page_bytes);
+                        page_frame = Some((page, frame));
+                        frame
+                    }
+                };
+                (frame.add(wb.vaddr.offset_in(page_bytes)), wb.stash_word)
+            }),
+        );
+        for (line, group) in groups.iter() {
             let home = self.home_of(line);
             // One storage read + VP-map translation per chunk-batch.
             self.energy.add(Component::LocalMem, self.model.stash_hit);
@@ -1810,7 +1947,7 @@ impl MemorySystem {
                 // scrub sweeps them.
                 continue;
             }
-            for (pa, sw) in group {
+            for &(pa, sw) in group {
                 let widx = pa.word_in_line(line_bytes);
                 let was_corrupt = self.fault.is_some() && self.stashes[cu].take_corrupt(sw);
                 let accepted = self.llc.writeback_word(line, widx, core);
@@ -1831,6 +1968,7 @@ impl MemorySystem {
                 self.counters.bump(Counter::WbStashWords);
             }
         }
+        self.bufs.groups = groups;
         Ok(())
     }
 
@@ -1840,16 +1978,8 @@ impl MemorySystem {
     pub fn stash_raw_tx(&mut self, _cu: usize, base_word: usize, lane_words: &[u32]) -> u64 {
         self.counters.bump(Counter::StashRawAccess);
         self.energy.add(Component::LocalMem, self.model.stash_hit);
-        let banks = self.cfg.local_banks;
-        let mut per_bank = vec![0u64; banks];
-        for &w in lane_words {
-            per_bank[(base_word + w as usize) % banks] += 1;
-        }
-        per_bank
-            .into_iter()
-            .max()
-            .unwrap_or(1)
-            .max(self.cfg.l1_hit_cycles)
+        let words = lane_words.iter().map(|&w| base_word + w as usize);
+        busiest_bank(words, &mut self.bufs.bank_counts).max(self.cfg.l1_hit_cycles)
     }
 
     /// Thread block `tb` on CU `cu` completed.
@@ -1969,20 +2099,14 @@ impl MemorySystem {
         };
 
         // Group the transferred words by physical line.
-        let mut by_line: Vec<(LineAddr, Vec<PAddr>)> = Vec::new();
-        for &va in &vaddrs {
-            let pa = self.pt.translate(va);
-            let line = pa.line(line_bytes);
-            match by_line.iter_mut().find(|(l, _)| *l == line) {
-                Some((_, v)) => v.push(pa),
-                None => by_line.push((line, vec![pa])),
-            }
-        }
+        let mut groups = std::mem::take(&mut self.bufs.groups);
+        let pt = &mut self.pt;
+        groups.regroup(line_bytes, vaddrs.iter().map(|&va| (pt.translate(va), 0)));
 
         self.counters.add(Counter::DmaWords, vaddrs.len() as u64);
         let mut issue = 0u64;
         let mut done = 0u64;
-        for (line, pas) in by_line {
+        for (line, pas) in groups.iter() {
             let home = self.home_of(line);
             let mut lat = self.round_trip(my_node, home);
             if store {
@@ -1993,11 +2117,11 @@ impl MemorySystem {
                     site,
                 )?;
                 self.llc_access(line);
-                for pa in &pas {
+                for &(pa, _) in pas {
                     let widx = pa.word_in_line(line_bytes);
                     self.stage_op(StagedOp::StoreThrough(line, widx));
                     if let Some(prev) = self.llc.store_through(line, widx) {
-                        self.invalidate_previous_owner(prev, *pa, home)?;
+                        self.invalidate_previous_owner(prev, pa, home)?;
                     }
                     // A DMA store overwrites the LLC word, then the
                     // arriving data may itself be flipped in flight.
@@ -2008,7 +2132,7 @@ impl MemorySystem {
                 self.send_reliable(my_node, home, Message::control(MsgClass::Read), site)?;
                 self.llc_access(line);
                 let mut supplied = 0usize;
-                for pa in &pas {
+                for &(pa, _) in pas {
                     let widx = pa.word_in_line(line_bytes);
                     self.stage_op(StagedOp::LoadWord(line, widx));
                     match self.llc.load_word(line, widx) {
@@ -2021,7 +2145,7 @@ impl MemorySystem {
                             supplied += 1;
                         }
                         LlcLoadOutcome::Forward(reg) => {
-                            lat = lat.max(self.forward_fetch(core, *pa, reg)?);
+                            lat = lat.max(self.forward_fetch(core, pa, reg)?);
                         }
                     }
                 }
@@ -2048,6 +2172,7 @@ impl MemorySystem {
             done = done.max(issue + lat);
             issue += flits.div_ceil(2);
         }
+        self.bufs.groups = groups;
         let total = done.max(issue);
         if let Some(t) = self.trace.as_mut() {
             let at = t.now();
@@ -2139,6 +2264,7 @@ impl MemorySystem {
             }),
             now: self.now,
             stage: Some(Box::default()),
+            bufs: OpBuffers::new(self.cfg.local_banks),
         }
     }
 
@@ -2486,6 +2612,36 @@ mod tests {
         Transaction {
             line_va: VAddr(vas[0]).align_down(64),
             words: vas.iter().map(|&v| VAddr(v)).collect(),
+        }
+    }
+
+    /// `LineGroups` against the per-line `Vec`s it replaced, over one
+    /// reused grouping: the same lines in first-touch order, the same
+    /// words in arrival order.
+    #[test]
+    fn line_groups_match_the_per_line_vectors() {
+        let mut rng = sim::rng::SplitMix64::new(0x0006_0a9f);
+        let mut groups = LineGroups::default();
+        for case in 0..2000 {
+            let n = rng.next_below(80) as usize;
+            let lines = 1 + rng.next_below(6);
+            let words: Vec<(PAddr, usize)> = (0..n)
+                .map(|i| (PAddr(0x4000 + rng.next_below(lines * 64)), i))
+                .collect();
+            let mut oracle: Vec<(LineAddr, Vec<(PAddr, usize)>)> = Vec::new();
+            for &(pa, aux) in &words {
+                let line = pa.line(64);
+                match oracle.iter_mut().find(|(l, _)| *l == line) {
+                    Some((_, v)) => v.push((pa, aux)),
+                    None => oracle.push((line, vec![(pa, aux)])),
+                }
+            }
+            groups.regroup(64, words.iter().copied());
+            let got: Vec<(LineAddr, Vec<(PAddr, usize)>)> = groups
+                .iter()
+                .map(|(line, ws)| (line, ws.to_vec()))
+                .collect();
+            assert_eq!(got, oracle, "case {case}");
         }
     }
 

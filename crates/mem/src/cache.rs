@@ -298,9 +298,7 @@ impl DenovoCache {
                 }
             }
         }
-        for &state in &self.words {
-            w.put_u8(word_state_code(state));
-        }
+        w.put_u8s(self.words.iter().map(|&state| word_state_code(state)));
         w.put_u64(self.tick);
     }
 

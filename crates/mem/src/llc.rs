@@ -120,15 +120,18 @@ struct Tables {
 pub struct Llc {
     banks: usize,
     line_bytes: u64,
+    /// `log2(line_bytes)`: a line's index is its address shifted down.
+    line_shift: u32,
     words_per_line: usize,
     /// Consecutive lines mapped to the same bank before moving to the
     /// next (1 = fine line interleaving, the paper's configuration).
     interleave_lines: u64,
     /// The slot table and word-tag arena. The master owns its tables
-    /// (refcount 1, so `Arc::make_mut` mutates in place for free); a
-    /// forked shard shares them read-only and writes to `overlay`
-    /// instead, which makes [`Llc::fork`] a refcount bump rather than a
-    /// copy of the whole arena.
+    /// (refcount 1, so `Arc::make_mut` in [`Llc::ensure`] mutates in
+    /// place); a forked shard shares them read-only and writes to
+    /// `overlay` instead, which makes [`Llc::fork`] a refcount bump
+    /// rather than a copy of the whole arena. Reads of a resident line
+    /// go through [`Llc::line_words`] and never reach `make_mut`.
     tables: Arc<Tables>,
     /// Shard mode (`Some` only after [`Llc::fork`]): the shard's private
     /// copies of every line it touched, keyed by line index. Reads check
@@ -150,7 +153,8 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero or the line is not word-aligned.
+    /// Panics if either parameter is zero or the line is not a
+    /// power-of-two multiple of the word.
     pub fn new(banks: usize, line_bytes: usize) -> Self {
         Self::with_interleave(banks, line_bytes, 1)
     }
@@ -161,13 +165,15 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or the line is not word-aligned.
+    /// Panics if any parameter is zero or the line is not a power-of-two
+    /// multiple of the word.
     pub fn with_interleave(banks: usize, line_bytes: usize, interleave_lines: u64) -> Self {
         assert!(banks > 0 && line_bytes > 0 && interleave_lines > 0);
-        assert_eq!(line_bytes as u64 % WORD_BYTES, 0);
+        assert!(line_bytes.is_power_of_two() && line_bytes as u64 >= WORD_BYTES);
         Self {
             banks,
             line_bytes: line_bytes as u64,
+            line_shift: line_bytes.trailing_zeros(),
             words_per_line: line_bytes / WORD_BYTES as usize,
             interleave_lines,
             tables: Arc::new(Tables::default()),
@@ -188,6 +194,7 @@ impl Llc {
         Llc {
             banks: self.banks,
             line_bytes: self.line_bytes,
+            line_shift: self.line_shift,
             words_per_line: self.words_per_line,
             interleave_lines: self.interleave_lines,
             tables: Arc::clone(&self.tables),
@@ -201,7 +208,7 @@ impl Llc {
     /// The home bank of a line (groups of `interleave_lines` consecutive
     /// lines interleave across banks).
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        ((line.0 / self.line_bytes / self.interleave_lines) % self.banks as u64) as usize
+        ((self.line_index(line) as u64 / self.interleave_lines) % self.banks as u64) as usize
     }
 
     /// Total DRAM line fetches so far.
@@ -216,8 +223,10 @@ impl Llc {
         self.dram_line_fetches = fetches;
     }
 
+    /// `line / line_bytes`, as a shift.
+    #[inline]
     fn line_index(&self, line: LineAddr) -> usize {
-        (line.0 / self.line_bytes) as usize
+        (line.0 >> self.line_shift) as usize
     }
 
     /// The base tables' tags for a line, `None` when not resident there.
@@ -242,6 +251,8 @@ impl Llc {
         self.base_words(idx)
     }
 
+    /// Makes `line` resident (the DRAM fetch when it was not) and returns
+    /// its tags for writing: the path of a fetch or a tag change.
     fn ensure(&mut self, line: LineAddr) -> (bool, &mut [WordTag]) {
         let idx = self.line_index(line);
         let wpl = self.words_per_line;
@@ -333,11 +344,15 @@ impl Llc {
         }
     }
 
-    /// A load request for one word arriving at the home bank.
+    /// A load request for one word arriving at the home bank. A resident
+    /// line is only read; a line that is not resident is fetched.
     pub fn load_word(&mut self, line: LineAddr, word: usize) -> LlcLoadOutcome {
         assert!(word < self.words_per_line);
-        let (from_memory, tags) = self.ensure(line);
-        match tags[word] {
+        let (from_memory, tag) = match self.line_words(line) {
+            Some(tags) => (false, tags[word]),
+            None => (true, self.ensure(line).1[word]),
+        };
+        match tag {
             WordTag::Valid => LlcLoadOutcome::Data { from_memory },
             WordTag::Registered(r) => LlcLoadOutcome::Forward(r),
         }
@@ -396,9 +411,13 @@ impl Llc {
 
     /// For a full line fill: ensures the line is resident and returns
     /// `(from_memory, skip)` where `skip` lists word indices registered by
-    /// cores *other than* `requester` (the LLC cannot supply those).
+    /// cores *other than* `requester` (the LLC cannot supply those). A
+    /// resident line is only read; a line that is not resident is fetched.
     pub fn line_fill(&mut self, line: LineAddr, requester: CoreId) -> (bool, Vec<usize>) {
-        let (from_memory, tags) = self.ensure(line);
+        let (from_memory, tags) = match self.line_words(line) {
+            Some(tags) => (false, tags),
+            None => (true, &*self.ensure(line).1),
+        };
         let skip = tags
             .iter()
             .enumerate()
@@ -517,18 +536,25 @@ impl Llc {
             w.put_u32(slot);
         }
         w.put_usize(self.tables.words.len());
-        for tag in &self.tables.words {
-            match tag {
-                WordTag::Valid => w.put_u8(0),
-                WordTag::Registered(Registration::Cache(core)) => {
-                    w.put_u8(1);
-                    w.put_usize(core.0);
+        let mut rest = &self.tables.words[..];
+        while !rest.is_empty() {
+            // Most tags are Valid, code 0: each run of them is one append.
+            let valid = rest.iter().take_while(|&&t| t == WordTag::Valid).count();
+            w.put_u8s(std::iter::repeat_n(0, valid));
+            rest = &rest[valid..];
+            if let Some((&WordTag::Registered(reg), tail)) = rest.split_first() {
+                match reg {
+                    Registration::Cache(core) => {
+                        w.put_u8(1);
+                        w.put_usize(core.0);
+                    }
+                    Registration::Stash { core, map_index } => {
+                        w.put_u8(2);
+                        w.put_usize(core.0);
+                        w.put_u8(map_index);
+                    }
                 }
-                WordTag::Registered(Registration::Stash { core, map_index }) => {
-                    w.put_u8(2);
-                    w.put_usize(core.0);
-                    w.put_u8(*map_index);
-                }
+                rest = tail;
             }
         }
         w.put_usize(self.resident);

@@ -25,9 +25,43 @@ use sim::SimError;
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
     capacity_bytes: usize,
-    banks: usize,
+    /// One zeroed counter per bank, for [`busiest_bank`].
+    bank_counts: Vec<u32>,
     allocated_bytes: usize,
     accesses: u64,
+}
+
+/// The bank-conflict degree of one warp access: the most words any one
+/// bank receives, where word `w` sits in bank `w % counts.len()` (words
+/// interleave across banks); 0 for no words. `counts` holds one zeroed
+/// counter per bank and is left zeroed, so one buffer serves every
+/// access of a scratchpad or stash without allocating.
+///
+/// # Example
+///
+/// ```
+/// use mem::scratchpad::busiest_bank;
+///
+/// let mut counts = vec![0; 32];
+/// // Stride of 2 words: 32 lanes land on 16 even banks, two per bank.
+/// assert_eq!(busiest_bank((0..32).map(|i| i * 2), &mut counts), 2);
+/// assert!(counts.iter().all(|&c| c == 0));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `counts` is empty and `words` is not.
+pub fn busiest_bank(words: impl Iterator<Item = usize>, counts: &mut [u32]) -> u64 {
+    let banks = counts.len();
+    let mut busiest = 0;
+    for w in words {
+        let count = &mut counts[w % banks];
+        *count += 1;
+        busiest = busiest.max(*count);
+    }
+    // Zeroing every counter costs less than a second divide per word.
+    counts.fill(0);
+    u64::from(busiest)
 }
 
 impl Scratchpad {
@@ -44,7 +78,7 @@ impl Scratchpad {
         );
         Self {
             capacity_bytes,
-            banks,
+            bank_counts: vec![0; banks],
             allocated_bytes: 0,
             accesses: 0,
         }
@@ -104,19 +138,12 @@ impl Scratchpad {
         self.accesses
     }
 
-    /// The bank a byte offset falls in (words interleave across banks).
-    pub fn bank_of(&self, offset: usize) -> usize {
-        (offset / WORD_BYTES as usize) % self.banks
-    }
-
-    /// Number of serialized bank cycles a set of lane offsets needs: the
-    /// maximum number of lanes hitting one bank (bank conflicts serialize).
-    pub fn conflict_cycles(&self, lane_offsets: &[usize]) -> u64 {
-        let mut per_bank = vec![0u64; self.banks];
-        for &off in lane_offsets {
-            per_bank[self.bank_of(off)] += 1;
-        }
-        per_bank.into_iter().max().unwrap_or(0).max(1)
+    /// Number of serialized bank cycles a warp's lane byte offsets need:
+    /// the most lanes hitting one bank (bank conflicts serialize), at
+    /// least 1.
+    pub fn conflict_cycles(&mut self, lane_offsets: impl Iterator<Item = usize>) -> u64 {
+        let words = lane_offsets.map(|off| off / WORD_BYTES as usize);
+        busiest_bank(words, &mut self.bank_counts).max(1)
     }
 
     /// Serializes the allocation watermark and the access tally. The
@@ -197,26 +224,31 @@ mod tests {
 
     #[test]
     fn conflict_free_stride_one() {
-        let s = sp();
+        let mut s = sp();
         // 32 consecutive words -> 32 distinct banks -> 1 cycle.
-        let offsets: Vec<usize> = (0..32).map(|i| i * 4).collect();
-        assert_eq!(s.conflict_cycles(&offsets), 1);
+        assert_eq!(s.conflict_cycles((0..32).map(|i| i * 4)), 1);
     }
 
     #[test]
     fn same_bank_serializes() {
-        let s = sp();
+        let mut s = sp();
         // Stride of 32 words: every lane hits bank 0.
-        let offsets: Vec<usize> = (0..32).map(|i| i * 32 * 4).collect();
-        assert_eq!(s.conflict_cycles(&offsets), 32);
+        assert_eq!(s.conflict_cycles((0..32).map(|i| i * 32 * 4)), 32);
+        // The counters are reset: the next access sees no conflict.
+        assert_eq!(s.conflict_cycles((0..32).map(|i| i * 4)), 1);
     }
 
     #[test]
     fn two_way_conflict() {
-        let s = sp();
+        let mut s = sp();
         // Stride of 2 words: 32 lanes land on 16 even banks, two per bank.
-        let offsets: Vec<usize> = (0..32).map(|i| i * 2 * 4).collect();
-        assert_eq!(s.conflict_cycles(&offsets), 2);
+        assert_eq!(s.conflict_cycles((0..32).map(|i| i * 2 * 4)), 2);
+    }
+
+    #[test]
+    fn no_lanes_cost_one_cycle() {
+        assert_eq!(sp().conflict_cycles(std::iter::empty()), 1);
+        assert_eq!(busiest_bank(std::iter::empty(), &mut [0; 4]), 0);
     }
 
     #[test]

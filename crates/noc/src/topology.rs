@@ -1,5 +1,7 @@
 //! Mesh topology: node identity, coordinates, and XY routing distance.
 
+use sim::config::MAX_MESH_SIDE;
+
 /// Identifies one node of the mesh.
 ///
 /// Nodes are numbered row-major: node `y * side + x` sits at `(x, y)`.
@@ -28,17 +30,32 @@ impl std::fmt::Display for NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     side: usize,
+    /// `⌊2^32 / side⌋ + 1`: [`Mesh::coords`] divides a node index by the
+    /// side as a multiply and a shift. For a node index `n < side²` the
+    /// quotient is exact while `side³ ≤ 2^32`, which every side up to
+    /// [`MAX_MESH_SIDE`] satisfies with room to spare.
+    recip: u64,
 }
+
+/// Shift that pairs with [`Mesh`]'s reciprocal.
+const RECIP_SHIFT: u32 = 32;
 
 impl Mesh {
     /// Creates a `side × side` mesh.
     ///
     /// # Panics
     ///
-    /// Panics if `side` is zero.
+    /// Panics if `side` is zero or above [`MAX_MESH_SIDE`].
     pub fn new(side: usize) -> Self {
         assert!(side > 0, "mesh side must be nonzero");
-        Self { side }
+        assert!(
+            side <= MAX_MESH_SIDE,
+            "mesh side {side} exceeds {MAX_MESH_SIDE}"
+        );
+        Self {
+            side,
+            recip: (1u64 << RECIP_SHIFT) / side as u64 + 1,
+        }
     }
 
     /// Side length of the mesh.
@@ -56,9 +73,11 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if `node` is outside the mesh.
+    #[inline]
     pub fn coords(&self, node: NodeId) -> (usize, usize) {
         assert!(node.0 < self.nodes(), "node {node} outside {self:?}");
-        (node.0 % self.side, node.0 / self.side)
+        let y = ((node.0 as u64 * self.recip) >> RECIP_SHIFT) as usize;
+        (node.0 - y * self.side, y)
     }
 
     /// The node at coordinates `(x, y)`.
@@ -123,13 +142,20 @@ mod tests {
     /// at all of them, not just the paper's 4.
     const SIDES: std::ops::RangeInclusive<usize> = 1..=8;
 
+    /// Checks the division-free [`Mesh::coords`] on every node of every
+    /// mesh [`Mesh::new`] accepts.
     #[test]
     fn coords_round_trip() {
-        for side in SIDES {
+        for side in 1..=MAX_MESH_SIDE {
             let mesh = Mesh::new(side);
             assert_eq!(mesh.nodes(), side * side);
             for node in mesh.iter() {
                 let (x, y) = mesh.coords(node);
+                assert_eq!(
+                    (x, y),
+                    (node.0 % side, node.0 / side),
+                    "side {side}, {node}"
+                );
                 assert_eq!(mesh.node_at(x, y), node);
             }
         }
@@ -212,5 +238,11 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_side_mesh_panics() {
         Mesh::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn oversized_mesh_panics() {
+        Mesh::new(MAX_MESH_SIDE + 1);
     }
 }

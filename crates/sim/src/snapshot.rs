@@ -251,6 +251,13 @@ impl Writer {
         self.buf.push(v);
     }
 
+    /// Appends every byte of `bytes`, reserving once: the same output as
+    /// one [`Writer::put_u8`] per byte, for long runs (a state array, a
+    /// run of equal tags).
+    pub fn put_u8s(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        self.buf.extend(bytes);
+    }
+
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());

@@ -2,7 +2,7 @@
 //!
 //! Every `GlobalMem` warp op carries the exact per-lane virtual
 //! addresses the machine model will coalesce, so the analysis is not an
-//! approximation: it runs the *same* [`gpu::coalescer::coalesce`] the
+//! approximation: it runs the *same* [`gpu::coalescer::Coalescer`] the
 //! timing model uses and compares the resulting transaction count with
 //! the minimum the lane set would need if it were contiguous. An AoS
 //! field stride equal to the object size shatters a warp's 32 accesses
@@ -10,7 +10,7 @@
 //! diagnostics quantify exactly how many extra transactions that costs.
 
 use crate::diag::Symbols;
-use gpu::coalescer::coalesce;
+use gpu::coalescer::Coalescer;
 use gpu::program::{Phase, Program, WarpOp};
 use mem::addr::WORD_BYTES;
 use std::collections::HashMap;
@@ -77,6 +77,7 @@ pub fn coalescing_by_region(
 ) -> Vec<(StreamStats, u64)> {
     let words_per_line = (line_bytes / WORD_BYTES).max(1);
     let mut regions: HashMap<String, Acc> = HashMap::new();
+    let mut coalescer = Coalescer::default();
     for phase in &program.phases {
         let Phase::Gpu(kernel) = phase else {
             continue;
@@ -98,7 +99,7 @@ pub fn coalescing_by_region(
                 None => format!("{:#x}", lanes[0].0 & !0xfffff), // 1 MB region
             };
             let acc = regions.entry(region).or_default();
-            let txs = coalesce(lanes, line_bytes);
+            let txs = coalescer.coalesce(lanes, line_bytes);
             let mut words: Vec<u64> = lanes.iter().map(|va| va.0 / WORD_BYTES).collect();
             words.sort_unstable();
             words.dedup();

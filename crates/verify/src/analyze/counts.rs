@@ -5,7 +5,7 @@
 //! scheduling or cache contents:
 //!
 //! * transaction counts fall out of running the real
-//!   [`gpu::coalescer::coalesce`] over each op's lane addresses;
+//!   [`gpu::coalescer::Coalescer`] over each op's lane addresses;
 //! * local-memory ops classify by slot binding — a stash op on a slot a
 //!   map has bound is a load or store transaction, any other a raw access;
 //! * map updates (`AddMap` on a slot's first binding, `ChgMap` after) and
@@ -19,7 +19,7 @@
 //! they depend on cache contents, and the advisor reads them from the
 //! simulation it runs on the same cells.
 
-use gpu::coalescer::coalesce;
+use gpu::coalescer::Coalescer;
 use gpu::config::MemConfigKind;
 use gpu::program::{CpuOp, Phase, Program, WarpOp};
 use sim::config::SystemConfig;
@@ -51,6 +51,7 @@ impl ExactCounts {
 #[must_use]
 pub fn exact_counts(program: &Program, sys: &SystemConfig, kind: MemConfigKind) -> ExactCounts {
     let line_bytes = sys.line_bytes as u64;
+    let mut coalescer = Coalescer::default();
     let (mut gpu_load, mut gpu_store, mut cpu_load, mut cpu_store) = (0u64, 0u64, 0u64, 0u64);
     let (mut scratch, mut stash_load, mut stash_store, mut stash_raw) = (0u64, 0u64, 0u64, 0u64);
     let (mut add_maps, mut chg_maps, mut dma_words, mut extra_instr) = (0u64, 0u64, 0u64, 0u64);
@@ -82,7 +83,7 @@ pub fn exact_counts(program: &Program, sys: &SystemConfig, kind: MemConfigKind) 
                         for op in stage.warps.iter().flatten() {
                             match op {
                                 WarpOp::GlobalMem { write, lanes } if !lanes.is_empty() => {
-                                    let n = coalesce(lanes, line_bytes).len() as u64;
+                                    let n = coalescer.coalesce(lanes, line_bytes).len() as u64;
                                     if *write {
                                         gpu_store += n;
                                     } else {
