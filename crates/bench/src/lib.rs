@@ -20,7 +20,6 @@ pub mod json;
 pub mod pool;
 pub mod profile;
 pub mod server;
-pub mod timing;
 
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};

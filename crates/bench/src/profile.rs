@@ -511,8 +511,8 @@ pub fn latency_report(run: &TracedRun) -> String {
     );
     for (kind, mut durs) in by_kind {
         durs.sort_unstable();
-        let p50 = crate::timing::percentile_u64(&durs, 50).expect("non-empty");
-        let p95 = crate::timing::percentile_u64(&durs, 95).expect("non-empty");
+        let p50 = percentile_u64(&durs, 50).expect("non-empty");
+        let p95 = percentile_u64(&durs, 95).expect("non-empty");
         let max = *durs.last().expect("non-empty");
         let _ = writeln!(
             out,
@@ -521,6 +521,14 @@ pub fn latency_report(run: &TracedRun) -> String {
         );
     }
     out
+}
+
+/// The `pct`-th percentile of an ascending-sorted slice by nearest rank,
+/// rounding down: index `(len - 1) * pct / 100`, with `pct` capped at
+/// 100, so a tiny sample selects a real sample. `None` when empty.
+fn percentile_u64(sorted: &[u64], pct: u64) -> Option<u64> {
+    let last = sorted.len().checked_sub(1)? as u64;
+    sorted.get((last * pct.min(100) / 100) as usize).copied()
 }
 
 #[cfg(test)]
@@ -571,6 +579,32 @@ mod tests {
                 tracks: 2
             }
         );
+    }
+
+    #[test]
+    fn empty_sample_has_no_percentile() {
+        assert!(percentile_u64(&[], 95).is_none());
+    }
+
+    #[test]
+    fn tiny_samples_select_a_real_sample() {
+        // Nearest rank, rounding down: two samples → p95 picks index 0.
+        assert_eq!(percentile_u64(&[7], 95), Some(7));
+        assert_eq!(percentile_u64(&[1, 2], 95), Some(1));
+        assert_eq!(percentile_u64(&[1, 2], 100), Some(2));
+        let sample: Vec<u64> = (0..21).collect();
+        assert_eq!(percentile_u64(&sample, 95), Some(19));
+        // Out-of-range percentiles clamp instead of overflowing the index.
+        assert_eq!(percentile_u64(&[1, 2, 3, 4], 400), Some(4));
+    }
+
+    #[test]
+    fn percentiles_pick_real_samples() {
+        let sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_u64(&sorted, 50), Some(50));
+        assert_eq!(percentile_u64(&sorted, 95), Some(95));
+        assert_eq!(percentile_u64(&sorted, 0), Some(1));
+        assert_eq!(percentile_u64(&sorted, 100), Some(100));
     }
 
     #[test]

@@ -85,6 +85,21 @@ pub struct RegisterOutcome {
     pub from_memory: bool,
 }
 
+/// The slot table and word-tag arena an [`Llc`] master owns.
+#[derive(Debug, Clone, Default)]
+struct Tables {
+    /// Line index (`addr / line_bytes`) → word-arena slot, [`EMPTY`] when
+    /// the line is not resident. Physical frames are handed out densely
+    /// from a low base, so this direct-indexed table stays proportional
+    /// to the touched footprint; a lookup is one bounds check + one array
+    /// read — no hashing on the load/store path.
+    slots: Vec<u32>,
+    /// Word-tag arena: slot `s` owns the `words_per_line` tags starting
+    /// at `s * words_per_line`. Lines are never evicted, so slots are
+    /// append-only.
+    words: Vec<WordTag>,
+}
+
 /// The banked shared L2 + registry.
 ///
 /// # Example
@@ -102,20 +117,6 @@ pub struct RegisterOutcome {
 /// llc.register_word(line, 0, Registration::Cache(CoreId(2)));
 /// assert!(matches!(llc.load_word(line, 0), LlcLoadOutcome::Forward(_)));
 /// ```
-#[derive(Debug, Clone, Default)]
-struct Tables {
-    /// Line index (`addr / line_bytes`) → word-arena slot, [`EMPTY`] when
-    /// the line is not resident. Physical frames are handed out densely
-    /// from a low base, so this direct-indexed table stays proportional
-    /// to the touched footprint; a lookup is one bounds check + one array
-    /// read — no hashing on the load/store path.
-    slots: Vec<u32>,
-    /// Word-tag arena: slot `s` owns the `words_per_line` tags starting
-    /// at `s * words_per_line`. Lines are never evicted, so slots are
-    /// append-only.
-    words: Vec<WordTag>,
-}
-
 #[derive(Debug, Clone)]
 pub struct Llc {
     banks: usize,
@@ -139,8 +140,6 @@ pub struct Llc {
     /// here, so the base snapshot is never copied and the shard's cost
     /// is proportional to its own footprint.
     overlay: Option<BTreeMap<usize, Box<[WordTag]>>>,
-    /// Number of resident lines (base lines plus overlay-only lines).
-    resident: usize,
     dram_line_fetches: u64,
     /// Words whose resident data is corrupt (fault injection's ground
     /// truth). Ordered so diagnostics and scrubs are deterministic.
@@ -178,7 +177,6 @@ impl Llc {
             interleave_lines,
             tables: Arc::new(Tables::default()),
             overlay: None,
-            resident: 0,
             dram_line_fetches: 0,
             corrupt: BTreeSet::new(),
         }
@@ -199,7 +197,6 @@ impl Llc {
             interleave_lines: self.interleave_lines,
             tables: Arc::clone(&self.tables),
             overlay: Some(BTreeMap::new()),
-            resident: self.resident,
             dram_line_fetches: self.dram_line_fetches,
             corrupt: self.corrupt.clone(),
         }
@@ -259,7 +256,6 @@ impl Llc {
         let Self {
             tables,
             overlay,
-            resident,
             dram_line_fetches,
             ..
         } = self;
@@ -284,7 +280,6 @@ impl Llc {
                 })
             });
             if fetched {
-                *resident += 1;
                 *dram_line_fetches += 1;
             }
             return (fetched, tags);
@@ -298,7 +293,6 @@ impl Llc {
             let slot = u32::try_from(t.words.len() / wpl).expect("arena slot fits u32");
             t.words.resize(t.words.len() + wpl, WordTag::Valid);
             t.slots[idx] = slot;
-            *resident += 1;
             *dram_line_fetches += 1;
             fetched = true;
         }
@@ -516,8 +510,8 @@ impl Llc {
         n
     }
 
-    /// Serializes the slot table, the word-tag arena, the residency and
-    /// fetch accounting, and the corrupt-word set. The bank count, line
+    /// Serializes the slot table, the word-tag arena, the resident-line
+    /// count, the fetch tally and the corrupt-word set. The bank count, line
     /// size and interleave are configuration, fixed when the LLC is
     /// built, so they are not saved.
     ///
@@ -557,7 +551,8 @@ impl Llc {
                 rest = tail;
             }
         }
-        w.put_usize(self.resident);
+        // Lines are never evicted: one arena slot per resident line.
+        w.put_usize(self.tables.words.len() / self.words_per_line);
         w.put_u64(self.dram_line_fetches);
         w.put_usize(self.corrupt.len());
         for (line, word) in &self.corrupt {
@@ -574,7 +569,8 @@ impl Llc {
     ///
     /// # Errors
     ///
-    /// [`sim::SimError::CheckpointCorrupt`] if the state is malformed or
+    /// [`sim::SimError::CheckpointCorrupt`] if the state is malformed, if
+    /// the slot table does not name each arena slot exactly once, or if
     /// a registration names an owner outside those bounds.
     pub fn restore(
         &mut self,
@@ -630,14 +626,33 @@ impl Llc {
             }
             words.push(WordTag::Registered(reg));
         }
+        // Each resident line owns one arena slot: a slot named twice would
+        // alias two lines' tags.
+        let mut named = vec![false; arena_slots];
+        let mut occupied = 0;
         for (idx, &slot) in slots.iter().enumerate() {
-            if slot != EMPTY && slot as usize >= arena_slots {
+            if slot == EMPTY {
+                continue;
+            }
+            let Some(seen) = named.get_mut(slot as usize) else {
                 return Err(corrupt_err(format!(
                     "slot table entry {idx} points past the word arena ({slot} >= {arena_slots})"
                 )));
+            };
+            if std::mem::replace(seen, true) {
+                return Err(corrupt_err(format!(
+                    "slot table entry {idx} names arena slot {slot} a second time"
+                )));
             }
+            occupied += 1;
         }
-        self.resident = r.take_usize()?;
+        let resident = r.take_usize()?;
+        if resident != arena_slots || occupied != arena_slots {
+            return Err(corrupt_err(format!(
+                "{resident} resident lines saved, {arena_slots} in the word arena, \
+                 {occupied} in the slot table"
+            )));
+        }
         self.dram_line_fetches = r.take_u64()?;
         let n_corrupt = r.take_usize()?;
         for _ in 0..n_corrupt {
@@ -936,15 +951,27 @@ mod tests {
     fn llc_restore_rejects_dangling_slot() {
         let mut l = Llc::new(4, 64);
         l.load_word(LineAddr(0x0), 0);
+        l.load_word(LineAddr(0x40), 0);
         let mut w = sim::snapshot::Writer::new();
         l.save(&mut w);
-        let mut bytes = w.into_bytes();
-        // The single slot entry sits right after the slot count: patch it
-        // to point past the one-slot arena.
-        let off = 8;
-        bytes[off..off + 4].copy_from_slice(&7u32.to_le_bytes());
-        let mut r = sim::snapshot::Reader::new(&bytes, "llc");
-        assert!(Llc::new(4, 64).restore(&mut r, 1, 0, 0).is_err());
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut r = sim::snapshot::Reader::new(bytes, "llc");
+            Llc::new(4, 64).restore(&mut r, 1, 0, 0)
+        };
+        assert!(restore(&bytes).is_ok());
+        // Line 0x40's slot entry follows the slot count and line 0x0's
+        // entry; the resident-line count follows the 32 Valid tags.
+        for (what, off, value) in [
+            ("line 0x40 points past the two-slot arena", 12, 7),
+            ("line 0x40 aliases line 0x0's slot", 12, 0),
+            ("no line names arena slot 1", 12, EMPTY),
+            ("three resident lines saved", 56, 3),
+        ] {
+            let mut bad = bytes.clone();
+            bad[off..off + 4].copy_from_slice(&u32::to_le_bytes(value));
+            assert!(restore(&bad).is_err(), "{what}");
+        }
     }
 
     #[test]

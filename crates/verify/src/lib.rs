@@ -7,16 +7,24 @@
 //!    reachable protocol state of one word across N cores plus the LLC
 //!    registry, driving loads, stores, evictions, self-invalidations,
 //!    registration transfers, DMA fills, and lazy stash writebacks from
-//!    reset via BFS. It asserts the global invariants (single Registered
-//!    owner, registry/owner agreement, the data-value invariant via a
-//!    monotonic write timestamp, no lost writebacks) and prints a minimal
-//!    counterexample event trace on violation. Mutation hooks
-//!    deliberately break individual transitions to prove the checker
-//!    actually catches each class of bug.
+//!    reset via BFS. The registry is the simulator's own
+//!    `mem::llc::Llc` cut down to one word, and self-invalidation is
+//!    `WordState::after_self_invalidate`, so the checker explores the
+//!    rules the memory system runs rather than a copy of them (for L1
+//!    registrations; stash-map registrations are not modelled). It
+//!    asserts the global invariants (single Registered owner,
+//!    registry/owner agreement, the data-value invariant via a monotonic
+//!    write timestamp, no lost writebacks) and prints a minimal
+//!    counterexample event trace on violation. Mutation hooks, the only
+//!    places the model overrides the LLC, deliberately break individual
+//!    transitions to prove the checker actually catches each class of
+//!    bug.
 //! 2. The **runtime invariant oracle** in `gpu::memsys` (enabled with
-//!    `MemSystem::set_verify`, or `--verify` on the bench binaries)
+//!    `MemorySystem::set_verify`, or `--verify` on the bench binaries)
 //!    cross-checks the same invariants against the real L1/stash/LLC
-//!    structures after every transition of a workload run. The
+//!    structures after every transition of a workload run, which covers
+//!    the steps the model still states itself: revoking the old owner's
+//!    copy, the eviction writeback and the forwarded read. The
 //!    `oracle_matrix` integration test in this crate exercises it over
 //!    the full Figure 5 matrix.
 //! 3. [`dataflow`] — static **race and bounds checks** over the
@@ -42,13 +50,14 @@
 //!    same simulated grid.
 //!
 //! DeNovo's guarantees hold only for data-race-free programs, so the
-//! layers complement each other: the model checker proves the protocol
-//! rules sound, the oracle proves the implementation follows them on
-//! real runs, the race and bounds checks prove the inputs satisfy the
-//! DRF precondition those proofs assume (or name the data-dependent
-//! accesses they cannot decide), and the analyzer explains each
-//! placement's access pattern and checks the simulator's accounting of
-//! it, while the simulator alone says what each placement costs.
+//! layers complement each other: the model checker proves the registry
+//! and self-invalidation rules the simulator runs sound, the oracle
+//! checks the steps between them on real runs, the race and bounds
+//! checks prove the inputs satisfy the DRF precondition those proofs
+//! assume (or name the data-dependent accesses they cannot decide),
+//! and the analyzer explains each placement's access pattern and checks
+//! the simulator's accounting of it, while the simulator alone says what
+//! each placement costs.
 
 #![forbid(unsafe_code)]
 

@@ -12,6 +12,22 @@
 //! stale writeback race), asserting the global invariants of §4.3–§4.4
 //! in every reachable state.
 //!
+//! # The simulator's own rules
+//!
+//! Each transition rebuilds the simulator's own [`Llc`] for the
+//! modelled word (one bank, one one-word line) and asks it, through the
+//! `register_word`, `writeback_word`, `store_through` and `load_word`
+//! calls the memory system makes, whom a registration revokes, whether
+//! a writeback counts, whom a DMA store revokes and where a miss is
+//! served from. Every registration is an L1 one
+//! ([`Registration::Cache`]); registering through a stash-map entry is
+//! not modelled.
+//! Self-invalidation is [`WordState::after_self_invalidate`], as in the
+//! L1s and the stashes. The model adds only the steps between those
+//! answers (revoking the old owner's copy, the eviction writeback, the
+//! forwarded read) and the data versions the invariants need; the
+//! runtime oracle checks those steps in the simulator itself.
+//!
 //! # Invariants checked
 //!
 //! State-level (checked in every reachable state):
@@ -49,9 +65,12 @@
 //! transition (e.g. skipping the previous owner's invalidation on a
 //! registration transfer). Every mutation must yield a counterexample —
 //! this proves the checker actually discriminates, and documents the
-//! minimal failure trace each protocol rule prevents.
+//! minimal failure trace each protocol rule prevents. The mutations are
+//! the only places where the model overrides an answer of the LLC.
 
+use mem::addr::{LineAddr, WORD_BYTES};
 use mem::coherence::WordState;
+use mem::llc::{CoreId, Llc, LlcLoadOutcome, Registration};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -83,20 +102,13 @@ impl CoreView {
     };
 }
 
-/// The registry tag of the modelled word at the LLC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Tag {
-    /// The LLC's data array holds the word.
-    Valid,
-    /// Core `n` holds the only up-to-date copy.
-    Registered(u8),
-}
-
 /// One global protocol state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
     cores: Vec<CoreView>,
-    tag: Tag,
+    /// The core the LLC registry names for the word, which holds the
+    /// only up-to-date copy; `None` when the LLC's data array holds it.
+    owner: Option<CoreId>,
     /// Version of the copy in the LLC data array.
     llc_version: u8,
     /// Version of the most recent serialized store.
@@ -107,10 +119,34 @@ impl State {
     fn reset(cores: usize) -> State {
         State {
             cores: vec![CoreView::RESET; cores],
-            tag: Tag::Valid,
+            owner: None,
             llc_version: 0,
             latest: 0,
         }
+    }
+}
+
+/// The modelled word is word 0 of this line.
+const LINE: LineAddr = LineAddr(0);
+
+/// The simulator's LLC cut down to the modelled word: one bank holding
+/// one one-word line, registered to `owner` when there is one.
+fn registry(owner: Option<CoreId>) -> Llc {
+    let mut llc = Llc::new(1, WORD_BYTES as usize);
+    if let Some(o) = owner {
+        llc.register_word(LINE, 0, Registration::Cache(o));
+    }
+    llc
+}
+
+/// A core's word state after a kernel-boundary self-invalidation: the
+/// L1s' and stashes' rule, unless the mutation drops Registered words
+/// too.
+fn self_invalidated(state: WordState, mutation: Option<Mutation>) -> WordState {
+    if mutation == Some(Mutation::SelfInvalidateRegistered) {
+        WordState::Invalid
+    } else {
+        state.after_self_invalidate()
     }
 }
 
@@ -123,9 +159,9 @@ impl fmt::Display for State {
             }
             write!(f, " ")?;
         }
-        match self.tag {
-            Tag::Valid => write!(f, "llc=Valid v{}", self.llc_version)?,
-            Tag::Registered(c) => write!(f, "llc=Reg(core{c}) v{}", self.llc_version)?,
+        match self.owner {
+            None => write!(f, "llc=Valid v{}", self.llc_version)?,
+            Some(o) => write!(f, "llc=Reg({o}) v{}", self.llc_version)?,
         }
         write!(f, " latest=v{}", self.latest)
     }
@@ -267,10 +303,8 @@ fn enabled(s: &State, mutation: Option<Mutation>) -> Vec<Event> {
         if c.state != WordState::Invalid {
             out.push(Event::Evict(i));
         }
-        if c.state == WordState::Shared
-            || (mutation == Some(Mutation::SelfInvalidateRegistered)
-                && c.state == WordState::Registered)
-        {
+        // Self-invalidation is an event only where it changes the state.
+        if self_invalidated(c.state, mutation) != c.state {
             out.push(Event::SelfInvalidate(i));
         }
         if c.pending_wb.is_some() {
@@ -284,8 +318,12 @@ fn enabled(s: &State, mutation: Option<Mutation>) -> Vec<Event> {
 }
 
 /// Applies `e` to `s`; `Err` is a transition-level invariant violation.
+///
+/// Every registry answer comes from the [`registry`] LLC rebuilt from
+/// `s.owner`, and the new owner is read back from it.
 fn apply(s: &State, e: Event, mutation: Option<Mutation>) -> Result<State, String> {
     let mut n = s.clone();
+    let mut llc = registry(s.owner);
     match e {
         Event::Load(c) => {
             let value = if n.cores[c].state.load_hits() {
@@ -294,13 +332,15 @@ fn apply(s: &State, e: Event, mutation: Option<Mutation>) -> Result<State, Strin
                 n.cores[c].version
             } else {
                 // Miss: serialized at the registry; must observe latest.
-                let value = match n.tag {
-                    Tag::Registered(o) if mutation == Some(Mutation::ForwardStaleFromLlc) => {
-                        let _ = o; // owner ignored: stale LLC data served
-                        n.llc_version
+                // The mutation serves stale LLC data instead of
+                // forwarding to the owner.
+                let value = match llc.load_word(LINE, 0) {
+                    LlcLoadOutcome::Forward(r)
+                        if mutation != Some(Mutation::ForwardStaleFromLlc) =>
+                    {
+                        n.cores[r.core().0].version
                     }
-                    Tag::Registered(o) => n.cores[o as usize].version,
-                    Tag::Valid => n.llc_version,
+                    _ => n.llc_version,
                 };
                 n.cores[c].state = WordState::Shared;
                 n.cores[c].version = value;
@@ -326,37 +366,36 @@ fn apply(s: &State, e: Event, mutation: Option<Mutation>) -> Result<State, Strin
             // Registration transfer: revoke the previous owner (DeNovo
             // moves only the registry entry — no data moves, the new
             // owner overwrites the whole word).
-            if let Tag::Registered(o) = n.tag {
-                let o = o as usize;
-                if o != c && mutation != Some(Mutation::SkipOwnerInvalidation) {
-                    n.cores[o].pending_wb = Some(n.cores[o].version);
-                    n.cores[o].state = WordState::Invalid;
-                    n.cores[o].version = 0;
+            let previous = llc
+                .register_word(LINE, 0, Registration::Cache(CoreId(c)))
+                .previous;
+            if let Some(o) = previous {
+                if mutation != Some(Mutation::SkipOwnerInvalidation) {
+                    let o = &mut n.cores[o.core().0];
+                    o.pending_wb = Some(o.version);
+                    o.state = WordState::Invalid;
+                    o.version = 0;
                 }
             }
             n.cores[c].state = WordState::Registered;
             n.cores[c].version = n.latest;
             // Re-registering supersedes any queued writeback of ours.
             n.cores[c].pending_wb = None;
-            n.tag = Tag::Registered(c as u8);
         }
         Event::Evict(c) => {
+            // Eviction writeback, subject to the LLC's owner check.
             if n.cores[c].state == WordState::Registered
                 && mutation != Some(Mutation::DropEvictionWriteback)
+                && llc.writeback_word(LINE, 0, CoreId(c))
             {
-                // Eviction writeback; the LLC's owner check applies.
-                if n.tag == Tag::Registered(c as u8) {
-                    n.llc_version = n.cores[c].version;
-                    n.tag = Tag::Valid;
-                }
+                n.llc_version = n.cores[c].version;
             }
             n.cores[c].state = WordState::Invalid;
             n.cores[c].version = 0;
         }
         Event::SelfInvalidate(c) => {
-            // `after_self_invalidate`: Shared drops; Registered survives —
-            // unless the mutation breaks the exemption.
-            n.cores[c].state = WordState::Invalid;
+            // Enabled only where the copy drops to Invalid.
+            n.cores[c].state = self_invalidated(n.cores[c].state, mutation);
             n.cores[c].version = 0;
         }
         Event::StaleWriteback(c) => {
@@ -364,29 +403,33 @@ fn apply(s: &State, e: Event, mutation: Option<Mutation>) -> Result<State, Strin
                 .pending_wb
                 .take()
                 .expect("enabled only if pending");
-            if mutation == Some(Mutation::AcceptStaleWriteback) || n.tag == Tag::Registered(c as u8)
-            {
-                // Accepted (the mutation skips the registry owner check;
-                // the owner-match branch is unreachable in the correct
-                // protocol because re-registration clears the queue).
+            // The LLC drops a writeback from a core it no longer names,
+            // which in the correct protocol is every stale one, because
+            // re-registration clears the queue. The mutation skips the
+            // owner check: the writeback lands like a store-through.
+            let accepted = if mutation == Some(Mutation::AcceptStaleWriteback) {
+                llc.store_through(LINE, 0);
+                true
+            } else {
+                llc.writeback_word(LINE, 0, CoreId(c))
+            };
+            if accepted {
                 n.llc_version = v;
-                n.tag = Tag::Valid;
             }
-            // Correct protocol: owner mismatch ⇒ dropped, state unchanged.
         }
         Event::DmaStore => {
             n.latest += 1;
-            if let Tag::Registered(o) = n.tag {
+            if let Some(o) = llc.store_through(LINE, 0) {
                 if mutation != Some(Mutation::SkipOwnerInvalidation) {
-                    let o = o as usize;
-                    n.cores[o].state = WordState::Invalid;
-                    n.cores[o].version = 0;
+                    let o = &mut n.cores[o.core().0];
+                    o.state = WordState::Invalid;
+                    o.version = 0;
                 }
             }
-            n.tag = Tag::Valid;
             n.llc_version = n.latest;
         }
     }
+    n.owner = llc.registration(LINE, 0).map(Registration::core);
     Ok(n)
 }
 
@@ -404,19 +447,19 @@ fn violated_invariant(s: &State) -> Option<String> {
             "I1 (SWMR): cores {owners:?} are simultaneously Registered"
         ));
     }
-    match (s.tag, owners.first()) {
-        (Tag::Registered(t), Some(&o)) if t as usize != o => {
+    match (s.owner, owners.first()) {
+        (Some(t), Some(&o)) if t != CoreId(o) => {
             return Some(format!(
-                "I2 (registry/owner agreement): registry names core{t}, core{o} is Registered"
+                "I2 (registry/owner agreement): registry names {t}, core{o} is Registered"
             ));
         }
-        (Tag::Registered(t), None) => {
+        (Some(t), None) => {
             return Some(format!(
-                "I2 (registry/owner agreement): registry names core{t}, which holds no \
+                "I2 (registry/owner agreement): registry names {t}, which holds no \
                  Registered copy (data lost)"
             ));
         }
-        (Tag::Valid, Some(&o)) => {
+        (None, Some(&o)) => {
             return Some(format!(
                 "I2 (registry/owner agreement): core{o} is Registered but the registry \
                  tag is Valid"
@@ -424,17 +467,17 @@ fn violated_invariant(s: &State) -> Option<String> {
         }
         _ => {}
     }
-    if s.tag == Tag::Valid && s.llc_version != s.latest {
+    if s.owner.is_none() && s.llc_version != s.latest {
         return Some(format!(
             "I3 (no lost writeback): registry tag Valid but LLC holds v{}, latest is v{}",
             s.llc_version, s.latest
         ));
     }
-    if let Tag::Registered(o) = s.tag {
-        if s.cores[o as usize].version != s.latest {
+    if let Some(o) = s.owner {
+        if s.cores[o.0].version != s.latest {
             return Some(format!(
-                "I4 (owner freshness): owner core{o} holds v{}, latest is v{}",
-                s.cores[o as usize].version, s.latest
+                "I4 (owner freshness): owner {o} holds v{}, latest is v{}",
+                s.cores[o.0].version, s.latest
             ));
         }
     }
@@ -519,52 +562,67 @@ pub fn check(cores: usize, mutation: Option<Mutation>) -> Result<CheckStats, Box
 mod tests {
     use super::*;
 
+    /// `(states, transitions, max_depth)` of a clean run.
+    fn explored(cores: usize) -> (usize, u64, usize) {
+        let stats = check(cores, None).expect("correct protocol has no violations");
+        assert_eq!(stats.cores, cores);
+        (stats.states, stats.transitions, stats.max_depth)
+    }
+
+    // The exact reachable space is pinned: a change that shrank it (a
+    // lost event, a rule that collapses states) would otherwise still
+    // pass as "clean".
     #[test]
     fn two_core_model_is_clean_and_exhaustive() {
-        let stats = check(2, None).expect("correct protocol has no violations");
-        assert_eq!(stats.cores, 2);
-        // The space is non-trivial but closed.
-        assert!(stats.states > 100, "got {} states", stats.states);
-        assert!(stats.transitions > stats.states as u64);
+        assert_eq!(explored(2), (754, 3738, 7));
     }
 
     #[test]
     fn three_core_model_is_clean() {
-        let stats = check(3, None).expect("correct protocol has no violations");
-        // More cores strictly grow the reachable space.
-        let two = check(2, None).unwrap();
-        assert!(stats.states > two.states);
+        assert_eq!(explored(3), (12413, 86310, 9));
     }
 
     #[test]
     fn every_mutation_yields_a_counterexample() {
-        for m in Mutation::ALL {
+        use Event::{Evict, Load, SelfInvalidate, StaleWriteback, Store};
+        let expected: [(Mutation, &[Event], &str); 5] = [
+            (
+                Mutation::SkipOwnerInvalidation,
+                &[Store(0), Store(1)],
+                "I1 (SWMR)",
+            ),
+            (
+                Mutation::DropEvictionWriteback,
+                &[Store(0), Evict(0)],
+                "I2 (registry/owner agreement)",
+            ),
+            (
+                Mutation::AcceptStaleWriteback,
+                &[Store(0), Store(1), StaleWriteback(0)],
+                "I2 (registry/owner agreement)",
+            ),
+            (
+                Mutation::SelfInvalidateRegistered,
+                &[Store(0), SelfInvalidate(0)],
+                "I2 (registry/owner agreement)",
+            ),
+            (
+                Mutation::ForwardStaleFromLlc,
+                &[Store(0), Load(1)],
+                "data-value invariant",
+            ),
+        ];
+        assert_eq!(expected.map(|(m, ..)| m), Mutation::ALL);
+        for (m, trace, invariant) in expected {
             let cex = check(2, Some(m)).expect_err(m.name());
-            assert!(!cex.trace.is_empty(), "{}: empty trace", m.name());
-            assert!(!cex.violation.is_empty());
-            // BFS finds short traces; anything beyond a handful of events
-            // would mean the model lost minimality.
+            assert_eq!(cex.trace, trace, "{}", m.name());
             assert!(
-                cex.trace.len() <= 6,
-                "{}: trace of {} events not minimal",
+                cex.violation.starts_with(invariant),
+                "{}: {}",
                 m.name(),
-                cex.trace.len()
+                cex.violation
             );
         }
-    }
-
-    #[test]
-    fn skip_owner_invalidation_breaks_swmr() {
-        let cex = check(2, Some(Mutation::SkipOwnerInvalidation)).unwrap_err();
-        assert!(cex.violation.contains("I1"), "{}", cex.violation);
-        // Two stores from different cores suffice.
-        assert_eq!(cex.trace.len(), 2);
-    }
-
-    #[test]
-    fn forward_stale_breaks_data_value_invariant() {
-        let cex = check(2, Some(Mutation::ForwardStaleFromLlc)).unwrap_err();
-        assert!(cex.violation.contains("data-value"), "{}", cex.violation);
     }
 
     #[test]

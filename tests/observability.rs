@@ -62,7 +62,10 @@ fn run_cell(workload: &suite::Workload, kind: MemConfigKind, traced: bool) -> Ce
 
 /// Figure 5 microbenchmark digests with tracing off, pinned. Regenerate
 /// (only after an intentional timing/protocol change) by printing
-/// `state_digest()` per cell in `micros() × FIGURE5` order.
+/// `state_digest()` per cell in `micros() × FIGURE5` order. They repeat
+/// the Figure 5 lines of `perfbench/goldens.txt`, which
+/// `tests/goldens.rs` checks; perfbench's own unit test reads this
+/// table and cross-checks it against that file.
 const FIGURE5_DIGESTS: [(&str, [u64; 4]); 4] = [
     (
         "implicit",
