@@ -8,17 +8,18 @@
 //! stash but misses in a cache or is re-copied by a scratchpad (§3,
 //! "reuse").
 
-use gpu::program::{CpuOp, Phase, Program, WarpOp};
+use crate::dataflow::domain::AffineSpan;
+use crate::dataflow::footprint::{cpu_accesses, lane_words, tile_set, visit_block, Touch};
+use gpu::program::{Phase, Program};
 use mem::addr::WORD_BYTES;
-use mem::tile::TileMap;
 use std::collections::HashMap;
 
 /// One global-memory word access, in program order.
 ///
 /// `phase` is the program phase index; `task` is the thread-block index
 /// within a GPU kernel or the core index within a CPU phase. `LocalMem`
-/// lanes are translated through their stage's active tile bindings
-/// (mapped stash/scratch data *is* global data); unmapped temporaries
+/// lanes and CPU `StashMem` words are translated through their bound
+/// tiles (mapped stash data *is* global data); unmapped temporaries
 /// carry no global identity and are skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WordEvent {
@@ -83,145 +84,59 @@ pub fn classify_events(events: &[WordEvent]) -> ReuseSummary {
 
 /// Extracts the program-order stream of global-word accesses.
 ///
-/// GPU blocks are walked in kernel order (stage by stage, warp by warp);
-/// within a phase the cross-task order is schedule-dependent in the real
-/// machine, but scope classification only compares phase/task identity,
-/// so any program-order linearization yields the same summary for
-/// data-race-free inputs.
+/// GPU blocks are walked in kernel order through
+/// [`footprint`](crate::dataflow::footprint)'s walk: per stage, each DMA
+/// word's load then store, then the warps' lanes, tainted stages with
+/// their witness lanes. Within a phase the cross-task order is
+/// schedule-dependent in the real machine, but scope classification
+/// only compares phase/task identity, so any program-order
+/// linearization yields the same summary for data-race-free inputs.
 #[must_use]
 pub fn word_events(program: &Program) -> Vec<WordEvent> {
+    let index = |i: usize| u32::try_from(i).unwrap_or(u32::MAX);
     let mut out = Vec::new();
     for (pi, phase) in program.phases.iter().enumerate() {
-        let pi = u32::try_from(pi).unwrap_or(u32::MAX);
+        let event = |task: usize, write: bool, word: u64| WordEvent {
+            word,
+            phase: index(pi),
+            task: index(task),
+            write,
+        };
         match phase {
             Phase::Gpu(kernel) => {
-                for (b, block) in kernel.blocks.iter().enumerate() {
-                    let task = u32::try_from(b).unwrap_or(u32::MAX);
-                    let mut bindings: HashMap<usize, TileMap> = HashMap::new();
-                    for stage in &block.stages {
-                        for m in &stage.maps {
-                            if m.mode.is_mapped() {
-                                bindings.insert(m.slot, m.tile);
+                for (task, block) in kernel.blocks.iter().enumerate() {
+                    visit_block(block, |touch, _| match touch {
+                        Touch::Dma(dma) => {
+                            let tile = tile_set(&dma.tile, false);
+                            for word in tile.spans().iter().flat_map(AffineSpan::words) {
+                                if dma.load {
+                                    out.push(event(task, false, word));
+                                }
+                                if dma.store {
+                                    out.push(event(task, true, word));
+                                }
                             }
                         }
-                        for d in &stage.dmas {
-                            push_tile_events(&mut out, &d.tile, pi, task, d.load, d.store);
+                        Touch::Global { write, lanes } => {
+                            out.extend(lanes.iter().map(|va| event(task, write, va.0 / WORD_BYTES)))
                         }
-                        for op in stage.warps.iter().flatten() {
-                            push_warp_event(&mut out, op, &bindings, pi, task);
-                        }
-                    }
+                        Touch::Mapped { write, tile, lanes } => out.extend(
+                            lane_words(tile, lanes.iter().copied())
+                                .map(|word| event(task, write, word)),
+                        ),
+                    });
                 }
             }
             Phase::Cpu(cpu) => {
-                for (c, ops) in cpu.per_core.iter().enumerate() {
-                    let task = u32::try_from(c).unwrap_or(u32::MAX);
-                    let maps = cpu.stash_maps.get(c);
-                    for op in ops {
-                        match op {
-                            CpuOp::Compute(_) => {}
-                            CpuOp::Mem { write, vaddr } => out.push(WordEvent {
-                                word: vaddr.0 / WORD_BYTES,
-                                phase: pi,
-                                task,
-                                write: *write,
-                            }),
-                            CpuOp::StashMem { write, slot, word } => {
-                                let Some(tile) = maps.and_then(|m| m.get(*slot)) else {
-                                    continue;
-                                };
-                                if u64::from(*word) >= tile.local_words() {
-                                    continue;
-                                }
-                                let va = tile.virt_of_local_offset(u64::from(*word) * WORD_BYTES);
-                                out.push(WordEvent {
-                                    word: va.0 / WORD_BYTES,
-                                    phase: pi,
-                                    task,
-                                    write: *write,
-                                });
-                            }
-                        }
-                    }
+                for core in 0..cpu.per_core.len() {
+                    out.extend(
+                        cpu_accesses(cpu, core).map(|(write, word)| event(core, write, word)),
+                    );
                 }
             }
         }
     }
     out
-}
-
-fn push_warp_event(
-    out: &mut Vec<WordEvent>,
-    op: &WarpOp,
-    bindings: &HashMap<usize, TileMap>,
-    phase: u32,
-    task: u32,
-) {
-    match op {
-        WarpOp::Compute(_) => {}
-        WarpOp::GlobalMem { write, lanes } => {
-            for va in lanes {
-                out.push(WordEvent {
-                    word: va.0 / WORD_BYTES,
-                    phase,
-                    task,
-                    write: *write,
-                });
-            }
-        }
-        WarpOp::LocalMem {
-            write, slot, lanes, ..
-        } => {
-            let Some(tile) = bindings.get(slot) else {
-                return; // Unmapped temporary: no global identity.
-            };
-            for &lane in lanes {
-                let lane = u64::from(lane);
-                if lane >= tile.local_words() {
-                    continue; // `dataflow::oob` reports out-of-bounds lanes.
-                }
-                let va = tile.virt_of_local_offset(lane * WORD_BYTES);
-                out.push(WordEvent {
-                    word: va.0 / WORD_BYTES,
-                    phase,
-                    task,
-                    write: *write,
-                });
-            }
-        }
-    }
-}
-
-fn push_tile_events(
-    out: &mut Vec<WordEvent>,
-    tile: &TileMap,
-    phase: u32,
-    task: u32,
-    load: bool,
-    store: bool,
-) {
-    let words = tile.words_per_field();
-    for va in tile.iter_field_vaddrs() {
-        for w in 0..words {
-            let word = va.0 / WORD_BYTES + w;
-            if load {
-                out.push(WordEvent {
-                    word,
-                    phase,
-                    task,
-                    write: false,
-                });
-            }
-            if store {
-                out.push(WordEvent {
-                    word,
-                    phase,
-                    task,
-                    write: true,
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]

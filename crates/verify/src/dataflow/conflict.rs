@@ -32,7 +32,7 @@
 //! tests can prove the oracle actually catches unsound certificates.
 
 use crate::dataflow::domain::Taint;
-use crate::dataflow::footprint::{kernel_footprints, KernelFootprints, Weakening};
+use crate::dataflow::footprint::{kernel_footprints, BlockFootprint, Weakening};
 use gpu::machine::{assign_blocks, BlockDistribution};
 use gpu::program::{Phase, Program};
 use gpu::{ConflictCertificate, KernelCertificate};
@@ -97,7 +97,7 @@ pub fn certify_mutated(
             Phase::Gpu(kernel) => {
                 let mut fps = kernel_footprints(kernel, weaken);
                 if mutation == Some(ConflictMutation::DropLastBlock) {
-                    fps.blocks.pop();
+                    fps.pop();
                 }
                 let assignment = assign_blocks(kernel, shape.distribution, shape.cus);
                 Some(kernel_verdict(&fps, &assignment, shape, mutation))
@@ -116,7 +116,7 @@ pub fn certify_mutated(
 const LINE_ENUM_CAP: u64 = 1 << 22;
 
 fn kernel_verdict(
-    fps: &KernelFootprints,
+    fps: &[BlockFootprint],
     assignment: &[usize],
     shape: &MachineShape,
     mutation: Option<ConflictMutation>,
@@ -124,7 +124,7 @@ fn kernel_verdict(
     // Union each CU's access sets; join each CU's taint.
     let mut per_cu: Vec<(crate::dataflow::domain::AffineSet, Taint)> = Vec::new();
     per_cu.resize_with(shape.cus, Default::default);
-    for (fp, &cu) in fps.blocks.iter().zip(assignment) {
+    for (fp, &cu) in fps.iter().zip(assignment) {
         per_cu[cu].0.extend(&fp.accesses());
         per_cu[cu].1 = per_cu[cu].1.join(fp.taint);
     }
@@ -155,20 +155,26 @@ fn kernel_verdict(
 
 /// Whether the active CUs' access sets touch pairwise-disjoint cache
 /// lines — decided by exact enumeration, conservatively `false` when a
-/// set is too large to enumerate.
+/// set is too large to enumerate. A run of contiguous words covers
+/// exactly the lines from its first word's to its last word's, so the
+/// lines are enumerated per run.
 fn lines_disjoint(
     active: &[&(crate::dataflow::domain::AffineSet, Taint)],
     line_words: u64,
 ) -> bool {
     let mut owner: HashMap<u64, usize> = HashMap::new();
     for (cu, (set, _)) in active.iter().enumerate() {
-        let Some(words) = set.words_capped(LINE_ENUM_CAP) else {
+        if set.words_bound() > LINE_ENUM_CAP {
             return false;
-        };
-        for w in words {
-            let line = w / line_words;
-            if *owner.entry(line).or_insert(cu) != cu {
-                return false;
+        }
+        for span in set.spans() {
+            for run in 0..span.count {
+                let first = span.base + run * span.stride;
+                for line in first / line_words..=(first + span.width - 1) / line_words {
+                    if *owner.entry(line).or_insert(cu) != cu {
+                        return false;
+                    }
+                }
             }
         }
     }
@@ -337,6 +343,45 @@ mod tests {
         assert!(
             certify_mutated(&row_clash, &shape(2), Some(ShrinkTileRows)).kernels[0].word_disjoint
         );
+    }
+
+    #[test]
+    fn line_verdict_matches_word_enumeration() {
+        use crate::dataflow::domain::{AffineSet, AffineSpan};
+        use std::collections::BTreeSet;
+        let mut rng = sim::rng::SplitMix64::new(7);
+        let mut verdicts = [0usize; 2];
+        for _ in 0..2000 {
+            let line_words = [1, 4, 16][rng.next_below(3) as usize];
+            let sets: Vec<(AffineSet, Taint)> = (0..2 + rng.next_below(3))
+                .map(|_| {
+                    let mut set = AffineSet::new();
+                    for _ in 0..=rng.next_below(2) {
+                        let (base, stride) = (rng.next_below(1024), 1 + rng.next_below(40));
+                        let (count, width) = (1 + rng.next_below(4), 1 + rng.next_below(20));
+                        set.push(AffineSpan::new(base, stride, count, width));
+                    }
+                    (set, Taint::Exact)
+                })
+                .collect();
+            let lines: Vec<BTreeSet<u64>> = sets
+                .iter()
+                .map(|(set, _)| {
+                    let words = set.words_capped(u64::MAX).unwrap();
+                    words.iter().map(|w| w / line_words).collect()
+                })
+                .collect();
+            let disjoint = (0..lines.len())
+                .all(|a| (a + 1..lines.len()).all(|b| lines[a].is_disjoint(&lines[b])));
+            let active: Vec<_> = sets.iter().collect();
+            assert_eq!(lines_disjoint(&active, line_words), disjoint, "{sets:?}");
+            verdicts[usize::from(disjoint)] += 1;
+        }
+        assert!(verdicts.iter().all(|&n| n > 400), "{verdicts:?}");
+        // A set too large to enumerate forfeits the verdict.
+        let mut huge = AffineSet::new();
+        huge.push(AffineSpan::contiguous(0, LINE_ENUM_CAP + 1));
+        assert!(!lines_disjoint(&[&(huge, Taint::Exact)], 16));
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl Interval {
         Interval { lo, hi }
     }
 
-    /// The single-word interval `[w, w]`.
-    #[must_use]
-    pub fn point(w: u64) -> Interval {
-        Interval { lo: w, hi: w }
-    }
-
     /// The least interval containing both (lattice join).
     #[must_use]
     pub fn hull(self, other: Interval) -> Interval {
@@ -67,31 +61,6 @@ impl Interval {
         let lo = self.lo.max(other.lo);
         let hi = self.hi.min(other.hi);
         (lo <= hi).then_some(Interval { lo, hi })
-    }
-
-    /// Whether `w` lies inside the interval.
-    #[must_use]
-    pub fn contains(self, w: u64) -> bool {
-        self.lo <= w && w <= self.hi
-    }
-
-    /// Abstract addition: `{a + b | a ∈ self, b ∈ other}` is contained
-    /// in the result (exact for intervals; saturates on overflow).
-    #[must_use]
-    #[allow(clippy::should_implement_trait)] // abstract-domain op, not ops::Add
-    pub fn add(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_add(other.lo),
-            hi: self.hi.saturating_add(other.hi),
-        }
-    }
-
-    /// Number of words covered. Always positive: intervals are non-empty
-    /// by construction (`lo <= hi`), so there is no `is_empty`.
-    #[must_use]
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(self) -> u64 {
-        self.hi - self.lo + 1
     }
 }
 
@@ -390,8 +359,7 @@ impl AffineSet {
     }
 
     /// Every word in the set, or `None` when the enumeration would
-    /// exceed `cap` words (used for line-granularity conversion, which
-    /// has no symbolic shortcut).
+    /// exceed `cap` words.
     #[must_use]
     pub fn words_capped(&self, cap: u64) -> Option<BTreeSet<u64>> {
         if self.words_bound() > cap {
@@ -420,8 +388,8 @@ mod tests {
 
     #[test]
     fn interval_ops_are_exact() {
-        // Exhaustive over a small grid: hull/intersect/contains agree
-        // with the concrete sets they abstract.
+        // Exhaustive over a small grid: hull and intersect agree with
+        // the concrete sets they abstract.
         for alo in 0..6u64 {
             for ahi in alo..6 {
                 for blo in 0..6u64 {
@@ -444,27 +412,8 @@ mod tests {
                             }
                         }
                         let h = a.hull(b);
-                        assert!(sa.union(&sb).all(|&w| h.contains(w)));
                         assert_eq!(h.lo, alo.min(blo));
                         assert_eq!(h.hi, ahi.max(bhi));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn interval_add_contains_concrete_sums() {
-        for alo in 0..5u64 {
-            for ahi in alo..5 {
-                for blo in 0..5u64 {
-                    for bhi in blo..5 {
-                        let sum = Interval::new(alo, ahi).add(Interval::new(blo, bhi));
-                        for a in alo..=ahi {
-                            for b in blo..=bhi {
-                                assert!(sum.contains(a + b));
-                            }
-                        }
                     }
                 }
             }

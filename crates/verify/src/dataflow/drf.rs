@@ -29,7 +29,7 @@
 //! [`footprint`]: crate::dataflow::footprint
 
 use crate::dataflow::domain::{AffineSet, AffineSpan, Taint};
-use crate::dataflow::footprint::{block_footprint, BlockFootprint};
+use crate::dataflow::footprint::{block_footprint, core_footprint, BlockFootprint};
 use crate::diag::{Diagnostic, Rule, Symbols};
 use gpu::program::{CpuOp, CpuPhase, Phase, Program};
 use mem::addr::WORD_BYTES;
@@ -73,11 +73,8 @@ pub fn check_races(program: &Program, symbols: &Symbols) -> Vec<Diagnostic> {
                 kernel_idx += 1;
             }
             Phase::Cpu(cpu) => {
-                let fps: Vec<BlockFootprint> = cpu
-                    .per_core
-                    .iter()
-                    .enumerate()
-                    .map(|(c, ops)| cpu_core_footprint(ops, cpu.stash_maps.get(c)))
+                let fps: Vec<BlockFootprint> = (0..cpu.per_core.len())
+                    .map(|c| core_footprint(cpu, c))
                     .collect();
                 let label = |c: usize| format!("phase {phase_idx} core {c}");
                 check_group(&fps, &label, symbols, &mut out);
@@ -190,40 +187,6 @@ fn sweep_exact(fps: &[BlockFootprint]) -> BTreeMap<(usize, usize), (u64, u64, u6
         }
     }
     pairs
-}
-
-/// Footprint of one CPU core's op stream (always exact: CPU lanes are
-/// literal addresses in the IR).
-fn cpu_core_footprint(ops: &[CpuOp], maps: Option<&Vec<mem::tile::TileMap>>) -> BlockFootprint {
-    let mut reads: Vec<u64> = Vec::new();
-    let mut writes: Vec<u64> = Vec::new();
-    for op in ops {
-        match op {
-            CpuOp::Compute(_) => {}
-            CpuOp::Mem { write, vaddr } => {
-                let list = if *write { &mut writes } else { &mut reads };
-                list.push(vaddr.0 / WORD_BYTES);
-            }
-            CpuOp::StashMem { write, slot, word } => {
-                let Some(tile) = maps.and_then(|m| m.get(*slot)) else {
-                    continue; // unmapped: the bounds pass reports it
-                };
-                if u64::from(*word) >= tile.local_words() {
-                    continue;
-                }
-                let va = tile.virt_of_local_offset(u64::from(*word) * WORD_BYTES);
-                let list = if *write { &mut writes } else { &mut reads };
-                list.push(va.0 / WORD_BYTES);
-            }
-        }
-    }
-    let mut fp = BlockFootprint::default();
-    for (mut words, set) in [(reads, &mut fp.reads), (writes, &mut fp.writes)] {
-        words.sort_unstable();
-        words.dedup();
-        set.extend(&AffineSet::from_sorted_words(&words));
-    }
-    fp
 }
 
 /// The CPU copies of one word, as core bitmasks. A copy stays Shared
@@ -670,6 +633,101 @@ mod tests {
                 racy_groups += usize::from(racy);
             }
         }
+        assert!(
+            (200..600).contains(&racy_groups),
+            "{racy_groups} of 800 race"
+        );
+    }
+
+    /// [`random_program`] with stash maps on some CPU cores and
+    /// `StashMem` ops before some `Mem` ops, and the number of those ops
+    /// and of the ones that touch a word: the others name an unmapped
+    /// slot or a word past the tile.
+    fn random_stash_program(rng: &mut SplitMix64) -> (Vec<Phase>, Tasks, Tasks, [usize; 2]) {
+        let (mut phases, gpu, mem_cores) = random_program(rng);
+        let Phase::Cpu(cpu) = &mut phases[1] else {
+            unreachable!("random_program ends with a CPU phase")
+        };
+        let (mut cores, mut stash_ops) = (Tasks::new(), [0, 0]);
+        for (ops, mem_accesses) in cpu.per_core.iter_mut().zip(mem_cores) {
+            // 2 rows of 3 one-word fields of 2-word objects, rows 8 words
+            // apart: local words 6 and 7 are past the tile.
+            let maps: Vec<TileMap> = (0..rng.next_below(3))
+                .map(|_| {
+                    let base = VAddr((0x400 + rng.next_below(48)) * WORD_BYTES);
+                    TileMap::new(base, 4, 8, 3, 32, 2).unwrap()
+                })
+                .collect();
+            let mut touched = Vec::new();
+            for (op, access) in std::mem::take(ops).into_iter().zip(mem_accesses) {
+                for _ in 0..rng.next_below(3) {
+                    let write = rng.chance(1, 2);
+                    let (slot, word) = (rng.next_below(3) as usize, rng.next_below(8) as u32);
+                    ops.push(CpuOp::StashMem { write, slot, word });
+                    stash_ops[0] += 1;
+                    let tile = maps.get(slot).filter(|t| u64::from(word) < t.local_words());
+                    if let Some(tile) = tile {
+                        let va = tile.virt_of_local_offset(u64::from(word) * WORD_BYTES);
+                        touched.push((write, va.0 / WORD_BYTES));
+                        stash_ops[1] += 1;
+                    }
+                }
+                ops.push(op);
+                touched.push(access);
+            }
+            cpu.stash_maps.push(maps);
+            cores.push(touched);
+        }
+        (phases, gpu, cores, stash_ops)
+    }
+
+    #[test]
+    fn cpu_stash_accesses_match_a_brute_force_reference() {
+        let (mut stash_ops, mut racy_groups) = ([0, 0], 0);
+        for seed in 0..400 {
+            let (phases, gpu, cores, ops) = random_stash_program(&mut SplitMix64::new(seed));
+            stash_ops = [stash_ops[0] + ops[0], stash_ops[1] + ops[1]];
+            let program = Program { phases };
+            // The reuse stream is each task's reference list, in order.
+            let walked: Vec<(u32, u32, bool, u64)> = crate::analyze::reuse::word_events(&program)
+                .iter()
+                .map(|e| (e.phase, e.task, e.write, e.word))
+                .collect();
+            let reference: Vec<(u32, u32, bool, u64)> = [(0, &gpu), (1, &cores)]
+                .into_iter()
+                .flat_map(|(phase, tasks)| {
+                    (0u32..).zip(tasks).flat_map(move |(task, accesses)| {
+                        accesses
+                            .iter()
+                            .map(move |&(w, word)| (phase, task, w, word))
+                    })
+                })
+                .collect();
+            assert_eq!(walked, reference, "seed {seed}");
+            // The race pass decides the cores' stash accesses like `Mem` ops.
+            let diags = check_races(&program, &Symbols::new());
+            assert!(
+                diags.iter().all(|d| d.rule == Rule::ProvenRace),
+                "seed {seed}: {diags:?}"
+            );
+            for (tasks, prefix) in [(gpu, "kernel 0 block "), (cores, "phase 1 core ")] {
+                let named: Vec<(usize, usize)> = diags
+                    .iter()
+                    .filter_map(|d| named_pair(&d.message, prefix))
+                    .collect();
+                let racy = (0..tasks.len())
+                    .any(|a| (a + 1..tasks.len()).any(|b| truly_race(&tasks, a, b)));
+                assert_eq!(!named.is_empty(), racy, "seed {seed} {prefix}: {named:?}");
+                assert!(
+                    named.iter().all(|&(a, b)| truly_race(&tasks, a, b)),
+                    "seed {seed} {prefix}: {named:?}"
+                );
+                racy_groups += usize::from(racy);
+            }
+        }
+        // Stash words are both translated and dropped, and groups race.
+        let [ops, touching] = stash_ops;
+        assert!(0 < touching && touching < ops, "{touching} of {ops}");
         assert!(
             (200..600).contains(&racy_groups),
             "{racy_groups} of 800 race"

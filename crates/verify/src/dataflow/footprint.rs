@@ -1,11 +1,14 @@
 //! Footprint extraction: abstract interpretation of the workload IR
 //! into per-thread-block read/write sets over the [`domain`] lattice.
 //!
-//! This is the one walk that turns IR ops into global words for the
-//! race, stale-read and conflict checks. Slot bindings accumulate across
-//! stages and only mapped modes bind; `LocalMem` lanes translate through
-//! the bound tile (mapped stash data *is* global data); DMA transfers
-//! cover their whole tiles. The result is abstracted into
+//! This is the one walk that turns program ops into global words, for
+//! every static pass: the race, stale-read and conflict checks read its
+//! footprints, the bounds pass its slot bindings, and the advisor's
+//! reuse stream its touches in program order. Slot bindings accumulate
+//! across stages and only mapped modes bind; `LocalMem` lanes translate
+//! through the bound tile (mapped stash data *is* global data); DMA
+//! transfers cover their whole tiles; CPU `StashMem` words translate
+//! through their core's stash maps. The result is abstracted into
 //! [`AffineSet`]s, and the walk tracks the [`Taint`] lattice: a stage
 //! whose lanes were computed from input *data* contributes its whole
 //! hardware-checked region (mapped tile → [`Taint::Widened`]) or
@@ -27,8 +30,8 @@
 //! [`domain`]: crate::dataflow::domain
 
 use crate::dataflow::domain::{AffineSet, AffineSpan, Taint};
-use gpu::program::{Kernel, Phase, Program, ThreadBlock, WarpOp};
-use mem::addr::WORD_BYTES;
+use gpu::program::{CpuOp, CpuPhase, DmaReq, Kernel, Stage, ThreadBlock, WarpOp};
+use mem::addr::{VAddr, WORD_BYTES};
 use mem::tile::TileMap;
 use std::collections::HashMap;
 
@@ -53,13 +56,16 @@ impl BlockFootprint {
         all.extend(&self.writes);
         all
     }
-}
 
-/// Footprints of every block of one kernel, in block order.
-#[derive(Debug, Clone, Default)]
-pub struct KernelFootprints {
-    /// One entry per thread block.
-    pub blocks: Vec<BlockFootprint>,
+    /// Adds concrete `[reads, writes]` word lists, each sorted,
+    /// deduplicated and compressed into spans once.
+    fn add_words(&mut self, [reads, writes]: [Vec<u64>; 2]) {
+        for (mut words, set) in [(reads, &mut self.reads), (writes, &mut self.writes)] {
+            words.sort_unstable();
+            words.dedup();
+            set.extend(&AffineSet::from_sorted_words(&words));
+        }
+    }
 }
 
 /// Deliberate weakenings of the extraction, driven by the conflict
@@ -76,19 +82,111 @@ pub(crate) struct Weakening {
     pub shrink_tile_rows: bool,
 }
 
-/// Extracts the footprints of every GPU kernel of `program`, in kernel
-/// order (CPU phases are skipped — they never contribute to a kernel's
-/// staged merge).
-#[must_use]
-pub fn program_footprints(program: &Program) -> Vec<KernelFootprints> {
-    program
-        .phases
-        .iter()
-        .filter_map(|p| match p {
-            Phase::Gpu(kernel) => Some(kernel_footprints(kernel, Weakening::default())),
-            Phase::Cpu(_) => None,
-        })
-        .collect()
+/// One global touch of a thread block, as [`visit_block`] passes it.
+#[derive(Debug)]
+pub(crate) enum Touch<'a> {
+    /// A DMA transfer: its whole tile is read (`load`) and/or written
+    /// (`store`).
+    Dma(&'a DmaReq),
+    /// Raw global lanes, one byte address each.
+    Global { write: bool, lanes: &'a [VAddr] },
+    /// Local lanes of a slot bound to `tile`; [`lane_words`] translates
+    /// them.
+    Mapped {
+        write: bool,
+        tile: &'a TileMap,
+        lanes: &'a [u32],
+    },
+}
+
+/// The tiles a thread block's slots are bound to, as its stages run.
+#[derive(Debug, Default)]
+pub(crate) struct SlotBindings<'a>(HashMap<usize, &'a TileMap>);
+
+impl<'a> SlotBindings<'a> {
+    /// Applies `stage`'s maps. Only the mapped usage modes give a slot a
+    /// global address, and a binding lasts until its slot is rebound.
+    pub(crate) fn enter(&mut self, stage: &'a Stage) {
+        for m in &stage.maps {
+            if m.mode.is_mapped() {
+                self.0.insert(m.slot, &m.tile);
+            }
+        }
+    }
+
+    /// The tile `slot` is bound to; `None` for private scratchpad.
+    pub(crate) fn tile(&self, slot: usize) -> Option<&'a TileMap> {
+        self.0.get(&slot).copied()
+    }
+}
+
+/// Passes every global touch of `block` to `visit` in program order,
+/// with its stage's taint: per stage, its maps bind first, then come its
+/// DMA tiles, then its warps' raw global lanes and the lanes of bound
+/// slots. Unbound `LocalMem` traffic never reaches a global address.
+pub(crate) fn visit_block<'a>(block: &'a ThreadBlock, mut visit: impl FnMut(Touch<'a>, bool)) {
+    let mut bindings = SlotBindings::default();
+    for stage in &block.stages {
+        bindings.enter(stage);
+        for dma in &stage.dmas {
+            visit(Touch::Dma(dma), stage.tainted);
+        }
+        for op in stage.warps.iter().flatten() {
+            let touch = match op {
+                WarpOp::Compute(_) => continue,
+                WarpOp::GlobalMem { write, lanes } => Touch::Global {
+                    write: *write,
+                    lanes,
+                },
+                WarpOp::LocalMem {
+                    write, slot, lanes, ..
+                } => match bindings.tile(*slot) {
+                    Some(tile) => Touch::Mapped {
+                        write: *write,
+                        tile,
+                        lanes,
+                    },
+                    None => continue,
+                },
+            };
+            visit(touch, stage.tainted);
+        }
+    }
+}
+
+/// The global words behind local words `lanes` of `tile` (the §4.2
+/// translation). A lane past the tile is dropped: it traps in the
+/// machine and claims nothing, and the bounds pass reports it.
+pub(crate) fn lane_words<'t>(
+    tile: &'t TileMap,
+    lanes: impl IntoIterator<Item = u32> + 't,
+) -> impl Iterator<Item = u64> + 't {
+    let limit = tile.local_words();
+    lanes
+        .into_iter()
+        .map(u64::from)
+        .filter(move |&lane| lane < limit)
+        .map(|lane| tile.virt_of_local_offset(lane * WORD_BYTES).0 / WORD_BYTES)
+}
+
+/// The stash map `slot` of CPU `core` names, if the phase declares it.
+pub(crate) fn cpu_slot(cpu: &CpuPhase, core: usize, slot: usize) -> Option<&TileMap> {
+    cpu.stash_maps.get(core)?.get(slot)
+}
+
+/// The `(write, word)` accesses of CPU `core`, in program order: `Mem`
+/// ops at their address, `StashMem` ops through the core's stash maps.
+/// An unmapped slot or a word past its tile is dropped, like a lane past
+/// its tile.
+pub(crate) fn cpu_accesses(cpu: &CpuPhase, core: usize) -> impl Iterator<Item = (bool, u64)> + '_ {
+    cpu.per_core[core].iter().filter_map(move |op| match op {
+        CpuOp::Compute(_) => None,
+        CpuOp::Mem { write, vaddr } => Some((*write, vaddr.0 / WORD_BYTES)),
+        CpuOp::StashMem { write, slot, word } => Some((
+            *write,
+            lane_words(cpu_slot(cpu, core, *slot)?, [*word]).next()?,
+        )),
+    })
 }
 
 /// Extracts one block's footprint (sound, unweakened).
@@ -97,116 +195,72 @@ pub fn block_footprint(block: &ThreadBlock) -> BlockFootprint {
     block_footprint_weakened(block, Weakening::default())
 }
 
-pub(crate) fn kernel_footprints(kernel: &Kernel, weaken: Weakening) -> KernelFootprints {
-    KernelFootprints {
-        blocks: kernel
-            .blocks
-            .iter()
-            .map(|b| block_footprint_weakened(b, weaken))
-            .collect(),
-    }
+/// The footprints of `kernel`'s blocks, in block order.
+pub(crate) fn kernel_footprints(kernel: &Kernel, weaken: Weakening) -> Vec<BlockFootprint> {
+    kernel
+        .blocks
+        .iter()
+        .map(|b| block_footprint_weakened(b, weaken))
+        .collect()
 }
 
-pub(crate) fn block_footprint_weakened(block: &ThreadBlock, weaken: Weakening) -> BlockFootprint {
+fn block_footprint_weakened(block: &ThreadBlock, weaken: Weakening) -> BlockFootprint {
     let mut fp = BlockFootprint::default();
-    // Raw word lists for lane-level accesses; compressed into spans at
-    // the end so regular patterns stay symbolic.
-    let mut read_words: Vec<u64> = Vec::new();
-    let mut write_words: Vec<u64> = Vec::new();
-    // Same binding rule as the linter: bindings accumulate as stages
-    // progress, only mapped modes bind.
-    let mut bindings: HashMap<usize, TileMap> = HashMap::new();
-    for stage in &block.stages {
-        let tainted = stage.tainted && !weaken.ignore_taint;
-        for m in &stage.maps {
-            if m.mode.is_mapped() {
-                bindings.insert(m.slot, m.tile);
-            }
-        }
-        for d in &stage.dmas {
-            if weaken.ignore_dma {
-                continue;
-            }
-            let set = tile_set(&d.tile, weaken.shrink_tile_rows);
-            if d.load {
-                fp.reads.extend(&set);
-            }
-            if d.store {
-                fp.writes.extend(&set);
-            }
-        }
-        for op in stage.warps.iter().flatten() {
-            match op {
-                WarpOp::Compute(_) => {}
-                WarpOp::GlobalMem { write, lanes } => {
-                    if weaken.ignore_global {
-                        continue;
-                    }
-                    if tainted {
-                        // Data-dependent raw global addresses: nothing
-                        // bounds them, the block's footprint is ⊤.
-                        fp.taint = Taint::Top;
-                        continue;
-                    }
-                    let out = if *write {
-                        &mut write_words
-                    } else {
-                        &mut read_words
-                    };
-                    out.extend(lanes.iter().map(|va| va.0 / WORD_BYTES));
+    // Concrete `[reads, writes]`, compressed into spans at the end so
+    // regular patterns stay symbolic.
+    let mut words: [Vec<u64>; 2] = Default::default();
+    visit_block(block, |touch, tainted| {
+        let tainted = tainted && !weaken.ignore_taint;
+        match touch {
+            Touch::Dma(_) if weaken.ignore_dma => {}
+            Touch::Dma(dma) => {
+                let set = tile_set(&dma.tile, weaken.shrink_tile_rows);
+                if dma.load {
+                    fp.reads.extend(&set);
                 }
-                WarpOp::LocalMem {
-                    write, slot, lanes, ..
-                } => {
-                    // Unmapped slots are private scratchpad: no global
-                    // address, no footprint, no claim.
-                    let Some(tile) = bindings.get(slot) else {
-                        continue;
-                    };
-                    if tainted {
-                        // The lanes are one witness; the hardware bounds
-                        // any input's lanes to the mapped tile, so the
-                        // whole tile is a sound widening.
-                        fp.taint = fp.taint.join(Taint::Widened);
-                        let set = tile_set(tile, weaken.shrink_tile_rows);
-                        if *write {
-                            fp.writes.extend(&set);
-                        } else {
-                            fp.reads.extend(&set);
-                        }
-                        continue;
-                    }
-                    let limit = tile.local_words();
-                    let out = if *write {
-                        &mut write_words
-                    } else {
-                        &mut read_words
-                    };
-                    for &lane in lanes {
-                        let lane = u64::from(lane);
-                        // Out-of-range lanes are the OOB pass's problem;
-                        // they trap in the machine and claim nothing.
-                        if lane < limit {
-                            out.push(tile.virt_of_local_offset(lane * WORD_BYTES).0 / WORD_BYTES);
-                        }
-                    }
+                if dma.store {
+                    fp.writes.extend(&set);
                 }
             }
+            Touch::Global { .. } if weaken.ignore_global => {}
+            // Data-dependent raw global addresses: nothing bounds them,
+            // the block's footprint is ⊤.
+            Touch::Global { .. } if tainted => fp.taint = Taint::Top,
+            Touch::Global { write, lanes } => {
+                words[usize::from(write)].extend(lanes.iter().map(|va| va.0 / WORD_BYTES));
+            }
+            // The lanes are one witness; the hardware bounds any input's
+            // lanes to the mapped tile, so the whole tile is a sound
+            // widening.
+            Touch::Mapped { write, tile, .. } if tainted => {
+                fp.taint = fp.taint.join(Taint::Widened);
+                let side = if write { &mut fp.writes } else { &mut fp.reads };
+                side.extend(&tile_set(tile, weaken.shrink_tile_rows));
+            }
+            Touch::Mapped { write, tile, lanes } => {
+                words[usize::from(write)].extend(lane_words(tile, lanes.iter().copied()));
+            }
         }
+    });
+    fp.add_words(words);
+    fp
+}
+
+/// Extracts CPU `core`'s footprint (always exact: CPU addresses and
+/// stash words are literal in the IR).
+pub(crate) fn core_footprint(cpu: &CpuPhase, core: usize) -> BlockFootprint {
+    let mut words: [Vec<u64>; 2] = Default::default();
+    for (write, word) in cpu_accesses(cpu, core) {
+        words[usize::from(write)].push(word);
     }
-    for (words, set) in [
-        (&mut read_words, &mut fp.reads),
-        (&mut write_words, &mut fp.writes),
-    ] {
-        words.sort_unstable();
-        words.dedup();
-        set.extend(&AffineSet::from_sorted_words(words));
-    }
+    let mut fp = BlockFootprint::default();
+    fp.add_words(words);
     fp
 }
 
 /// The word set a [`TileMap`] denotes: one affine span per row
-/// (contiguous when the tile takes whole objects).
+/// (contiguous when the tile takes whole objects), its words in the
+/// tile's local order — the order the DMA engine moves them.
 pub(crate) fn tile_set(tile: &TileMap, first_row_only: bool) -> AffineSet {
     let width = tile.words_per_field();
     let stride = tile.object_bytes() / WORD_BYTES;
@@ -226,9 +280,14 @@ pub(crate) fn tile_set(tile: &TileMap, first_row_only: bool) -> AffineSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu::program::{AllocId, LocalAlloc, MapReq, Stage};
-    use mem::addr::VAddr;
+    use crate::analyze::reuse::word_events;
+    use gpu::config::MemConfigKind;
+    use gpu::program::{AllocId, LocalAlloc, MapReq, Phase};
+    use mem::dma::{DmaDirection, DmaTransfer};
+    use sim::rng::SplitMix64;
     use stash::UsageMode;
+    use std::collections::BTreeSet;
+    use workloads::suite;
 
     fn mapped_block(tile: TileMap, write: bool, lanes: Vec<u32>, tainted: bool) -> ThreadBlock {
         let mut tb = ThreadBlock::new();
@@ -344,5 +403,91 @@ mod tests {
         for i in 0..8u64 {
             assert!(reads.contains(&((0x9000 + i * 4) / 4)));
         }
+    }
+
+    #[test]
+    fn tile_words_are_the_words_the_dma_engine_moves() {
+        let mut rng = SplitMix64::new(27);
+        for _ in 0..500 {
+            let field = 1 + rng.next_below(3);
+            let object = field + rng.next_below(3);
+            let row_elems = 1 + rng.next_below(6);
+            let rows = 1 + rng.next_below(4);
+            let stride = if rows == 1 && rng.chance(1, 2) {
+                0
+            } else {
+                row_elems * object + rng.next_below(8)
+            };
+            let base = VAddr((0x400 + rng.next_below(64)) * WORD_BYTES);
+            let tile = TileMap::new(
+                base,
+                field * WORD_BYTES,
+                object * WORD_BYTES,
+                row_elems,
+                stride * WORD_BYTES,
+                rows,
+            )
+            .unwrap();
+            let words: Vec<u64> = tile_set(&tile, false)
+                .spans()
+                .iter()
+                .flat_map(AffineSpan::words)
+                .collect();
+            let moved: Vec<u64> = DmaTransfer::new(tile, DmaDirection::GlobalToScratch)
+                .word_vaddrs()
+                .map(|va| va.0 / WORD_BYTES)
+                .collect();
+            assert_eq!(words, moved, "{tile:?}");
+        }
+    }
+
+    /// Each task's words in the reuse stream, split by write, equal its
+    /// footprint's sets when they are exact and lie inside them when
+    /// they are widened, on every configuration of the programs that map
+    /// tiles, run DMA and sweep on CPUs.
+    #[test]
+    fn reuse_stream_and_footprints_agree_on_shipped_programs() {
+        let trace =
+            workloads::trace::parse_trace(include_str!("../../../../examples/histogram.trace"))
+                .expect("the example trace parses");
+        let mut programs = Vec::new();
+        for kind in MemConfigKind::ALL {
+            for w in suite::micros().into_iter().chain(suite::extras()) {
+                programs.push((format!("{} on {kind}", w.name), (w.build)(kind)));
+            }
+            programs.push((format!("histogram on {kind}"), trace.build(kind)));
+        }
+        let mut checked = [0usize; 3];
+        for (name, program) in &programs {
+            let mut stream: HashMap<(u32, u32), [BTreeSet<u64>; 2]> = HashMap::new();
+            for e in word_events(program) {
+                stream.entry((e.phase, e.task)).or_default()[usize::from(e.write)].insert(e.word);
+            }
+            for (phase, p) in (0u32..).zip(&program.phases) {
+                let fps: Vec<BlockFootprint> = match p {
+                    Phase::Gpu(kernel) => kernel.blocks.iter().map(block_footprint).collect(),
+                    Phase::Cpu(cpu) => (0..cpu.per_core.len())
+                        .map(|core| core_footprint(cpu, core))
+                        .collect(),
+                };
+                for (task, fp) in (0u32..).zip(&fps) {
+                    let walked = stream.remove(&(phase, task)).unwrap_or_default();
+                    let sets =
+                        [&fp.reads, &fp.writes].map(|set| set.words_capped(u64::MAX).unwrap());
+                    let here = format!("{name}, phase {phase} task {task}");
+                    match fp.taint {
+                        Taint::Exact => assert_eq!(walked, sets, "{here}"),
+                        Taint::Widened => assert!(
+                            walked.iter().zip(&sets).all(|(w, s)| w.is_subset(s)),
+                            "{here}"
+                        ),
+                        Taint::Top => {}
+                    }
+                    checked[fp.taint as usize] += 1;
+                }
+            }
+            assert!(stream.is_empty(), "{name}: events of no task");
+        }
+        assert!(checked.iter().all(|&n| n > 0), "{checked:?}");
     }
 }

@@ -23,10 +23,12 @@
 //!    ([`crate::Rule::CpuStaleRead`]).
 //!
 //! [`oob`] and [`drf`] are the crate's only bounds and race checks, and
-//! [`footprint`] is the only code that turns thread-block ops into
-//! global words for them. All three passes report through the crate's
-//! unified [`crate::Diagnostic`] type; [`dataflow_diagnostics`] runs the
-//! two diagnostic passes together.
+//! [`footprint`] is the only code that turns program ops into global
+//! words, for them and for the advisor's reuse analysis
+//! ([`crate::analyze::reuse::word_events`] reads the same walk, in
+//! program order). All three passes report through the crate's unified
+//! [`crate::Diagnostic`] type; [`dataflow_diagnostics`] runs the two
+//! diagnostic passes together.
 //!
 //! [`Program`]: gpu::program::Program
 
@@ -39,7 +41,7 @@ pub mod oob;
 pub use conflict::{certify, certify_mutated, ConflictMutation, MachineShape};
 pub use domain::{AffineSet, AffineSpan, Interval, Taint};
 pub use drf::check_races;
-pub use footprint::{block_footprint, program_footprints, BlockFootprint, KernelFootprints};
+pub use footprint::{block_footprint, BlockFootprint};
 pub use oob::{check_bounds, BoundsSummary, BoundsVerdict};
 
 use crate::diag::{Diagnostic, Symbols};

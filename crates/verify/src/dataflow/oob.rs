@@ -18,11 +18,11 @@
 //! [`Stage::tainted`]: gpu::program::Stage::tainted
 
 use crate::dataflow::domain::Interval;
+use crate::dataflow::footprint::{cpu_slot, SlotBindings};
 use crate::diag::{Diagnostic, Rule, Symbols};
 use gpu::program::{CpuOp, Phase, Program, ThreadBlock, WarpOp};
 use mem::addr::WORD_BYTES;
 use mem::tile::TileMap;
-use std::collections::HashMap;
 
 /// How one bounds check came out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +93,9 @@ fn check_block(
     out: &mut Vec<Diagnostic>,
     summary: &mut BoundsSummary,
 ) {
-    let mut bindings: HashMap<usize, TileMap> = HashMap::new();
+    let mut bindings = SlotBindings::default();
     for (si, stage) in block.stages.iter().enumerate() {
+        bindings.enter(stage);
         let here = format!("kernel {kernel_idx} block {b} stage {si}");
         // One data-dependent warning per stage, not per lane.
         let mut warned_unknown = false;
@@ -118,9 +119,6 @@ fn check_block(
                 summary.count(BoundsVerdict::ProvenSafe);
             }
             check_tile_vs_symbols(&m.tile, &here, symbols, out, summary);
-            if m.mode.is_mapped() {
-                bindings.insert(m.slot, m.tile);
-            }
         }
         for d in &stage.dmas {
             check_tile_vs_symbols(&d.tile, &here, symbols, out, summary);
@@ -135,7 +133,7 @@ fn check_block(
             if lanes.is_empty() {
                 continue;
             }
-            let tile = bindings.get(slot);
+            let tile = bindings.tile(*slot);
             let limit = tile.map_or_else(
                 || block.allocs.get(alloc.0).map_or(0, |a| a.words),
                 TileMap::local_words,
@@ -184,12 +182,11 @@ fn check_cpu_phase(
     summary: &mut BoundsSummary,
 ) {
     for (c, ops) in cpu.per_core.iter().enumerate() {
-        let maps = cpu.stash_maps.get(c);
         for op in ops {
             let CpuOp::StashMem { slot, word, .. } = op else {
                 continue;
             };
-            match maps.and_then(|m| m.get(*slot)) {
+            match cpu_slot(cpu, c, *slot) {
                 None => {
                     summary.count(BoundsVerdict::ProvenOob);
                     out.push(Diagnostic::new(

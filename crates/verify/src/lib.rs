@@ -28,12 +28,13 @@
 //!    `oracle_matrix` integration test in this crate exercises it over
 //!    the full Figure 5 matrix.
 //! 3. [`dataflow`] — static **race and bounds checks** over the
-//!    workload IR, before any simulation runs. One footprint extraction
-//!    feeds the race pass ([`dataflow::drf`]: cross-thread-block and
-//!    cross-core CPU races, and CPU stale reads across unsynchronized
-//!    GPU/CPU phase boundaries), the bounds pass ([`dataflow::oob`]:
-//!    stash-map, allocation and AoS index expressions) and the conflict
-//!    certificates the parallel merge consumes.
+//!    workload IR, before any simulation runs. One footprint walk
+//!    ([`dataflow::footprint`]) turns ops into global words and feeds the
+//!    race pass ([`dataflow::drf`]: cross-thread-block and cross-core CPU
+//!    races, and CPU stale reads across unsynchronized GPU/CPU phase
+//!    boundaries), the bounds pass ([`dataflow::oob`]: stash-map,
+//!    allocation and AoS index expressions), the conflict certificates
+//!    the parallel merge consumes, and the analyzer's reuse stream.
 //! 4. [`analyze`] — a static **access-pattern analyzer** for the
 //!    placement advisor over the same IR: word-granular reuse-distance
 //!    analysis, static coalescing efficiency (via the machine's own
